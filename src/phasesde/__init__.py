@@ -45,7 +45,6 @@ from .dynamics import (
     hybrid_drift,
     hybrid_noise_factor,
     positive_p_diffusion,
-    positive_p_two_mode,
     wigner_truncated,
 )
 from .integrator import (
@@ -107,7 +106,6 @@ __all__ = [
     "hybrid_drift",
     "hybrid_noise_factor",
     "positive_p_diffusion",
-    "positive_p_two_mode",
     "wigner_truncated",
     "TrajectoryState",
     "build_step_plan",

@@ -90,16 +90,34 @@ def load_config_file(path: str) -> dict:
         raise ConfigError([f"config file {path} is not valid JSON: {exc}"])
 
 
+def _number(value, where: str, integer: bool = False):
+    """A JSON number as float (or int); never coerced from anything else.
+
+    Raises ConfigError for null, a bool, a string, any other type, and
+    (with ``integer``) a number with a fractional part.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        got = json.dumps(value, default=repr)
+        raise ConfigError([f"{where} must be a number, got {got}"])
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError([f"{where} must be an integer, got {value!r}"])
+    return int(value)
+
+
 def _schedule_from_json(segments) -> CouplingSchedule:
     if not isinstance(segments, list) or not segments:
         raise ConfigError(["params.coupling must be a non-empty list"])
     segs = []
-    for seg in segments:
+    for i, seg in enumerate(segments):
         if not isinstance(seg, dict) or set(seg) != {"t_end", "g"}:
             raise ConfigError(
                 ["each coupling segment must be an object with t_end and g"])
-        t_end = math.inf if seg["t_end"] is None else float(seg["t_end"])
-        segs.append((t_end, float(seg["g"])))
+        where = f"params.coupling[{i}]"
+        t_end = (math.inf if seg["t_end"] is None
+                 else _number(seg["t_end"], f"{where}.t_end"))
+        segs.append((t_end, _number(seg["g"], f"{where}.g")))
     return CouplingSchedule(tuple(segs))
 
 
@@ -115,10 +133,8 @@ def _params_from_json(d: dict) -> SystemParams:
     if missing:
         raise ConfigError([f"params is missing {sorted(missing)}"])
     return SystemParams(
-        omega_a=float(d["omega_a"]),
-        omega_b=float(d["omega_b"]),
-        chi_a=float(d["chi_a"]),
-        chi_b=float(d["chi_b"]),
+        **{k: _number(d[k], f"params.{k}")
+           for k in ("omega_a", "omega_b", "chi_a", "chi_b")},
         coupling=_schedule_from_json(d["coupling"]),
     )
 
@@ -137,16 +153,20 @@ def _ensemble_from_json(d: dict, n_trajectories: int) -> EnsembleConfig:
     missing = {"n_trajectories", "dt", "t_final", "N_a0", "N_b0"} - set(d)
     if missing:
         raise ConfigError([f"ensemble is missing {sorted(missing)}"])
+
+    def number(key, default=None, integer=False):
+        return _number(d.get(key, default), f"ensemble.{key}", integer)
+
     return EnsembleConfig(
-        n_trajectories=int(n_trajectories),
-        dt=float(d["dt"]),
-        t_final=float(d["t_final"]),
-        N_a0=float(d["N_a0"]),
-        N_b0=float(d["N_b0"]),
-        n_batches=int(d.get("n_batches", 10)),
-        sample_interval=int(d.get("sample_interval", 1)),
-        master_seed=int(d.get("master_seed", 0)),
-        blowup_threshold=float(d.get("blowup_threshold", 1e6)),
+        n_trajectories=_number(n_trajectories, "n_trajectories", integer=True),
+        dt=number("dt"),
+        t_final=number("t_final"),
+        N_a0=number("N_a0"),
+        N_b0=number("N_b0"),
+        n_batches=number("n_batches", 10, integer=True),
+        sample_interval=number("sample_interval", 1, integer=True),
+        master_seed=number("master_seed", 0, integer=True),
+        blowup_threshold=number("blowup_threshold", 1e6),
     )
 
 
@@ -165,7 +185,9 @@ def _normalize_methods(method_field, default_n: int) -> list:
                 [f"unknown method {name!r}; available: {', '.join(METHOD_NAMES)}"])
         out.append({
             "name": name,
-            "n_trajectories": int(entry.get("n_trajectories", default_n)),
+            "n_trajectories": _number(entry.get("n_trajectories", default_n),
+                                      f"method {name} n_trajectories",
+                                      integer=True),
         })
     names = [e["name"] for e in out]
     if len(set(names)) != len(names):
@@ -185,6 +207,9 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     if missing:
         raise ConfigError([f"config is missing {sorted(missing)}"])
 
+    for key in ("params", "ensemble", "output"):
+        if not isinstance(raw[key], dict):
+            raise ConfigError([f"{key} must be an object"])
     ensemble = dict(raw["ensemble"])
     if "n_trajectories" not in ensemble:
         raise ConfigError(["ensemble is missing ['n_trajectories']"])
@@ -195,7 +220,9 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     if overrides.get("trajectories") is not None:
         ensemble["n_trajectories"] = int(overrides["trajectories"])
 
-    methods = _normalize_methods(raw["method"], int(ensemble["n_trajectories"]))
+    default_n = _number(ensemble["n_trajectories"], "ensemble.n_trajectories",
+                        integer=True)
+    methods = _normalize_methods(raw["method"], default_n)
     if overrides.get("trajectories") is not None:
         for entry in methods:
             entry["n_trajectories"] = int(overrides["trajectories"])
@@ -206,7 +233,7 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
         kept = [e for e in methods if e["name"] == name]
         methods = kept or [{
             "name": name,
-            "n_trajectories": int(ensemble["n_trajectories"]),
+            "n_trajectories": default_n,
         }]
 
     observables = list(raw["observables"])
@@ -404,7 +431,8 @@ def _oracle_command(resolved: dict, times_text: str | None) -> dict:
     params = _params_from_json(resolved["params"])
     ensemble = resolved["ensemble"]
     op = match_schedule(
-        params, float(ensemble["N_a0"]), float(ensemble["N_b0"]))
+        params, _number(ensemble.get("N_a0"), "ensemble.N_a0"),
+        _number(ensemble.get("N_b0"), "ensemble.N_b0"))
     if op is None:
         raise ConfigError(
             ["no closed form for this coupling schedule; it must be constant "
@@ -413,7 +441,7 @@ def _oracle_command(resolved: dict, times_text: str | None) -> dict:
     if times_text is not None:
         times = _parse_times(times_text)
     else:
-        config = _ensemble_from_json(ensemble, int(ensemble["n_trajectories"]))
+        config = _ensemble_from_json(ensemble, ensemble["n_trajectories"])
         times = build_step_plan(config, params).sample_times
 
     observables = [o for o in resolved["observables"] if o in EXACT_OBSERVABLES]

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,15 +83,7 @@ class PhasePoint:
     beta_plus: complex
 
     def is_finite(self) -> bool:
-        return all(
-            math.isfinite(z.real) and math.isfinite(z.imag)
-            for z in (
-                complex(self.alpha),
-                complex(self.alpha_plus),
-                complex(self.beta),
-                complex(self.beta_plus),
-            )
-        )
+        return bool(np.all(np.isfinite(self.as_array())))
 
     def as_array(self) -> np.ndarray:
         return np.array(
@@ -188,7 +180,10 @@ class MethodSpec:
             )
 
     @classmethod
-    def of(cls, name: str) -> "MethodSpec":
+    def of(cls, name) -> "MethodSpec":
+        """The spec of a method name; a MethodSpec is returned unchanged."""
+        if isinstance(name, MethodSpec):
+            return name
         if name not in METHOD_TAGS:
             raise ValueError(f"unknown method {name!r}")
         r_a, r_b = METHOD_TAGS[name]
@@ -314,16 +309,25 @@ class EnsembleResult:
     def n_batches(self) -> int:
         return self.sums.shape[1]
 
+    def moment_means(self) -> dict:
+        """Per-batch live means of every monomial at every sample time.
+
+        Each value is a (samples, batches) array.  Batches with no live
+        trajectories yield NaN means.
+        """
+        counts = self.live_counts.astype(float)[:, :, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            means = self.sums / counts
+        means = np.where(counts > 0, means, np.nan + 0j)
+        return {name: means[..., i] for i, name in enumerate(self.monomials)}
+
     def batch_moment_means(self, sample_index: int) -> dict:
         """Per-batch live means of every monomial at one sample time.
 
         Batches with no live trajectories yield NaN means.
         """
-        counts = self.live_counts[sample_index].astype(float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            means = self.sums[sample_index] / counts[:, None]
-        means = np.where(counts[:, None] > 0, means, np.nan + 0j)
-        return {name: means[:, i] for i, name in enumerate(self.monomials)}
+        return {name: col[sample_index]
+                for name, col in self.moment_means().items()}
 
     def ensemble_moment_means(self, sample_index: int) -> dict:
         """Live means of every monomial over the whole ensemble."""

@@ -35,7 +35,6 @@ __all__ = [
     "hybrid_drift",
     "hybrid_noise_factor",
     "hybrid_diffusion",
-    "positive_p_two_mode",
     "positive_p_drift",
     "positive_p_noise_factor",
     "positive_p_diffusion",
@@ -85,10 +84,21 @@ def hybrid_noise_coefficients(params: SystemParams, g):
     """(q, s): interface and Kerr noise amplitudes for the mixed method.
 
     q scales the four-variable interface noise, s the b-mode Kerr noise.
+    ``g`` may be an array (one coupling per substep); q then has its shape.
     """
     q = 0.5 * np.sqrt(-1j * g + 0j)
     s = np.sqrt(2j * params.chi_b + 0j)
     return q, s
+
+
+def _rotation_drift(p: PhasePoint, f_a, f_b) -> DriftVector:
+    """The shared drift form: alpha rotates by -i F_a, alpha_plus by +i F_a."""
+    return DriftVector(
+        -1j * f_a * p.alpha,
+        +1j * f_a * p.alpha_plus,
+        -1j * f_b * p.beta,
+        +1j * f_b * p.beta_plus,
+    )
 
 
 # --------------------------------------------------------------------------
@@ -113,12 +123,7 @@ def hybrid_drift(p: PhasePoint, params: SystemParams, g,
     if further_truncation:
         bpb = np.real(bpb)
     f_a, f_b = hybrid_frequencies(apa, bpb, params, g)
-    return DriftVector(
-        -1j * f_a * p.alpha,
-        +1j * f_a * p.alpha_plus,
-        -1j * f_b * p.beta,
-        +1j * f_b * p.beta_plus,
-    )
+    return _rotation_drift(p, f_a, f_b)
 
 
 def hybrid_noise_factor(p: PhasePoint, params: SystemParams, g) -> np.ndarray:
@@ -197,12 +202,7 @@ def positive_p_drift(p: PhasePoint, params: SystemParams, g) -> DriftVector:
     apa = p.alpha_plus * p.alpha
     bpb = p.beta_plus * p.beta
     f_a, f_b = positive_p_frequencies(apa, bpb, params, g)
-    return DriftVector(
-        -1j * f_a * p.alpha,
-        +1j * f_a * p.alpha_plus,
-        -1j * f_b * p.beta,
-        +1j * f_b * p.beta_plus,
-    )
+    return _rotation_drift(p, f_a, f_b)
 
 
 def positive_p_noise_factor(p: PhasePoint, params: SystemParams, g) -> np.ndarray:
@@ -243,11 +243,6 @@ def positive_p_diffusion(p: PhasePoint, params: SystemParams, g) -> np.ndarray:
     return D
 
 
-def positive_p_two_mode(p: PhasePoint, params: SystemParams, g):
-    """(drift, noise factor) for the two-mode positive-P method."""
-    return positive_p_drift(p, params, g), positive_p_noise_factor(p, params, g)
-
-
 # --------------------------------------------------------------------------
 # truncated Wigner
 # --------------------------------------------------------------------------
@@ -263,9 +258,4 @@ def wigner_truncated(p: PhasePoint, params: SystemParams, g) -> DriftVector:
     na = np.real(p.alpha_plus * p.alpha)
     nb = np.real(p.beta_plus * p.beta)
     f_a, f_b = wigner_frequencies(na, nb, params, g)
-    return DriftVector(
-        -1j * f_a * p.alpha,
-        +1j * f_a * p.alpha_plus,
-        -1j * f_b * p.beta,
-        +1j * f_b * p.beta_plus,
-    )
+    return _rotation_drift(p, f_a, f_b)

@@ -9,25 +9,20 @@ Trajectories are processed in fixed-size chunks and chunk partials are
 merged in index order, which makes results bit-identical for a given
 config no matter how many workers run the chunks.
 
-Two steppers are available:
-
-* ``"split_step"`` (default): applies the noise factors at the pre-step
-  point, then advances the phase rotation exp(-i F dt) exactly, dividing
-  the plus variables by the same rotation factor.  The rotation therefore
-  conserves alpha_plus*alpha and beta_plus*beta to machine precision; the
-  additionally truncated method further applies its interface noise as an
-  exact exponential pair so alpha_plus*alpha stays real as well.  This is
-  the production path: the plain Euler map is violently unstable on the
-  stiff Kerr rotation at the occupations of interest.
-* ``"euler"``: the literal Euler-Maruyama map point + A dt + B xi sqrt(dt),
-  kept for unit-level checks of the drift and diffusion evaluation.
+Every method takes the same split step: a multiplicative noise kick at
+the pre-step point, then the exact rotation exp(-i F dt), which divides
+the plus variables by the same factor and so conserves alpha_plus*alpha
+and beta_plus*beta to machine precision.  The plain Euler map, violently
+unstable on the stiff Kerr rotation at the occupations of interest, stays
+only as the reference ``euler_maruyama_step``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,10 +51,7 @@ __all__ = [
     "euler_maruyama_step",
     "simulate_trajectory",
     "run_ensemble",
-    "STEPPERS",
 ]
-
-STEPPERS = ("split_step", "euler")
 
 # Trajectories per work unit.  Fixed (never derived from worker count) so
 # the partial-sum grouping, and hence the output bytes, are reproducible.
@@ -75,7 +67,6 @@ class TrajectoryState:
 
     point: PhasePoint
     live: bool = True
-    rng_stream: tuple = (0, 0)
     t: float = 0.0
     blowup_time: float | None = None
 
@@ -84,10 +75,6 @@ def make_stream(master_seed: int, trajectory_index: int) -> np.random.Generator:
     """The dedicated counter-based stream of one trajectory."""
     key = np.array([master_seed, trajectory_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _noise_count(method: MethodSpec) -> int:
-    return 0 if method.method == "wigner" else 4
 
 
 def euler_maruyama_step(state: TrajectoryState, params: SystemParams, g: float,
@@ -109,7 +96,8 @@ def euler_maruyama_step(state: TrajectoryState, params: SystemParams, g: float,
             p, params, g, further_truncation=(name == "hybrid_truncated"))
         noise = dynamics.hybrid_noise_factor(p, params, g)
     elif name == "positive_p":
-        drift, noise = dynamics.positive_p_two_mode(p, params, g)
+        drift = dynamics.positive_p_drift(p, params, g)
+        noise = dynamics.positive_p_noise_factor(p, params, g)
     else:
         drift = dynamics.wigner_truncated(p, params, g)
         noise = None
@@ -125,7 +113,6 @@ def euler_maruyama_step(state: TrajectoryState, params: SystemParams, g: float,
     return TrajectoryState(
         point=new_point,
         live=not dead,
-        rng_stream=state.rng_stream,
         t=t_new,
         blowup_time=t_new if dead else None,
     )
@@ -210,9 +197,8 @@ def _substep_coefficients(method: MethodSpec, params: SystemParams, plan: StepPl
     """Per-substep noise scalars, precomputed once and shared by chunks."""
     name = method.method
     if name in ("hybrid", "hybrid_truncated"):
-        q = 0.5 * np.sqrt(-1j * plan.sub_g + 0j)
-        s = complex(np.sqrt(2j * params.chi_b + 0j))
-        return {"q": q, "s": s}
+        q, s = dynamics.hybrid_noise_coefficients(params, plan.sub_g)
+        return {"q": q, "s": complex(s)}
     if name == "positive_p":
         factors = {}
         F = np.empty((plan.n_substeps, 2, 2), dtype=complex)
@@ -223,6 +209,59 @@ def _substep_coefficients(method: MethodSpec, params: SystemParams, plan: StepPl
             F[j] = factors[g]
         return {"F": F}
     return {}
+
+
+# --------------------------------------------------------------------------
+# per-method kicks and frequencies
+# --------------------------------------------------------------------------
+#
+# A kick maps the pre-step point to x_mid; its linear term is B(p) xi
+# sqrt(dt) for the method's noise factor in ``dynamics``.
+
+
+def _hybrid_kick(coeffs, j, x, sdt, a, ap, b, bp, exact_pair=False):
+    q, s = coeffs["q"][j], coeffs["s"]
+    e3 = x[:, 2] + 1j * x[:, 3]
+    em = x[:, 2] - 1j * x[:, 3]
+    if exact_pair:
+        # Exact exponential pair: keeps alpha_plus*alpha real under the
+        # interface noise.
+        ee = np.exp(q * e3 * sdt)
+        a_mid, ap_mid = a * ee, ap / ee
+    else:
+        a_mid, ap_mid = a * (1.0 + q * e3 * sdt), ap * (1.0 - q * e3 * sdt)
+    return (a_mid, ap_mid, b * (1.0 + (1j * s * x[:, 0] + q * em) * sdt),
+            bp * (1.0 + (s * x[:, 1] + q * em) * sdt))
+
+
+def _positive_p_kick(coeffs, j, x, sdt, a, ap, b, bp):
+    F = coeffs["F"][j]
+    mult_a = (F[0, 0] * x[:, 0] + F[0, 1] * x[:, 1]) * sdt
+    mult_b = (F[1, 0] * x[:, 0] + F[1, 1] * x[:, 1]) * sdt
+    mult_ap = 1j * (F[0, 0] * x[:, 2] + F[0, 1] * x[:, 3]) * sdt
+    mult_bp = 1j * (F[1, 0] * x[:, 2] + F[1, 1] * x[:, 3]) * sdt
+    return (a * (1.0 + mult_a), ap * (1.0 + mult_ap),
+            b * (1.0 + mult_b), bp * (1.0 + mult_bp))
+
+
+# The noiseless method has no kick.
+_KICKS = {
+    "hybrid": _hybrid_kick,
+    "hybrid_truncated": functools.partial(_hybrid_kick, exact_pair=True),
+    "positive_p": _positive_p_kick,
+}
+
+# (F_a, F_b) at the pre-step point, from ``dynamics`` looked up at call time.
+_FREQUENCIES = {
+    "hybrid": lambda a, ap, b, bp, params, g: dynamics.hybrid_frequencies(
+        ap * a, bp * b, params, g),
+    "hybrid_truncated": lambda a, ap, b, bp, params, g:
+        dynamics.hybrid_frequencies(ap * a, np.real(bp * b), params, g),
+    "positive_p": lambda a, ap, b, bp, params, g:
+        dynamics.positive_p_frequencies(ap * a, bp * b, params, g),
+    "wigner": lambda a, ap, b, bp, params, g: dynamics.wigner_frequencies(
+        np.real(ap * a), np.real(bp * b), params, g),
+}
 
 
 # --------------------------------------------------------------------------
@@ -237,11 +276,7 @@ def _initial_arrays(indices, method: MethodSpec, init: CoherentInit,
     Consumption order within each stream: mode a draws first, then mode b;
     delta-sampled modes consume nothing.
     """
-    m = len(indices)
-    a = np.empty(m, dtype=complex)
-    ap = np.empty(m, dtype=complex)
-    b = np.empty(m, dtype=complex)
-    bp = np.empty(m, dtype=complex)
+    a, ap, b, bp = np.empty((4, len(indices)), dtype=complex)
     gens = [make_stream(master_seed, int(i)) for i in indices]
     for j, gen in enumerate(gens):
         if method.r_a == 2:
@@ -257,10 +292,9 @@ def _initial_arrays(indices, method: MethodSpec, init: CoherentInit,
 
 def _simulate_chunk(indices, method: MethodSpec, params: SystemParams,
                     config: EnsembleConfig, init: CoherentInit, plan: StepPlan,
-                    coeffs, stepper: str, noise_free: bool, record_gauge: bool,
+                    coeffs, noise_free: bool, record_gauge: bool,
                     threshold: float):
     """Integrate one chunk of trajectories; returns per-chunk partials."""
-    name = method.method
     n_batches = config.n_batches
     m = len(indices)
     batch_idx = np.asarray(indices) % n_batches
@@ -279,33 +313,24 @@ def _simulate_chunk(indices, method: MethodSpec, params: SystemParams,
 
     def record(sample_index):
         apa = ap * a
-        vals = np.empty((m, len(MONOMIALS)), dtype=complex)
-        vals[:, 0] = a
-        vals[:, 1] = ap
-        vals[:, 2] = b
-        vals[:, 3] = bp
-        vals[:, 4] = apa
-        vals[:, 5] = bp * b
-        vals[:, 6] = apa * apa
-        vals[:, 7] = b * b
-        vals[:, 8] = bp * bp
-        vals[:, 9] = apa * b
-        vals[:, 10] = apa * bp
+        # Columns in MONOMIALS order.
+        vals = np.stack([a, ap, b, bp, apa, bp * b, apa * apa, b * b, bp * bp,
+                         apa * b, apa * bp], axis=1)
         idx = batch_idx[live]
         np.add.at(sums[sample_index], idx, vals[live])
         np.add.at(live_counts[sample_index], idx, 1)
 
     record(0)
     sample_index = 1
-    needs_noise = _noise_count(method) > 0 and not noise_free
-    q_arr = coeffs.get("q")
-    s_coef = coeffs.get("s")
-    F_arr = coeffs.get("F")
+    kick = None if noise_free else _KICKS.get(method.method)
+    frequencies = _FREQUENCIES[method.method]
+    # Truncated Wigner points stay conjugate-symmetric.
+    conjugate = method.method == "wigner"
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for block_start in range(0, plan.n_substeps, NOISE_BLOCK):
             block_len = min(NOISE_BLOCK, plan.n_substeps - block_start)
-            if needs_noise:
+            if kick is not None:
                 xi = np.empty((m, block_len, 4))
                 for j, gen in enumerate(gens):
                     xi[j] = draw_standard_normals(
@@ -313,113 +338,27 @@ def _simulate_chunk(indices, method: MethodSpec, params: SystemParams,
             for s_local in range(block_len):
                 j = block_start + s_local
                 dt_s = plan.sub_dt[j]
-                g = plan.sub_g[j]
-                sdt = math.sqrt(dt_s)
-                x = xi[:, s_local, :] if needs_noise else None
-
-                if name in ("hybrid", "hybrid_truncated"):
-                    apa = ap * a
-                    bpb = bp * b
-                    if name == "hybrid_truncated":
-                        bpb = np.real(bpb)
-                    f_a, f_b = dynamics.hybrid_frequencies(apa, bpb, params, g)
-                    if needs_noise:
-                        q = q_arr[j]
-                        e3 = x[:, 2] + 1j * x[:, 3]
-                        em = x[:, 2] - 1j * x[:, 3]
-                        mult_b = (1j * s_coef * x[:, 0] + q * em) * sdt
-                        mult_bp = (s_coef * x[:, 1] + q * em) * sdt
-                    if stepper == "split_step":
-                        if needs_noise:
-                            if name == "hybrid_truncated":
-                                # Exact exponential pair: keeps alpha_plus*alpha
-                                # real under the interface noise.
-                                ee = np.exp(q * e3 * sdt)
-                                a_mid = a * ee
-                                ap_mid = ap / ee
-                            else:
-                                a_mid = a * (1.0 + q * e3 * sdt)
-                                ap_mid = ap * (1.0 - q * e3 * sdt)
-                            b_mid = b * (1.0 + mult_b)
-                            bp_mid = bp * (1.0 + mult_bp)
-                        else:
-                            a_mid, ap_mid, b_mid, bp_mid = a, ap, b, bp
-                        rot_a = np.exp(-1j * f_a * dt_s)
-                        rot_b = np.exp(-1j * f_b * dt_s)
-                        a = a_mid * rot_a
-                        ap = ap_mid / rot_a
-                        b = b_mid * rot_b
-                        bp = bp_mid / rot_b
-                    else:
-                        da = -1j * f_a * a * dt_s
-                        dap = +1j * f_a * ap * dt_s
-                        db = -1j * f_b * b * dt_s
-                        dbp = +1j * f_b * bp * dt_s
-                        if needs_noise:
-                            da = da + a * q * e3 * sdt
-                            dap = dap - ap * q * e3 * sdt
-                            db = db + b * mult_b
-                            dbp = dbp + bp * mult_bp
-                        a, ap, b, bp = a + da, ap + dap, b + db, bp + dbp
-                elif name == "positive_p":
-                    apa = ap * a
-                    bpb = bp * b
-                    f_a, f_b = dynamics.positive_p_frequencies(
-                        apa, bpb, params, g)
-                    if needs_noise:
-                        F = F_arr[j]
-                        mult_a = (F[0, 0] * x[:, 0] + F[0, 1] * x[:, 1]) * sdt
-                        mult_b = (F[1, 0] * x[:, 0] + F[1, 1] * x[:, 1]) * sdt
-                        mult_ap = 1j * (F[0, 0] * x[:, 2] + F[0, 1] * x[:, 3]) * sdt
-                        mult_bp = 1j * (F[1, 0] * x[:, 2] + F[1, 1] * x[:, 3]) * sdt
-                    if stepper == "split_step":
-                        if needs_noise:
-                            a_mid = a * (1.0 + mult_a)
-                            ap_mid = ap * (1.0 + mult_ap)
-                            b_mid = b * (1.0 + mult_b)
-                            bp_mid = bp * (1.0 + mult_bp)
-                        else:
-                            a_mid, ap_mid, b_mid, bp_mid = a, ap, b, bp
-                        rot_a = np.exp(-1j * f_a * dt_s)
-                        rot_b = np.exp(-1j * f_b * dt_s)
-                        a = a_mid * rot_a
-                        ap = ap_mid / rot_a
-                        b = b_mid * rot_b
-                        bp = bp_mid / rot_b
-                    else:
-                        da = -1j * f_a * a * dt_s
-                        dap = +1j * f_a * ap * dt_s
-                        db = -1j * f_b * b * dt_s
-                        dbp = +1j * f_b * bp * dt_s
-                        if needs_noise:
-                            da = da + a * mult_a
-                            dap = dap + ap * mult_ap
-                            db = db + b * mult_b
-                            dbp = dbp + bp * mult_bp
-                        a, ap, b, bp = a + da, ap + dap, b + db, bp + dbp
-                else:  # wigner: drift only
-                    na = np.real(ap * a)
-                    nb = np.real(bp * b)
-                    f_a, f_b = dynamics.wigner_frequencies(na, nb, params, g)
-                    if stepper == "split_step":
-                        a = a * np.exp(-1j * f_a * dt_s)
-                        b = b * np.exp(-1j * f_b * dt_s)
-                    else:
-                        a = a + (-1j * f_a * a) * dt_s
-                        b = b + (-1j * f_b * b) * dt_s
+                f_a, f_b = frequencies(a, ap, b, bp, params, plan.sub_g[j])
+                if kick is not None:
+                    a_mid, ap_mid, b_mid, bp_mid = kick(
+                        coeffs, j, xi[:, s_local, :], math.sqrt(dt_s),
+                        a, ap, b, bp)
+                else:
+                    a_mid, ap_mid, b_mid, bp_mid = a, ap, b, bp
+                rot_a = np.exp(-1j * f_a * dt_s)
+                rot_b = np.exp(-1j * f_b * dt_s)
+                a = a_mid * rot_a
+                b = b_mid * rot_b
+                if conjugate:
                     ap = np.conj(a)
                     bp = np.conj(b)
+                else:
+                    ap = ap_mid / rot_a
+                    bp = bp_mid / rot_b
 
-                bad = ~(
-                    np.isfinite(a.real) & np.isfinite(a.imag)
-                    & np.isfinite(ap.real) & np.isfinite(ap.imag)
-                    & np.isfinite(b.real) & np.isfinite(b.imag)
-                    & np.isfinite(bp.real) & np.isfinite(bp.imag)
-                )
-                bad |= (
-                    (np.abs(a) > threshold) | (np.abs(ap) > threshold)
-                    | (np.abs(b) > threshold) | (np.abs(bp) > threshold)
-                )
+                bad = np.zeros(m, dtype=bool)
+                for v in (a, ap, b, bp):
+                    bad |= ~np.isfinite(v) | (np.abs(v) > threshold)
                 newly = bad & live
                 if newly.any():
                     blow_t[newly] = plan.sub_t_end[j]
@@ -450,15 +389,8 @@ def _simulate_chunk(indices, method: MethodSpec, params: SystemParams,
 # --------------------------------------------------------------------------
 
 
-def _resolve_method(method) -> MethodSpec:
-    if isinstance(method, MethodSpec):
-        return method
-    return MethodSpec.of(method)
-
-
 def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
-                 stepper: str = "split_step", n_workers: int | None = None,
-                 noise_free: bool = False,
+                 n_workers: int | None = None, noise_free: bool = False,
                  record_gauge_drift: bool = False) -> EnsembleResult:
     """Integrate the full ensemble and return batch-structured moment sums.
 
@@ -469,9 +401,7 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
     ``record_gauge_drift`` attaches the per-trajectory maximum relative
     drift of alpha_plus*alpha over the run.
     """
-    method = _resolve_method(method)
-    if stepper not in STEPPERS:
-        raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
+    method = MethodSpec.of(method)
     validate_config(config, method, params)
 
     init = CoherentInit.from_occupations(config.N_a0, config.N_b0)
@@ -486,7 +416,7 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
         lo, hi = bound
         return _simulate_chunk(
             np.arange(lo, hi), method, params, config, init, plan, coeffs,
-            stepper, noise_free, record_gauge_drift, threshold)
+            noise_free, record_gauge_drift, threshold)
 
     if n_workers is None:
         n_workers = min(4, os.cpu_count() or 1, len(bounds))
@@ -534,7 +464,6 @@ class TrajectoryRecord:
 
 def simulate_trajectory(init: CoherentInit, method, params: SystemParams,
                         config: EnsembleConfig, *, trajectory_index: int = 0,
-                        stepper: str = "split_step",
                         noise_free: bool = False) -> TrajectoryRecord:
     """Integrate one trajectory identified by its ensemble index.
 
@@ -542,15 +471,13 @@ def simulate_trajectory(init: CoherentInit, method, params: SystemParams,
     sampled monomials agree bit-for-bit with that trajectory's ensemble
     contribution.
     """
-    method = _resolve_method(method)
-    if stepper not in STEPPERS:
-        raise ValueError(f"unknown stepper {stepper!r}; expected one of {STEPPERS}")
+    method = MethodSpec.of(method)
     plan = build_step_plan(config, params)
     coeffs = _substep_coefficients(method, params, plan)
     threshold = config.blowup_threshold * max(1.0, math.sqrt(config.N_a0))
     part = _simulate_chunk(
         np.array([trajectory_index]), method, params, config, init, plan,
-        coeffs, stepper, noise_free, False, threshold)
+        coeffs, noise_free, False, threshold)
 
     batch = trajectory_index % config.n_batches
     counts = part["live_counts"][:, batch]

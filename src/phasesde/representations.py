@@ -90,36 +90,76 @@ def sample_positive_p_coherent(gamma: complex):
 # --------------------------------------------------------------------------
 #
 # ``moments`` maps monomial names (core.MONOMIALS) to complex ensemble or
-# batch means.  The r tag selects the ordering constant: r=2 moments are
-# symmetrically ordered and need the half-quantum / commutator corrections,
-# r=1 moments are normally ordered.
+# batch means: scalars, or arrays of any common shape such as
+# (samples, batches).  Each conversion below is one complex, element-wise
+# function; its real part is the observable.  The r tag selects the
+# ordering constant: r=2 moments are symmetrically ordered and need the
+# half-quantum / commutator corrections, r=1 moments are normally ordered.
 
 
-def _first_moments(moments, mode):
-    if mode == "a":
-        return moments["alpha"], moments["alpha_plus"]
-    if mode == "b":
-        return moments["beta"], moments["beta_plus"]
-    raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+def _quadratures(moments, mode):
+    keys = {"a": ("alpha", "alpha_plus"), "b": ("beta", "beta_plus")}.get(mode)
+    if keys is None:
+        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+    low, high = moments[keys[0]], moments[keys[1]]
+    return 0.5 * (low + high), (low - high) / 2j
+
+
+def _number(moments, mode, r):
+    key = {"a": "alpha_plus_alpha", "b": "beta_plus_beta"}.get(mode)
+    if key is None:
+        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+    return moments[key] - (0.5 if r == 2 else 0.0)
+
+
+def _number_variance(moments, mode, r):
+    if mode != "a":
+        raise ValueError("second number moments are recorded for mode a only")
+    lin = moments["alpha_plus_alpha"]
+    sq = moments["alpha_plus_alpha_sq"]
+    n2 = sq - lin if r == 2 else sq + lin
+    n = np.real(_number(moments, "a", r))
+    return n2 - n ** 2
+
+
+def _Yb_variance(moments, r_b):
+    one = 1.0 if r_b == 1 else 0.0
+    y2 = -0.25 * (
+        moments["beta_plus_sq"] + moments["beta_sq"]
+        - 2.0 * moments["beta_plus_beta"] - one
+    )
+    y = np.real(_quadratures(moments, "b")[1])
+    return y2 - y ** 2
+
+
+def _NaYb(moments, r_a):
+    c_a = 0.5 if r_a == 2 else 0.0
+    return (
+        moments["alpha_plus_alpha_beta"]
+        - moments["alpha_plus_alpha_beta_plus"]
+        - c_a * (moments["beta"] - moments["beta_plus"])
+    ) / 2j
+
+
+def _correlation(moments, r_a, r_b):
+    """NaN wherever the variance product is not positive; imaginary part 0."""
+    _, y_b = estimate_quadratures(moments, "b", r_b)
+    cov = estimate_NaYb(moments, r_a) - estimate_number(moments, "a", r_a) * y_b
+    denom = (estimate_number_variance(moments, "a", r_a)
+             * estimate_Yb_variance(moments, r_b))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0, cov / np.sqrt(denom), np.nan) + 0j
 
 
 def estimate_quadratures(moments, mode, r):
     """(mean_X, mean_Y); identical for both orderings (linear observable)."""
-    low, high = _first_moments(moments, mode)
-    x = 0.5 * (low + high)
-    y = (low - high) / 2j
+    x, y = _quadratures(moments, mode)
     return np.real(x), np.real(y)
 
 
 def estimate_number(moments, mode, r):
     """<N> for the given mode; r=2 subtracts the half quantum."""
-    if mode == "a":
-        raw = moments["alpha_plus_alpha"]
-    elif mode == "b":
-        raw = moments["beta_plus_beta"]
-    else:
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    return np.real(raw) - (0.5 if r == 2 else 0.0)
+    return np.real(_number(moments, mode, r))
 
 
 def estimate_number_variance(moments, mode, r):
@@ -129,16 +169,7 @@ def estimate_number_variance(moments, mode, r):
     Both conversions are verified against the Fock evaluator.  Only mode a
     second moments are recorded by the engine.
     """
-    if mode != "a":
-        raise ValueError("second number moments are recorded for mode a only")
-    lin = moments["alpha_plus_alpha"]
-    sq = moments["alpha_plus_alpha_sq"]
-    if r == 2:
-        n2 = np.real(sq - lin)
-    else:
-        n2 = np.real(sq + lin)
-    n = estimate_number(moments, "a", r)
-    return n2 - n ** 2
+    return np.real(_number_variance(moments, mode, r))
 
 
 def estimate_Yb_variance(moments, r_b=1):
@@ -148,13 +179,7 @@ def estimate_Yb_variance(moments, r_b=1):
     <Y_b^2> = -Re(<<beta+^2>> + <<beta^2>> - 2<<beta+ beta>> - 1)/4.  With
     symmetric ordering (r_b=2) the commutator term is absent.
     """
-    one = 1.0 if r_b == 1 else 0.0
-    y2 = -0.25 * np.real(
-        moments["beta_plus_sq"] + moments["beta_sq"]
-        - 2.0 * moments["beta_plus_beta"] - one
-    )
-    _, y = estimate_quadratures(moments, "b", r_b)
-    return y2 - y ** 2
+    return np.real(_Yb_variance(moments, r_b))
 
 
 def estimate_NaYb(moments, r_a=2):
@@ -164,20 +189,24 @@ def estimate_NaYb(moments, r_a=2):
     is removed from the product by subtracting (1/2)(<<beta>> - <<beta+>>);
     with r_a=1 no correction is needed.
     """
-    c_a = 0.5 if r_a == 2 else 0.0
-    val = (
-        moments["alpha_plus_alpha_beta"]
-        - moments["alpha_plus_alpha_beta_plus"]
-        - c_a * (moments["beta"] - moments["beta_plus"])
-    ) / 2j
-    return np.real(val)
+    return np.real(_NaYb(moments, r_a))
 
 
-OBSERVABLE_NAMES = (
-    "X_a", "Y_a", "X_b", "Y_b",
-    "N_a", "N_b", "var_N_a", "var_Y_b",
-    "N_a_Y_b", "C_Na_Yb",
-)
+# name -> complex estimate from (moments, r_a, r_b).
+_CONVERSIONS = {
+    "X_a": lambda m, r_a, r_b: _quadratures(m, "a")[0],
+    "Y_a": lambda m, r_a, r_b: _quadratures(m, "a")[1],
+    "X_b": lambda m, r_a, r_b: _quadratures(m, "b")[0],
+    "Y_b": lambda m, r_a, r_b: _quadratures(m, "b")[1],
+    "N_a": lambda m, r_a, r_b: _number(m, "a", r_a),
+    "N_b": lambda m, r_a, r_b: _number(m, "b", r_b),
+    "var_N_a": lambda m, r_a, r_b: _number_variance(m, "a", r_a),
+    "var_Y_b": lambda m, r_a, r_b: _Yb_variance(m, r_b),
+    "N_a_Y_b": lambda m, r_a, r_b: _NaYb(m, r_a),
+    "C_Na_Yb": _correlation,
+}
+
+OBSERVABLE_NAMES = tuple(_CONVERSIONS)
 
 
 def observable_estimate_complex(name, moments, method: MethodSpec):
@@ -187,57 +216,11 @@ def observable_estimate_complex(name, moments, method: MethodSpec):
     a residual imaginary part measures sampling noise (or a bug).  For the
     variance observables the diagnostic imaginary part comes from the
     second-moment combination; for the correlation it is zero by
-    construction.
+    construction.  Moments may be arrays; the estimate is element-wise.
     """
-    r_a, r_b = method.r_a, method.r_b
-    if name == "X_a":
-        low, high = _first_moments(moments, "a")
-        return 0.5 * (low + high)
-    if name == "Y_a":
-        low, high = _first_moments(moments, "a")
-        return (low - high) / 2j
-    if name == "X_b":
-        low, high = _first_moments(moments, "b")
-        return 0.5 * (low + high)
-    if name == "Y_b":
-        low, high = _first_moments(moments, "b")
-        return (low - high) / 2j
-    if name == "N_a":
-        return moments["alpha_plus_alpha"] - (0.5 if r_a == 2 else 0.0)
-    if name == "N_b":
-        return moments["beta_plus_beta"] - (0.5 if r_b == 2 else 0.0)
-    if name == "var_N_a":
-        lin = moments["alpha_plus_alpha"]
-        sq = moments["alpha_plus_alpha_sq"]
-        n2 = sq - lin if r_a == 2 else sq + lin
-        n = estimate_number(moments, "a", r_a)
-        return n2 - n ** 2
-    if name == "var_Y_b":
-        one = 1.0 if r_b == 1 else 0.0
-        y2 = -0.25 * (
-            moments["beta_plus_sq"] + moments["beta_sq"]
-            - 2.0 * moments["beta_plus_beta"] - one
-        )
-        _, y = estimate_quadratures(moments, "b", r_b)
-        return y2 - y ** 2
-    if name == "N_a_Y_b":
-        c_a = 0.5 if r_a == 2 else 0.0
-        return (
-            moments["alpha_plus_alpha_beta"]
-            - moments["alpha_plus_alpha_beta_plus"]
-            - c_a * (moments["beta"] - moments["beta_plus"])
-        ) / 2j
-    if name == "C_Na_Yb":
-        na_yb = estimate_NaYb(moments, r_a)
-        n_a = estimate_number(moments, "a", r_a)
-        _, y_b = estimate_quadratures(moments, "b", r_b)
-        v_n = estimate_number_variance(moments, "a", r_a)
-        v_y = estimate_Yb_variance(moments, r_b)
-        denom = v_n * v_y
-        if np.any(np.asarray(denom) <= 0):
-            return complex(np.nan)
-        return complex((na_yb - n_a * y_b) / math.sqrt(float(denom)))
-    raise KeyError(f"unknown observable {name!r}")
+    if name not in _CONVERSIONS:
+        raise KeyError(f"unknown observable {name!r}")
+    return _CONVERSIONS[name](moments, method.r_a, method.r_b)
 
 
 def observable_estimate(name, moments, method: MethodSpec) -> float:

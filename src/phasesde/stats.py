@@ -90,31 +90,25 @@ def observable_series(result: EnsembleResult, method=None,
     """
     if name not in OBSERVABLE_NAMES:
         raise ValueError(f"unknown observable {name!r}")
-    spec = result.method if method is None else (
-        method if isinstance(method, MethodSpec) else MethodSpec.of(method))
+    spec = result.method if method is None else MethodSpec.of(method)
 
     n_samples = result.n_samples
-    n_batches = result.n_batches
     mean = np.full(n_samples, np.nan)
     stderr = np.full(n_samples, np.nan)
-    used = np.zeros(n_samples, dtype=int)
-    dropped_alive = 0
     worst_im = 0.0
 
+    vals = np.asarray(observable_estimate_complex(
+        name, result.moment_means(), spec), dtype=complex)
+    finite = np.isfinite(vals)
+    alive = result.live_counts > 0
+    dropped_alive = int(np.count_nonzero(alive & ~finite))
+    used = np.count_nonzero(finite, axis=1)
+
     for s in range(n_samples):
-        by_batch = result.batch_moment_means(s)
-        vals = np.empty(n_batches, dtype=complex)
-        for b in range(n_batches):
-            moments = {key: complex(col[b]) for key, col in by_batch.items()}
-            vals[b] = observable_estimate_complex(name, moments, spec)
-        finite = np.isfinite(vals.real) & np.isfinite(vals.imag)
-        alive = result.live_counts[s] > 0
-        dropped_alive += int(np.count_nonzero(alive & ~finite))
-        used[s] = int(np.count_nonzero(finite))
         if used[s] == 0:
             continue
-        re = vals.real[finite]
-        im = vals.imag[finite]
+        re = vals.real[s][finite[s]]
+        im = vals.imag[s][finite[s]]
         mean[s] = re.mean()
         if used[s] >= 2:
             stderr[s] = re.std(ddof=1) / math.sqrt(used[s])

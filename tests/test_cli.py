@@ -216,6 +216,29 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "divide" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mangle", [
+    lambda c: c["params"].__setitem__("chi_a", "abc"),
+    lambda c: c["params"]["coupling"][0].__setitem__("g", None),
+    lambda c: c["ensemble"].__setitem__("dt", None),
+    lambda c: c.__setitem__("params", [1]),
+    lambda c: c["ensemble"].__setitem__("n_trajectories", 10.7),
+    lambda c: c["ensemble"].__setitem__("n_batches", "5"),
+    lambda c: c["ensemble"].__setitem__("master_seed", 1.5),
+], ids=["chi_a_string", "g_null", "dt_null", "params_list",
+        "n_trajectories_fraction", "n_batches_string", "master_seed_fraction"])
+def test_main_rejects_malformed_values(tmp_path, capsys, mangle):
+    """Exit 2 with an error line; never a traceback or a silent coercion."""
+    raw = load_preset("fig1")
+    mangle(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not list(tmp_path.glob("fig1_*"))
+
+
 def test_main_rejects_unknown_preset():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--preset", "fig9"])

@@ -15,8 +15,16 @@ from phasesde import (
     run_ensemble,
     simulate_trajectory,
 )
-from phasesde.core import MONOMIALS
-from phasesde.integrator import TrajectoryState, euler_maruyama_step, make_stream
+from phasesde import dynamics
+from phasesde.core import METHOD_NAMES, MONOMIALS
+from phasesde.integrator import (
+    _FREQUENCIES,
+    _KICKS,
+    TrajectoryState,
+    _substep_coefficients,
+    euler_maruyama_step,
+    make_stream,
+)
 
 APA = MONOMIALS.index("alpha_plus_alpha")
 
@@ -119,6 +127,60 @@ def test_euler_marks_blowup_and_freezes():
     assert dead.blowup_time == pytest.approx(1e-3)
     frozen = euler_maruyama_step(dead, params, 1.0, 1e-3, gen, method=method)
     assert frozen is dead
+
+
+# ---------------------------------------------------------------------------
+# the engine's step against dynamics.py
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_engine_step_matches_drift_and_noise_factor(name):
+    """The kernel's kick and rotation give A(p) dt + B(p) xi sqrt(dt).
+
+    Calls the kick and frequency builders that _simulate_chunk runs, at
+    random phase points and a fixed xi: -i F x must equal the drift of
+    dynamics.py, and the kick's linear term (for hybrid_truncated, the log
+    of its exponential pair) must equal B(p) xi sqrt(dt).
+    """
+    params = SystemParams(0.3, -0.7, 1.1, 0.9, CouplingSchedule.constant(0.6))
+    plan = build_step_plan(config(), params)
+    method = MethodSpec.of(name)
+    coeffs = _substep_coefficients(method, params, plan)
+    g, sdt = plan.sub_g[0], math.sqrt(plan.sub_dt[0])
+    rng = np.random.default_rng(17)
+    a, ap, b, bp = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+    if name == "wigner":
+        ap, bp = np.conj(a), np.conj(b)
+    state = np.array([a, ap, b, bp])
+    points = [PhasePoint(*state[:, i]) for i in range(state.shape[1])]
+
+    f_a, f_b = _FREQUENCIES[name](a, ap, b, bp, params, g)
+    engine_drift = np.array([-1j * f_a * a, 1j * f_a * ap,
+                             -1j * f_b * b, 1j * f_b * bp])
+    drift = {
+        "hybrid": lambda p: dynamics.hybrid_drift(p, params, g),
+        "hybrid_truncated": lambda p: dynamics.hybrid_drift(
+            p, params, g, further_truncation=True),
+        "positive_p": lambda p: dynamics.positive_p_drift(p, params, g),
+        "wigner": lambda p: dynamics.wigner_truncated(p, params, g),
+    }[name]
+    expected = np.array([drift(p) for p in points]).T
+    np.testing.assert_allclose(engine_drift, expected, rtol=1e-13)
+
+    if name == "wigner":
+        assert name not in _KICKS  # the noise factor is zero
+        return
+    xi = np.array([0.7, -1.3, 0.4, 1.1])
+    mid = np.array(_KICKS[name](coeffs, 0, np.tile(xi, (len(a), 1)), sdt,
+                                a, ap, b, bp))
+    linear = mid - state
+    if name == "hybrid_truncated":
+        linear[:2] = state[:2] * np.log(mid[:2] / state[:2])
+    factor = (dynamics.positive_p_noise_factor if name == "positive_p"
+              else dynamics.hybrid_noise_factor)
+    expected = np.array([factor(p, params, g) @ xi for p in points]).T * sdt
+    np.testing.assert_allclose(linear, expected, rtol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +311,26 @@ def test_gauge_drift_recording():
 
 
 def test_unknown_stepper_and_method_are_rejected():
-    with pytest.raises(ValueError):
-        run_ensemble("hybrid", kerr(), config(), stepper="rk4")
+    """Every method runs the one split-step kernel; there is no stepper."""
+    with pytest.raises(TypeError):
+        run_ensemble("hybrid", kerr(), config(), stepper="euler")
     with pytest.raises(ValueError):
         run_ensemble("heun", kerr(), config())
 
 
 def test_euler_stepper_through_the_ensemble_api():
+    """A positive-P linear oscillator through the ensemble API.
+
+    The literal Euler map is covered by test_euler_tracks_a_linear_oscillator
+    and test_euler_marks_blowup_and_freezes.
+    """
     from phasesde.stats import observable_series
 
     params = SystemParams(1.0, 0.0, 0.0, 0.0, CouplingSchedule.constant(0.0))
     cfg = EnsembleConfig(n_trajectories=100, dt=1e-4, t_final=0.1, N_a0=1.0,
                          N_b0=0.0, n_batches=10, sample_interval=200,
                          master_seed=21)
-    res = run_ensemble("positive_p", params, cfg, stepper="euler")
+    res = run_ensemble("positive_p", params, cfg)
     series = observable_series(res, name="X_a")
     assert series.mean[-1] == pytest.approx(math.cos(0.1), abs=1e-3)
 
