@@ -236,6 +236,8 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
             "n_trajectories": default_n,
         }]
 
+    if not isinstance(raw["observables"], list):
+        raise ConfigError(["observables must be a list of names"])
     observables = list(raw["observables"])
     if overrides.get("observables") is not None:
         obs = overrides["observables"]
@@ -419,12 +421,23 @@ def _parse_times(text: str) -> np.ndarray:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(["--times range must be start:stop:step"])
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = (_time(p) for p in parts)
         if step <= 0 or stop < start:
             raise ConfigError(["--times range must advance: start:stop:step"])
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return start + step * np.arange(count)
-    return np.asarray([float(p) for p in text.split(",") if p.strip()])
+    return np.asarray([_time(p) for p in text.split(",") if p.strip()])
+
+
+def _time(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(
+            [f"--times entries must be finite numbers, got {text!r}"])
+    return value
 
 
 def _oracle_command(resolved: dict, times_text: str | None) -> dict:

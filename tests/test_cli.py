@@ -182,6 +182,15 @@ def test_oracle_command_writes_exact_values(tmp_path, capsys):
                                exact_series("X_a", table["t"], p), atol=1e-14)
 
 
+@pytest.mark.parametrize("times", ["abc", "0:1:x", "0,nan", "0:inf:1"])
+def test_oracle_command_rejects_malformed_times(tmp_path, capsys, times):
+    assert main(["oracle", "--preset", "fig1", "--out", str(tmp_path),
+                 "--times", times]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 def test_oracle_table_correlation_vanishes_without_coupling():
     p = OracleParams(0.0, 0.0, 1.0, 1.0, 0.0, 4.0, 0.25)
     table = oracle_table(p, np.linspace(0.0, 1.0, 9), ["C_Na_Yb"])
@@ -224,8 +233,10 @@ def test_main_reports_config_errors(tmp_path, capsys):
     lambda c: c["ensemble"].__setitem__("n_trajectories", 10.7),
     lambda c: c["ensemble"].__setitem__("n_batches", "5"),
     lambda c: c["ensemble"].__setitem__("master_seed", 1.5),
+    lambda c: c.__setitem__("observables", 5),
 ], ids=["chi_a_string", "g_null", "dt_null", "params_list",
-        "n_trajectories_fraction", "n_batches_string", "master_seed_fraction"])
+        "n_trajectories_fraction", "n_batches_string", "master_seed_fraction",
+        "observables_int"])
 def test_main_rejects_malformed_values(tmp_path, capsys, mangle):
     """Exit 2 with an error line; never a traceback or a silent coercion."""
     raw = load_preset("fig1")

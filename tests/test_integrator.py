@@ -6,6 +6,7 @@ import pytest
 
 from phasesde import (
     CoherentInit,
+    ConfigError,
     CouplingSchedule,
     EnsembleConfig,
     MethodSpec,
@@ -15,7 +16,7 @@ from phasesde import (
     run_ensemble,
     simulate_trajectory,
 )
-from phasesde import dynamics
+from phasesde import dynamics, integrator
 from phasesde.core import METHOD_NAMES, MONOMIALS
 from phasesde.integrator import (
     _FREQUENCIES,
@@ -210,20 +211,43 @@ def test_noise_free_hybrid_equals_further_truncated():
                                rtol=1e-12, atol=1e-13)
 
 
-def test_ensemble_is_deterministic_across_worker_counts():
-    cfg = config(n_trajectories=64)
-    one = run_ensemble("hybrid", kerr(), cfg, n_workers=1)
-    four = run_ensemble("hybrid", kerr(), cfg, n_workers=4)
-    assert np.array_equal(one.sums, four.sums)
-    assert np.array_equal(one.live_counts, four.live_counts)
-    assert np.array_equal(one.blowup_times, four.blowup_times,
-                          equal_nan=True)
+def test_ensemble_is_deterministic_across_worker_counts(monkeypatch):
+    """Same bytes for 1, 2 and 4 workers over several chunks.
+
+    16-lane chunks give 4 chunks per run, so the worker pool and the
+    ordered reduce both run; the positive-P case loses lanes.
+    """
+    monkeypatch.setattr(integrator, "CHUNK_SIZE", 16)
+    cases = [
+        ("hybrid", config(n_trajectories=64)),
+        ("positive_p", config(n_trajectories=64, dt=1e-4, t_final=0.15,
+                              N_a0=100.0, N_b0=0.01, sample_interval=50,
+                              master_seed=14)),
+    ]
+    for name, cfg in cases:
+        runs = [run_ensemble(name, kerr(), cfg, n_workers=w,
+                             record_gauge_drift=True) for w in (1, 2, 4)]
+        one = runs[0]
+        if name == "positive_p":
+            assert np.isfinite(one.blowup_times).any()
+        for other in runs[1:]:
+            assert one.sums.tobytes() == other.sums.tobytes()
+            assert one.live_counts.tobytes() == other.live_counts.tobytes()
+            assert np.array_equal(one.blowup_times, other.blowup_times,
+                                  equal_nan=True)
+            assert one.gauge_drift.tobytes() == other.gauge_drift.tobytes()
 
 
 def test_ensemble_depends_on_master_seed():
     a = run_ensemble("hybrid", kerr(), config(master_seed=5))
     b = run_ensemble("hybrid", kerr(), config(master_seed=6))
     assert not np.array_equal(a.sums, b.sums)
+
+
+def test_single_trajectory_validates_its_config():
+    with pytest.raises(ConfigError):
+        simulate_trajectory(CoherentInit.from_occupations(1.0, 0.25),
+                            "hybrid", kerr(), config(n_batches=0))
 
 
 def test_single_trajectory_reproduces_its_ensemble_contribution():
