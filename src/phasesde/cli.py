@@ -254,9 +254,11 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     output.setdefault("format", "csv")
     if "path" not in output:
         raise ConfigError(["output is missing ['path']"])
+    if not isinstance(output["path"], str) or not output["path"]:
+        raise ConfigError(["output.path must be a non-empty string"])
     if overrides.get("out") is not None:
         output["path"] = os.path.join(
-            overrides["out"], os.path.basename(str(output["path"])))
+            overrides["out"], os.path.basename(output["path"]))
     if overrides.get("format") is not None:
         output["format"] = overrides["format"]
     if output["format"] not in ("csv", "json"):
@@ -331,7 +333,7 @@ def _execute(resolved: dict) -> dict:
     "breakdown_times": {(method, obs): float | None}}.
     """
     params = _params_from_json(resolved["params"])
-    stem = str(resolved["output"]["path"])
+    stem = resolved["output"]["path"]
     fmt = resolved["output"]["format"]
 
     runs = []
@@ -462,7 +464,7 @@ def _oracle_command(resolved: dict, times_text: str | None) -> dict:
         observables = list(EXACT_OBSERVABLES)
     table = oracle_table(op, times, observables)
 
-    stem = str(resolved["output"]["path"])
+    stem = resolved["output"]["path"]
     fmt = resolved["output"]["format"]
     path = f"{stem}_exact.{fmt}"
     if fmt == "csv":

@@ -297,7 +297,6 @@ def _simulate_chunk(indices, method: MethodSpec, params: SystemParams,
     """Integrate one chunk of trajectories; returns per-chunk partials."""
     n_batches = config.n_batches
     m = len(indices)
-    batch_idx = np.asarray(indices) % n_batches
     n_samples = plan.n_samples
 
     sums = np.zeros((n_samples, n_batches, len(MONOMIALS)), dtype=complex)
@@ -311,14 +310,32 @@ def _simulate_chunk(indices, method: MethodSpec, params: SystemParams,
     apa0 = ap * a
     apa0_scale = np.where(np.abs(apa0) > 0, np.abs(apa0), 1.0)
 
+    # Both callers pass contiguous indices, so lane k belongs to batch
+    # (indices[0] + k) % n_batches.  Lane k sits at row off + k of a zeroed
+    # buffer of rows * n_batches rows; viewed as (rows, n_batches, ...),
+    # each batch is one column, and a reduce over the rows adds its lanes
+    # one after another in lane order.  Added into a zero row with +=,
+    # this gives the bytes of a lane-by-lane scatter-add, signed zeros
+    # included; a matrix product would let BLAS reorder the sums.
+    off = int(indices[0]) % n_batches
+    rows = -(-(off + m) // n_batches)
+    buf = np.zeros((rows * n_batches, len(MONOMIALS)), dtype=complex)
+    lane_live = np.zeros(rows * n_batches, dtype=np.int64)
+    lanes = buf[off:off + m]
+
     def record(sample_index):
         apa = ap * a
         # Columns in MONOMIALS order.
-        vals = np.stack([a, ap, b, bp, apa, bp * b, apa * apa, b * b, bp * bp,
-                         apa * b, apa * bp], axis=1)
-        idx = batch_idx[live]
-        np.add.at(sums[sample_index], idx, vals[live])
-        np.add.at(live_counts[sample_index], idx, 1)
+        for col, v in enumerate((a, ap, b, bp, apa, bp * b, apa * apa, b * b,
+                                 bp * bp, apa * b, apa * bp)):
+            lanes[:, col] = v
+        lane_live[off:off + m] = live
+        if not live.all():
+            lanes[~live] = 0.0
+        sums[sample_index] += np.add.reduce(
+            buf.reshape(rows, n_batches, -1), axis=0)
+        live_counts[sample_index] += np.add.reduce(
+            lane_live.reshape(rows, n_batches), axis=0)
 
     record(0)
     sample_index = 1

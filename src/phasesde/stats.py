@@ -6,6 +6,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import oracle
 from .core import EnsembleResult, MethodSpec
@@ -104,7 +105,24 @@ def observable_series(result: EnsembleResult, method=None,
     dropped_alive = int(np.count_nonzero(alive & ~finite))
     used = np.count_nonzero(finite, axis=1)
 
-    for s in range(n_samples):
+    # Rows where every batch is finite reduce along the batch axis, which
+    # adds each row in the same order as the 1-D loop for the other rows.
+    full = (used == vals.shape[1]) & (used >= 2)
+    if full.any():
+        re, im = vals.real[full], vals.imag[full]
+        mean[full] = re.mean(axis=1)
+        root = np.sqrt(used[full])
+        stderr[full] = re.std(axis=1, ddof=1) / root
+        cap = 10.0 * (im.std(axis=1, ddof=1) / root)
+        floor = 1e-8 * (1.0 + np.abs(mean[full]))
+        # np.where, not np.maximum: like the loop's max(), it keeps the
+        # first argument unless the second is greater, NaN included.
+        excess = np.abs(im.mean(axis=1)) - np.where(floor > cap, floor, cap)
+        excess = excess[~np.isnan(excess)]
+        if excess.size:
+            worst_im = max(worst_im, float(excess.max()))
+
+    for s in np.nonzero(~full)[0]:
         if used[s] == 0:
             continue
         re = vals.real[s][finite[s]]
@@ -163,16 +181,20 @@ def detect_blowup(series: ObservableSeries, window: int = 20,
         candidates.append(float(series.times[below[0]]))
 
     se = np.asarray(series.stderr, dtype=float)
-    for i in range(len(se)):
-        prev = se[max(0, i - window):i]
-        prev = prev[np.isfinite(prev)]
-        if prev.size < 3:
-            continue
-        med = float(np.median(prev))
-        if med <= 0.0:
-            continue
-        if np.isfinite(se[i]) and se[i] > factor * med:
-            candidates.append(float(series.times[i]))
-            break
+    # A window shorter than 3 never holds three predecessors.
+    if window >= 3 and se.size:
+        # Row i holds se[i - window:i], NaN-padded before the start, with
+        # non-finite values as NaN.
+        prev = np.concatenate(
+            [np.full(window, np.nan), np.where(np.isfinite(se), se, np.nan)])
+        rows = sliding_window_view(prev[:-1], window)
+        enough = np.count_nonzero(~np.isnan(rows), axis=1) >= 3
+        med = np.full(se.size, np.nan)
+        if enough.any():
+            med[enough] = np.nanmedian(rows[enough], axis=1)
+        hits = np.nonzero(enough & (med > 0.0) & np.isfinite(se)
+                          & (se > factor * med))[0]
+        if hits.size:
+            candidates.append(float(series.times[hits[0]]))
 
     return min(candidates) if candidates else None

@@ -234,9 +234,11 @@ def test_main_reports_config_errors(tmp_path, capsys):
     lambda c: c["ensemble"].__setitem__("n_batches", "5"),
     lambda c: c["ensemble"].__setitem__("master_seed", 1.5),
     lambda c: c.__setitem__("observables", 5),
+    lambda c: c["output"].__setitem__("path", None),
+    lambda c: c["output"].__setitem__("path", ["a"]),
 ], ids=["chi_a_string", "g_null", "dt_null", "params_list",
         "n_trajectories_fraction", "n_batches_string", "master_seed_fraction",
-        "observables_int"])
+        "observables_int", "output_path_null", "output_path_list"])
 def test_main_rejects_malformed_values(tmp_path, capsys, mangle):
     """Exit 2 with an error line; never a traceback or a silent coercion."""
     raw = load_preset("fig1")

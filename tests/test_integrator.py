@@ -276,6 +276,40 @@ def test_ensemble_sums_match_brute_force_accumulation():
     assert np.array_equal(manual, ens.sums)
 
 
+def test_multi_chunk_sums_match_brute_force_accumulation(monkeypatch):
+    """Chunks at every batch offset, and a ragged last one, losing lanes.
+
+    Chunks of 16, 16, 16 and 3 lanes over 3 batches start at batch offsets
+    0, 1, 2 and 0.  The reference sums each chunk's single-trajectory
+    monomials in lane order from zero, then adds the chunk partials in
+    chunk order.
+    """
+    monkeypatch.setattr(integrator, "CHUNK_SIZE", 16)
+    cfg = config(n_trajectories=51, n_batches=3, N_a0=100.0, N_b0=0.01,
+                 t_final=0.1, sample_interval=5, master_seed=17,
+                 blowup_threshold=3.0)
+    ens = run_ensemble("positive_p", kerr(), cfg)
+    assert ens.live_fraction[1] == 1.0 > ens.live_fraction[-1] > 0.0
+
+    init = CoherentInit.from_occupations(cfg.N_a0, cfg.N_b0)
+    manual = counts = None
+    for lo in range(0, cfg.n_trajectories, 16):
+        part = np.zeros_like(ens.sums)
+        part_counts = np.zeros_like(ens.live_counts)
+        for i in range(lo, min(lo + 16, cfg.n_trajectories)):
+            rec = simulate_trajectory(init, "positive_p", kerr(), cfg,
+                                      trajectory_index=i)
+            part[rec.live, i % 3, :] += rec.monomials[rec.live]
+            part_counts[rec.live, i % 3] += 1
+        if manual is None:
+            manual, counts = part, part_counts
+        else:
+            manual += part
+            counts += part_counts
+    assert counts.tobytes() == ens.live_counts.tobytes()
+    assert manual.tobytes() == ens.sums.tobytes()
+
+
 def test_halving_dt_moves_means_much_less_than_noise():
     """Split-step weak error at dt=2e-4 is far below the sampling error."""
     from phasesde.stats import observable_series

@@ -1,5 +1,6 @@
 """Batch statistics, series estimation, and breakdown detection."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ from phasesde import (
     run_ensemble,
 )
 from phasesde.core import MONOMIALS
+from phasesde.representations import (
+    OBSERVABLE_NAMES,
+    observable_estimate_complex,
+)
 from phasesde.stats import (
     ObservableSeries,
     batch_mean_se,
@@ -135,6 +140,45 @@ def test_unknown_observable_name_is_rejected():
 # ---------------------------------------------------------------------------
 
 
+def test_series_match_a_per_sample_reference():
+    """Mean, stderr and batches used equal a 1-D reduction per sample.
+
+    The positive-P run loses whole batches, and C_Na_Yb also drops live
+    batches whose variance product is not positive, so both the rows
+    where every batch is finite and the others are covered.
+    """
+    cfg = EnsembleConfig(n_trajectories=60, dt=1e-3, t_final=0.2,
+                         N_a0=100.0, N_b0=0.01, n_batches=6,
+                         sample_interval=2, master_seed=10,
+                         blowup_threshold=3.0)
+    params = SystemParams(0.0, 0.0, 1.0, 1.0, CouplingSchedule.constant(1.0))
+    res = run_ensemble("positive_p", params, cfg)
+    alive = np.count_nonzero(res.live_counts > 0, axis=1)
+    assert (alive == 6).any() and (alive < 6).any()
+
+    dropped_live = False
+    for name in OBSERVABLE_NAMES:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            series = observable_series(res, name=name)
+        vals = observable_estimate_complex(name, res.moment_means(), res.method)
+        mean = np.full(res.n_samples, np.nan)
+        stderr = np.full(res.n_samples, np.nan)
+        used = np.zeros(res.n_samples, dtype=np.int64)
+        for s in range(res.n_samples):
+            re = vals.real[s][np.isfinite(vals[s])]
+            used[s] = re.size
+            if re.size:
+                mean[s] = re.mean()
+            if re.size >= 2:
+                stderr[s] = re.std(ddof=1) / math.sqrt(re.size)
+        assert series.mean.tobytes() == mean.tobytes(), name
+        assert series.stderr.tobytes() == stderr.tobytes(), name
+        assert np.array_equal(series.n_batches_used, used), name
+        dropped_live |= bool((used < alive).any())
+    assert dropped_live
+
+
 def test_stderr_scales_with_ensemble_size():
     """Doubling the ensemble shrinks batch errors by about sqrt(2).
 
@@ -214,6 +258,54 @@ def test_detector_ignores_a_noisy_start():
     se = np.full(100, 0.01)
     se[0] = 5.0
     assert detect_blowup(flat_series(stderr=se)) is None
+
+
+def _detect_blowup_loop(series, window=20, factor=10.0, live_threshold=0.999):
+    """The per-sample loop ``detect_blowup`` replaced, kept as a reference."""
+    candidates = []
+    lf = np.asarray(series.live_fraction, dtype=float)
+    below = np.nonzero(lf < live_threshold)[0]
+    if below.size:
+        candidates.append(float(series.times[below[0]]))
+
+    se = np.asarray(series.stderr, dtype=float)
+    for i in range(len(se)):
+        prev = se[max(0, i - window):i]
+        prev = prev[np.isfinite(prev)]
+        if prev.size < 3:
+            continue
+        med = float(np.median(prev))
+        if med <= 0.0:
+            continue
+        if np.isfinite(se[i]) and se[i] > factor * med:
+            candidates.append(float(series.times[i]))
+            break
+
+    return min(candidates) if candidates else None
+
+
+@pytest.mark.parametrize("window", [1, 3, 5, 20])
+def test_detector_matches_the_per_sample_loop(window):
+    """1,000 random series per window, with NaN, +-inf, zeros and negatives."""
+    rng = np.random.default_rng(window)
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.01])
+    fired = 0
+    for _ in range(1000):
+        n = int(rng.integers(0, 60))
+        se = rng.lognormal(-4.0, 1.5, n)
+        pick = rng.random(n) < rng.uniform(0.0, 0.5)
+        se[pick] = rng.choice(specials, int(pick.sum()))
+        if rng.random() < 0.2:
+            se[:int(rng.integers(0, n + 1))] = 0.0
+        live = np.ones(n)
+        if rng.random() < 0.2:
+            live[int(rng.integers(0, n + 1)):] = 0.99
+        series = flat_series(n, stderr=se, live=live)
+        factor = float(rng.choice([2.0, 10.0]))
+        expected = _detect_blowup_loop(series, window, factor)
+        assert detect_blowup(series, window, factor) == expected
+        fired += expected is not None
+    assert fired > 100
 
 
 def test_hybrid_survives_past_the_positive_p_horizon():
