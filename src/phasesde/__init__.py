@@ -12,121 +12,20 @@ error bars throughout.
 
 __version__ = "0.1.0"
 
-from .core import (
-    MONOMIALS,
-    METHOD_NAMES,
-    ConfigError,
-    CouplingSchedule,
-    EnsembleConfig,
-    EnsembleResult,
-    MethodSpec,
-    PhasePoint,
-    RunDescriptor,
-    SystemParams,
-    config_violations,
-    validate_config,
-)
-from .representations import (
-    OBSERVABLE_NAMES,
-    CoherentInit,
-    estimate_NaYb,
-    estimate_number,
-    estimate_number_variance,
-    estimate_quadratures,
-    estimate_Yb_variance,
-    observable_estimate,
-    observable_estimate_complex,
-    sample_positive_p_coherent,
-    sample_wigner_coherent,
-)
-from .dynamics import (
-    apply_further_truncation,
-    hybrid_diffusion,
-    hybrid_drift,
-    hybrid_noise_factor,
-    positive_p_diffusion,
-    wigner_truncated,
-)
-from .integrator import (
-    TrajectoryState,
-    build_step_plan,
-    euler_maruyama_step,
-    run_ensemble,
-    simulate_trajectory,
-)
-from .oracle import (
-    EXACT_OBSERVABLES,
-    OracleParams,
-    exact_correlation,
-    exact_NaYb,
-    exact_quadratures_a,
-    exact_quadratures_b,
-    exact_series,
-    exact_var_Yb,
-    fock_expect,
-    fock_symmetrized,
-    fock_word_expect,
-    match_schedule,
-)
-from .stats import (
-    ObservableSeries,
-    batch_mean_se,
-    correlation_series,
-    detect_blowup,
-    observable_series,
-)
+from . import core, dynamics, integrator, oracle, representations, stats
+from .core import *  # noqa: F403
+from .representations import *  # noqa: F403
+from .dynamics import *  # noqa: F403
+from .integrator import *  # noqa: F403
+from .oracle import *  # noqa: F403
+from .stats import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "MONOMIALS",
-    "METHOD_NAMES",
-    "ConfigError",
-    "CouplingSchedule",
-    "EnsembleConfig",
-    "EnsembleResult",
-    "MethodSpec",
-    "PhasePoint",
-    "RunDescriptor",
-    "SystemParams",
-    "config_violations",
-    "validate_config",
-    "OBSERVABLE_NAMES",
-    "CoherentInit",
-    "estimate_NaYb",
-    "estimate_number",
-    "estimate_number_variance",
-    "estimate_quadratures",
-    "estimate_Yb_variance",
-    "observable_estimate",
-    "observable_estimate_complex",
-    "sample_positive_p_coherent",
-    "sample_wigner_coherent",
-    "apply_further_truncation",
-    "hybrid_diffusion",
-    "hybrid_drift",
-    "hybrid_noise_factor",
-    "positive_p_diffusion",
-    "wigner_truncated",
-    "TrajectoryState",
-    "build_step_plan",
-    "euler_maruyama_step",
-    "run_ensemble",
-    "simulate_trajectory",
-    "EXACT_OBSERVABLES",
-    "OracleParams",
-    "exact_correlation",
-    "exact_NaYb",
-    "exact_quadratures_a",
-    "exact_quadratures_b",
-    "exact_series",
-    "exact_var_Yb",
-    "fock_expect",
-    "fock_symmetrized",
-    "fock_word_expect",
-    "match_schedule",
-    "ObservableSeries",
-    "batch_mean_se",
-    "correlation_series",
-    "detect_blowup",
-    "observable_series",
+    *core.__all__,
+    *representations.__all__,
+    *dynamics.__all__,
+    *integrator.__all__,
+    *oracle.__all__,
+    *stats.__all__,
 ]

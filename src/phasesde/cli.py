@@ -3,8 +3,7 @@
 A run configuration is a JSON document::
 
     {
-      "method": "hybrid",                  # or a list; entries may be
-                                           # {"name": ..., "n_trajectories": ...}
+      "method": "hybrid",
       "params": {
         "omega_a": 0.0, "omega_b": 0.0, "chi_a": 1.0, "chi_b": 1.0,
         "coupling": [{"t_end": 0.1, "g": 1.0}, {"t_end": null, "g": 0.0}]
@@ -18,10 +17,14 @@ A run configuration is a JSON document::
       "output": {"path": "out/fig2", "format": "csv"}
     }
 
-``t_end: null`` denotes an open-ended final segment.  Presets are shipped
-as config files of exactly this shape, so every preset run is reproducible
-from a plain config file.  One series file is written per (method,
-observable) as ``<path>_<method>_<observable>.<fmt>``; CSV runs also get a
+``method`` may also be a list of names or of {"name", "n_trajectories"}
+objects, and ``t_end: null`` denotes an open-ended final segment.  Every
+key of every section is in ``_FIELDS``, with its default or as required;
+an unknown or missing key, or a value of the wrong kind, is a ConfigError.
+``run`` and ``oracle`` check a config alike: ``resolve_config``, then
+``validate_config`` for every method.  Presets are config files of exactly
+this shape.  One series file is written per (method, observable) as
+``<path>_<method>_<observable>.<fmt>``; CSV runs also get a
 ``<path>_<method>.meta.json`` sidecar carrying the resolved config and any
 detected breakdown times.  Identical config and seed give identical output
 bytes.
@@ -50,7 +53,7 @@ from .core import (
 from .integrator import build_step_plan, run_ensemble
 from .oracle import EXACT_OBSERVABLES, exact_series, match_schedule
 from .representations import OBSERVABLE_NAMES
-from .stats import ObservableSeries, detect_blowup, observable_series
+from .stats import detect_blowup, observable_series
 
 __all__ = [
     "PRESET_NAMES",
@@ -106,171 +109,175 @@ def _number(value, where: str, integer: bool = False):
     return int(value)
 
 
-def _schedule_from_json(segments) -> CouplingSchedule:
-    if not isinstance(segments, list) or not segments:
-        raise ConfigError(["params.coupling must be a non-empty list"])
-    segs = []
-    for i, seg in enumerate(segments):
-        if not isinstance(seg, dict) or set(seg) != {"t_end", "g"}:
-            raise ConfigError(
-                ["each coupling segment must be an object with t_end and g"])
-        where = f"params.coupling[{i}]"
-        t_end = (math.inf if seg["t_end"] is None
-                 else _number(seg["t_end"], f"{where}.t_end"))
-        segs.append((t_end, _number(seg["g"], f"{where}.g")))
-    return CouplingSchedule(tuple(segs))
+def _integer(value, where: str) -> int:
+    return _number(value, where, integer=True)
 
 
-def _schedule_to_json(schedule: CouplingSchedule) -> list:
-    return [
-        {"t_end": None if math.isinf(t) else t, "g": g}
-        for t, g in schedule.segments
-    ]
+def _open_end(value, where: str) -> float:
+    return math.inf if value is None else _number(value, where)
+
+
+def _instance(kind: type, noun: str):
+    """A check that accepts a ``kind`` and returns a shallow copy of it."""
+    def check(value, where: str):
+        if not isinstance(value, kind):
+            raise ConfigError([f"{where} must be {noun}"])
+        return kind(value)
+    return check
+
+
+def _coupling(value, where: str) -> CouplingSchedule:
+    if not isinstance(value, list) or not value:
+        raise ConfigError([f"{where} must be a non-empty list"])
+    return CouplingSchedule(tuple(
+        tuple(_section(seg, "segment", f"{where}[{i}]").values())
+        for i, seg in enumerate(value)))
+
+
+def _choice(options: tuple, what: str):
+    """A check that accepts exactly one of ``options``."""
+    def check(value, where: str):
+        if value not in options:
+            raise ConfigError([f"unknown {what} {value!r} in {where}; "
+                               f"available: {', '.join(options)}"])
+        return value
+    return check
+
+
+def _path(value, where: str) -> str:
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise ConfigError([f"{where} must be a non-empty string without NUL"])
+    return value
+
+
+_object = _instance(dict, "an object")
+_list = _instance(list, "a list")
+_method_name = _choice(METHOD_NAMES, "method")
+_format = _choice(("csv", "json"), "output format")
+_REQUIRED = "required"
+
+# Every key of every config section: (check, default).  The check parses
+# the value or raises ConfigError naming it; None keeps the value for the
+# caller.  A key whose default is _REQUIRED must be present.
+_FIELDS = {
+    "config": {"method": (None, _REQUIRED), "params": (_object, _REQUIRED),
+               "ensemble": (_object, _REQUIRED),
+               "observables": (_list, _REQUIRED),
+               "output": (_object, _REQUIRED)},
+    "params": {"omega_a": (_number, _REQUIRED), "omega_b": (_number, _REQUIRED),
+               "chi_a": (_number, _REQUIRED), "chi_b": (_number, _REQUIRED),
+               "coupling": (_coupling, _REQUIRED)},
+    "segment": {"t_end": (_open_end, _REQUIRED), "g": (_number, _REQUIRED)},
+    "ensemble": {"n_trajectories": (_integer, _REQUIRED),
+                 "dt": (_number, _REQUIRED), "t_final": (_number, _REQUIRED),
+                 "N_a0": (_number, _REQUIRED), "N_b0": (_number, _REQUIRED),
+                 "n_batches": (_integer, 10), "sample_interval": (_integer, 1),
+                 "master_seed": (_integer, 0),
+                 "blowup_threshold": (_number, 1e6)},
+    "method": {"name": (_method_name, _REQUIRED),
+               "n_trajectories": (_integer, None)},
+    "output": {"path": (_path, _REQUIRED), "format": (_format, "csv")},
+}
+
+
+def _section(d, row: str, where: str | None = None) -> dict:
+    """Check ``d`` against ``_FIELDS[row]``: its values, defaults filled in.
+
+    Raises ConfigError for a non-object, a missing or unknown key, and any
+    value its check rejects.  ``where`` names the section in messages.
+    """
+    where = where or row
+    fields = _FIELDS[row]
+    d = _object(d, where)
+    unknown = [key for key in d if key not in fields]
+    if unknown:
+        raise ConfigError([f"{where} has unknown keys {unknown}"])
+    missing = [key for key, (_, default) in fields.items()
+               if default is _REQUIRED and key not in d]
+    if missing:
+        raise ConfigError([f"{where} is missing {missing}"])
+    return {key: default if key not in d
+            else d[key] if check is None else check(d[key], f"{where}.{key}")
+            for key, (check, default) in fields.items()}
+
+
+def _distinct(values: list, what: str):
+    if not values or len(set(values)) != len(values):
+        raise ConfigError([f"{what} must be non-empty, without duplicates; "
+                           f"got {values}"])
 
 
 def _params_from_json(d: dict) -> SystemParams:
-    missing = {"omega_a", "omega_b", "chi_a", "chi_b", "coupling"} - set(d)
-    if missing:
-        raise ConfigError([f"params is missing {sorted(missing)}"])
-    return SystemParams(
-        **{k: _number(d[k], f"params.{k}")
-           for k in ("omega_a", "omega_b", "chi_a", "chi_b")},
-        coupling=_schedule_from_json(d["coupling"]),
-    )
-
-
-def _params_to_json(params: SystemParams) -> dict:
-    return {
-        "omega_a": params.omega_a,
-        "omega_b": params.omega_b,
-        "chi_a": params.chi_a,
-        "chi_b": params.chi_b,
-        "coupling": _schedule_to_json(params.coupling),
-    }
+    return SystemParams(**_section(d, "params"))
 
 
 def _ensemble_from_json(d: dict, n_trajectories: int) -> EnsembleConfig:
-    missing = {"n_trajectories", "dt", "t_final", "N_a0", "N_b0"} - set(d)
-    if missing:
-        raise ConfigError([f"ensemble is missing {sorted(missing)}"])
-
-    def number(key, default=None, integer=False):
-        return _number(d.get(key, default), f"ensemble.{key}", integer)
-
-    return EnsembleConfig(
-        n_trajectories=_number(n_trajectories, "n_trajectories", integer=True),
-        dt=number("dt"),
-        t_final=number("t_final"),
-        N_a0=number("N_a0"),
-        N_b0=number("N_b0"),
-        n_batches=number("n_batches", 10, integer=True),
-        sample_interval=number("sample_interval", 1, integer=True),
-        master_seed=number("master_seed", 0, integer=True),
-        blowup_threshold=number("blowup_threshold", 1e6),
-    )
-
-
-def _normalize_methods(method_field, default_n: int) -> list:
-    entries = method_field if isinstance(method_field, list) else [method_field]
-    out = []
-    for entry in entries:
-        if isinstance(entry, str):
-            entry = {"name": entry}
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError(
-                ["method entries must be names or objects with a 'name' key"])
-        name = entry["name"]
-        if name not in METHOD_NAMES:
-            raise ConfigError(
-                [f"unknown method {name!r}; available: {', '.join(METHOD_NAMES)}"])
-        out.append({
-            "name": name,
-            "n_trajectories": _number(entry.get("n_trajectories", default_n),
-                                      f"method {name} n_trajectories",
-                                      integer=True),
-        })
-    names = [e["name"] for e in out]
-    if len(set(names)) != len(names):
-        raise ConfigError(["duplicate method entries in config"])
-    return out
+    n = _integer(n_trajectories, "n_trajectories")
+    return EnsembleConfig(**{**_section(d, "ensemble"), "n_trajectories": n})
 
 
 def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
-    """Normalize a raw config dict and apply CLI overrides.
+    """Check a raw config dict and apply CLI overrides.
 
     Returns a new dict in canonical form: method is always a list of
-    {name, n_trajectories} objects.  The canonical form is what gets
-    embedded in output metadata, and it parses back to the same run.
+    {name, n_trajectories} objects, and output always has a format.  The
+    canonical form is what gets embedded in output metadata, and it
+    parses back to the same run.
     """
-    overrides = dict(overrides or {})
-    missing = {"method", "params", "ensemble", "observables", "output"} - set(raw)
-    if missing:
-        raise ConfigError([f"config is missing {sorted(missing)}"])
+    over = {k: v for k, v in (overrides or {}).items() if v is not None}
+    config = _section(raw, "config")
+    _section(config["params"], "params")
 
-    for key in ("params", "ensemble", "output"):
-        if not isinstance(raw[key], dict):
-            raise ConfigError([f"{key} must be an object"])
-    ensemble = dict(raw["ensemble"])
-    if "n_trajectories" not in ensemble:
-        raise ConfigError(["ensemble is missing ['n_trajectories']"])
-    if overrides.get("seed") is not None:
-        ensemble["master_seed"] = int(overrides["seed"])
-    if overrides.get("dt") is not None:
-        ensemble["dt"] = float(overrides["dt"])
-    if overrides.get("trajectories") is not None:
-        ensemble["n_trajectories"] = int(overrides["trajectories"])
+    ensemble = config["ensemble"]
+    for option, key, cast in (("seed", "master_seed", int), ("dt", "dt", float),
+                              ("trajectories", "n_trajectories", int)):
+        if option in over:
+            ensemble[key] = cast(over[option])
+    default_n = _section(ensemble, "ensemble")["n_trajectories"]
 
-    default_n = _number(ensemble["n_trajectories"], "ensemble.n_trajectories",
-                        integer=True)
-    methods = _normalize_methods(raw["method"], default_n)
-    if overrides.get("trajectories") is not None:
-        for entry in methods:
-            entry["n_trajectories"] = int(overrides["trajectories"])
-    if overrides.get("method") is not None:
-        name = overrides["method"]
-        if name not in METHOD_NAMES:
-            raise ConfigError([f"unknown method {name!r}"])
-        kept = [e for e in methods if e["name"] == name]
-        methods = kept or [{
-            "name": name,
-            "n_trajectories": default_n,
-        }]
+    field = config["method"]
+    methods = [_section({"name": e} if isinstance(e, str) else e, "method",
+                        f"method[{i}]")
+               for i, e in enumerate(field if isinstance(field, list) else [field])]
+    _distinct([e["name"] for e in methods], "method entries")
+    for entry in methods:
+        if entry["n_trajectories"] is None or "trajectories" in over:
+            entry["n_trajectories"] = default_n
+    if "method" in over:
+        name = _method_name(over["method"], "--method")
+        methods = [e for e in methods if e["name"] == name] or [
+            {"name": name, "n_trajectories": default_n}]
+    config["method"] = methods
 
-    if not isinstance(raw["observables"], list):
-        raise ConfigError(["observables must be a list of names"])
-    observables = list(raw["observables"])
-    if overrides.get("observables") is not None:
-        obs = overrides["observables"]
-        observables = obs.split(",") if isinstance(obs, str) else list(obs)
-        observables = [o.strip() for o in observables if o.strip()]
-    bad = [o for o in observables if o not in OBSERVABLE_NAMES]
+    if "observables" in over:
+        obs = over["observables"]
+        obs = obs.split(",") if isinstance(obs, str) else list(obs)
+        config["observables"] = [o.strip() for o in obs if o.strip()]
+    bad = [o for o in config["observables"] if o not in OBSERVABLE_NAMES]
     if bad:
         raise ConfigError(
             [f"unknown observables {bad}; available: {', '.join(OBSERVABLE_NAMES)}"])
-    if not observables:
-        raise ConfigError(["observables must be a non-empty list"])
+    _distinct(config["observables"], "observables")
 
-    output = dict(raw["output"])
-    output.setdefault("format", "csv")
-    if "path" not in output:
-        raise ConfigError(["output is missing ['path']"])
-    if not isinstance(output["path"], str) or not output["path"]:
-        raise ConfigError(["output.path must be a non-empty string"])
-    if overrides.get("out") is not None:
+    output = config["output"]
+    output.update(_section(output, "output"))
+    if "out" in over:
         output["path"] = os.path.join(
-            overrides["out"], os.path.basename(output["path"]))
-    if overrides.get("format") is not None:
-        output["format"] = overrides["format"]
-    if output["format"] not in ("csv", "json"):
-        raise ConfigError([f"unknown output format {output['format']!r}"])
+            over["out"], os.path.basename(output["path"]))
+    if "format" in over:
+        output["format"] = _format(over["format"], "--format")
+    return config
 
-    return {
-        "method": methods,
-        "params": dict(raw["params"]),
-        "ensemble": ensemble,
-        "observables": observables,
-        "output": output,
-    }
+
+def _runs(resolved: dict) -> tuple:
+    """(params, [(spec, config), ...]) of a resolved config, validated."""
+    params = _params_from_json(resolved["params"])
+    runs = [(MethodSpec.of(e["name"]),
+             _ensemble_from_json(resolved["ensemble"], e["n_trajectories"]))
+            for e in resolved["method"]]
+    for spec, config in runs:
+        validate_config(config, spec, params)
+    return params, runs
 
 
 # --------------------------------------------------------------------------
@@ -278,47 +285,29 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
 # --------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _write_text(path: str, text: str):
-    parent = os.path.dirname(os.path.abspath(path))
-    os.makedirs(parent, exist_ok=True)
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def _series_csv(series: ObservableSeries) -> str:
-    lines = ["t,mean,stderr,exact,live_fraction"]
-    for i in range(len(series.times)):
-        exact = "" if series.exact is None else _fmt(series.exact[i])
-        lines.append(",".join([
-            _fmt(series.times[i]),
-            _fmt(series.mean[i]),
-            _fmt(series.stderr[i]),
-            exact,
-            _fmt(series.live_fraction[i]),
-        ]))
-    return "\n".join(lines) + "\n"
+def _write_table(path: str, columns: dict, metadata: dict):
+    """Write equal-length columns as CSV or, with ``metadata``, as JSON.
 
-
-def _json_column(values) -> list:
-    return [None if not math.isfinite(v) else float(v) for v in values]
-
-
-def _series_json(series: ObservableSeries, metadata: dict) -> str:
-    doc = {
-        "metadata": metadata,
-        "columns": {
-            "t": _json_column(series.times),
-            "mean": _json_column(series.mean),
-            "stderr": _json_column(series.stderr),
-            "exact": None if series.exact is None else _json_column(series.exact),
-            "live_fraction": _json_column(series.live_fraction),
-        },
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    The path's extension picks the format.  A column that is None is
+    written empty (CSV) or null (JSON), as is a non-finite value in JSON.
+    """
+    if path.endswith(".csv"):
+        n = len(next(iter(columns.values())))
+        cells = [[""] * n if col is None else [f"{x:.17g}" for x in col]
+                 for col in columns.values()]
+        text = "\n".join([",".join(columns), *map(",".join, zip(*cells))])
+        _write_text(path, text + "\n")
+        return
+    _write_text(path, json.dumps({"metadata": metadata, "columns": {
+        k: None if col is None
+        else [float(x) if math.isfinite(x) else None for x in col]
+        for k, col in columns.items()}}, indent=2) + "\n")
 
 
 # --------------------------------------------------------------------------
@@ -332,58 +321,39 @@ def _execute(resolved: dict) -> dict:
     Returns {"outputs": [paths], "series": {(method, obs): ObservableSeries},
     "breakdown_times": {(method, obs): float | None}}.
     """
-    params = _params_from_json(resolved["params"])
+    params, runs = _runs(resolved)
     stem = resolved["output"]["path"]
     fmt = resolved["output"]["format"]
 
-    runs = []
-    for entry in resolved["method"]:
-        spec = MethodSpec.of(entry["name"])
-        config = _ensemble_from_json(
-            resolved["ensemble"], entry["n_trajectories"])
-        validate_config(config, spec, params)
-        runs.append((spec, config))
-
-    outputs = []
-    all_series = {}
-    breakdowns = {}
+    outputs, all_series, breakdowns = [], {}, {}
     for spec, config in runs:
         result = run_ensemble(spec, params, config)
-        method_breakdowns = {}
         for obs in resolved["observables"]:
             series = observable_series(result, spec, obs)
             t_break = detect_blowup(series)
             all_series[(spec.method, obs)] = series
             breakdowns[(spec.method, obs)] = t_break
-            method_breakdowns[obs] = t_break
             path = f"{stem}_{spec.method}_{obs}.{fmt}"
-            if fmt == "csv":
-                _write_text(path, _series_csv(series))
-            else:
-                metadata = {
-                    "version": __version__,
-                    "method": spec.method,
-                    "observable": obs,
-                    "breakdown_time": t_break,
-                    "config": resolved,
-                }
-                _write_text(path, _series_json(series, metadata))
+            _write_table(path, {
+                "t": series.times, "mean": series.mean,
+                "stderr": series.stderr, "exact": series.exact,
+                "live_fraction": series.live_fraction,
+            }, {"version": __version__, "method": spec.method, "observable": obs,
+                "breakdown_time": t_break, "config": resolved})
             outputs.append(path)
         if fmt == "csv":
             sidecar = f"{stem}_{spec.method}.meta.json"
             _write_text(sidecar, json.dumps({
                 "version": __version__,
                 "method": spec.method,
-                "breakdown_times": method_breakdowns,
+                "breakdown_times": {obs: breakdowns[(spec.method, obs)]
+                                    for obs in resolved["observables"]},
                 "config": resolved,
             }, indent=2) + "\n")
             outputs.append(sidecar)
 
-    return {
-        "outputs": outputs,
-        "series": all_series,
-        "breakdown_times": breakdowns,
-    }
+    return {"outputs": outputs, "series": all_series,
+            "breakdown_times": breakdowns}
 
 
 def run_preset(name: str, overrides: dict | None = None) -> dict:
@@ -443,43 +413,19 @@ def _time(text: str) -> float:
 
 
 def _oracle_command(resolved: dict, times_text: str | None) -> dict:
-    params = _params_from_json(resolved["params"])
-    ensemble = resolved["ensemble"]
-    op = match_schedule(
-        params, _number(ensemble.get("N_a0"), "ensemble.N_a0"),
-        _number(ensemble.get("N_b0"), "ensemble.N_b0"))
+    params, runs = _runs(resolved)
+    config = runs[0][1]
+    op = match_schedule(params, config.N_a0, config.N_b0)
     if op is None:
-        raise ConfigError(
-            ["no closed form for this coupling schedule; it must be constant "
-             "or switched off once"])
+        raise ConfigError(["no closed form for this coupling schedule; it "
+                           "must be constant or switched off once"])
 
-    if times_text is not None:
-        times = _parse_times(times_text)
-    else:
-        config = _ensemble_from_json(ensemble, ensemble["n_trajectories"])
-        times = build_step_plan(config, params).sample_times
-
+    times = (build_step_plan(config, params).sample_times if times_text is None
+             else _parse_times(times_text))
     observables = [o for o in resolved["observables"] if o in EXACT_OBSERVABLES]
-    if not observables:
-        observables = list(EXACT_OBSERVABLES)
-    table = oracle_table(op, times, observables)
-
-    stem = resolved["output"]["path"]
-    fmt = resolved["output"]["format"]
-    path = f"{stem}_exact.{fmt}"
-    if fmt == "csv":
-        header = ",".join(["t", *observables])
-        lines = [header]
-        for i in range(len(times)):
-            lines.append(",".join(
-                [_fmt(table["t"][i])] + [_fmt(table[o][i]) for o in observables]))
-        _write_text(path, "\n".join(lines) + "\n")
-    else:
-        doc = {
-            "metadata": {"version": __version__, "config": resolved},
-            "columns": {k: _json_column(v) for k, v in table.items()},
-        }
-        _write_text(path, json.dumps(doc, indent=2) + "\n")
+    table = oracle_table(op, times, observables or list(EXACT_OBSERVABLES))
+    path = f"{resolved['output']['path']}_exact.{resolved['output']['format']}"
+    _write_table(path, table, {"version": __version__, "config": resolved})
     return {"outputs": [path], "table": table}
 
 
@@ -529,41 +475,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    overrides = {key: getattr(args, key, None) for key in (
+        "seed", "trajectories", "dt", "out", "format", "method", "observables")}
     try:
-        if args.command == "run":
-            overrides = {
-                "seed": args.seed,
-                "trajectories": args.trajectories,
-                "dt": args.dt,
-                "out": args.out,
-                "format": args.format,
-                "method": args.method,
-                "observables": args.observables,
-            }
-            if args.preset:
-                outcome = run_preset(args.preset, overrides)
-            else:
-                outcome = run_config(args.config, overrides)
-            for path in outcome["outputs"]:
-                print(path)
-            for key, t_break in outcome["breakdown_times"].items():
-                if t_break is not None:
-                    method, obs = key
-                    print(f"note: {method}/{obs} sampling breaks down near "
-                          f"t={t_break:g}", file=sys.stderr)
-            return 0
-        overrides = {
-            "out": args.out,
-            "format": args.format,
-            "observables": args.observables,
-        }
         raw = load_preset(args.preset) if args.preset else load_config_file(
             args.config)
-        outcome = _oracle_command(resolve_config(raw, overrides), args.times)
+        resolved = resolve_config(raw, overrides)
+        outcome = (_execute(resolved) if args.command == "run"
+                   else _oracle_command(resolved, args.times))
         for path in outcome["outputs"]:
             print(path)
+        for (method, obs), t_break in outcome.get("breakdown_times", {}).items():
+            if t_break is not None:
+                print(f"note: {method}/{obs} sampling breaks down near "
+                      f"t={t_break:g}", file=sys.stderr)
         return 0
     except ConfigError as exc:
         for line in exc.violations:
@@ -572,7 +498,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

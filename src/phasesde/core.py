@@ -136,6 +136,9 @@ class CouplingSchedule:
         ends = [seg[0] for seg in self.segments]
         if any(b <= a for a, b in zip(ends, ends[1:])):
             out.append("coupling t_end values must be strictly increasing")
+        if not all(math.isfinite(t) and t > 0 for t in ends[:-1]):
+            out.append("coupling t_end values before the last segment must "
+                       "be finite and positive")
         if not math.isinf(ends[-1]):
             out.append("coupling final segment must have t_end = +inf")
         if any(not math.isfinite(g) for _, g in self.segments):

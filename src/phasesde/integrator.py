@@ -200,14 +200,13 @@ def _substep_coefficients(method: MethodSpec, params: SystemParams, plan: StepPl
         q, s = dynamics.hybrid_noise_coefficients(params, plan.sub_g)
         return {"q": q, "s": complex(s)}
     if name == "positive_p":
-        factors = {}
-        F = np.empty((plan.n_substeps, 2, 2), dtype=complex)
-        for j, g in enumerate(plan.sub_g):
-            if g not in factors:
-                factors[g] = dynamics.positive_p_mode_factor(
-                    params.chi_a, params.chi_b, g)
-            F[j] = factors[g]
-        return {"F": F}
+        # One factor per distinct g, made from its first substep's value.
+        _, first, which = np.unique(plan.sub_g, return_index=True,
+                                    return_inverse=True)
+        table = np.array([
+            dynamics.positive_p_mode_factor(params.chi_a, params.chi_b, g)
+            for g in plan.sub_g[first]], dtype=complex).reshape(-1, 2, 2)
+        return {"F": table[which]}
     return {}
 
 

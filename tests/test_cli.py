@@ -1,14 +1,19 @@
 """Config resolution, preset execution, output files, and the entry point."""
+import contextlib
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import phasesde
 from phasesde import ConfigError, __version__
@@ -236,9 +241,12 @@ def test_main_reports_config_errors(tmp_path, capsys):
     lambda c: c.__setitem__("observables", 5),
     lambda c: c["output"].__setitem__("path", None),
     lambda c: c["output"].__setitem__("path", ["a"]),
+    lambda c: c.__setitem__("observables", ["X_a", "X_a"]),
+    lambda c: c.__setitem__("method", []),
 ], ids=["chi_a_string", "g_null", "dt_null", "params_list",
         "n_trajectories_fraction", "n_batches_string", "master_seed_fraction",
-        "observables_int", "output_path_null", "output_path_list"])
+        "observables_int", "output_path_null", "output_path_list",
+        "observables_duplicate", "method_empty"])
 def test_main_rejects_malformed_values(tmp_path, capsys, mangle):
     """Exit 2 with an error line; never a traceback or a silent coercion."""
     raw = load_preset("fig1")
@@ -250,6 +258,115 @@ def test_main_rejects_malformed_values(tmp_path, capsys, mangle):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not list(tmp_path.glob("fig1_*"))
+
+
+def test_main_rejects_duplicate_observables_override(tmp_path, capsys):
+    assert main(["run", "--preset", "fig1", "--trajectories", "10",
+                 "--observables", "X_a,N_a,X_a", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "duplicates" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", [
+    ["run"], ["oracle"], ["oracle", "--times", "0,0.1"],
+], ids=["run", "oracle", "oracle_times"])
+@pytest.mark.parametrize("mangle", [
+    lambda c: c.__setitem__("obsevables", ["X_a"]),
+    lambda c: c["params"].__setitem__("chi", 1.0),
+    lambda c: c["params"]["coupling"][0].__setitem__("tau", 0.1),
+    lambda c: c["ensemble"].__setitem__("sample_intervall", 5),
+    lambda c: c["method"][0].__setitem__("trajectories", 10),
+    lambda c: c["output"].__setitem__("fromat", "json"),
+    lambda c: c["ensemble"].__setitem__("dt", 0),
+    lambda c: c["ensemble"].__setitem__("sample_interval", 0),
+    lambda c: c["ensemble"].__setitem__("n_batches", 0),
+    lambda c: c["ensemble"].__setitem__("dt", -1e-3),
+    lambda c: c["params"]["coupling"][0].__setitem__("t_end", float("nan")),
+], ids=["unknown_top", "unknown_params", "unknown_segment", "unknown_ensemble",
+        "unknown_method_entry", "unknown_output", "dt_zero",
+        "sample_interval_zero", "n_batches_zero", "dt_negative", "t_end_nan"])
+def test_run_and_oracle_reject_the_same_configs(tmp_path, capsys, mangle,
+                                                command):
+    """Both subcommands check a config alike: exit 2, one error line."""
+    raw = load_preset("fig6")
+    for entry in raw["method"]:
+        entry["n_trajectories"] = 10  # cheap, should a case slip through
+    mangle(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+# A leaf becomes one of these: null, a bool, a string, a list, an object,
+# NaN, a negative number or a fraction.
+FUZZ_VALUES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
+    st.just(math.nan), st.integers(-10 ** 6, -1), st.floats(-1e6, -1e-6),
+    st.floats(1e-3, 100.0).filter(lambda x: not x.is_integer()),
+)
+
+
+def positions(node, path=()):
+    """(path, value) of the document root and of everything inside it."""
+    yield path, node
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, child in items:
+            yield from positions(child, path + (key,))
+
+
+@st.composite
+def mutated_presets(draw):
+    """A preset with one to three leaves replaced, keys deleted or added."""
+    raw = load_preset(draw(st.sampled_from(PRESET_NAMES)))
+    for _ in range(draw(st.integers(1, 3))):
+        spots = list(positions(raw))
+        objects = [(path, node) for path, node in spots
+                   if isinstance(node, dict)]
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "replace":
+            path, _ = draw(st.sampled_from(
+                [(p, v) for p, v in spots if not isinstance(v, (dict, list))]))
+            parent = raw
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = draw(FUZZ_VALUES)
+            continue
+        _, node = draw(st.sampled_from(
+            [(p, n) for p, n in objects if n or op == "add"]))
+        if op == "delete":
+            del node[draw(st.sampled_from(sorted(node)))]
+        else:
+            key = draw(st.text(min_size=1, max_size=6).filter(
+                lambda k, node=node: k not in node))
+            node[key] = draw(FUZZ_VALUES)
+    return raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=mutated_presets())
+def test_oracle_parse_layer_fuzz(raw):
+    """A mutated preset exits 0, or 2 with only error lines; never raises."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["oracle", "--config", path, "--out",
+                         os.path.join(tmp, "out"), "--times", "0,0.1"])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2), lines
+    if code == 2:
+        assert lines and all(line.startswith("error: ") for line in lines)
 
 
 def test_main_rejects_unknown_preset():

@@ -41,6 +41,24 @@ class TestCouplingSchedule:
         unterminated = ps.CouplingSchedule(((0.2, 1.0),))
         assert unterminated.violations()
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, -1.0, 0.0],
+                             ids=["nan", "inf", "negative", "zero"])
+    def test_violations_reject_a_bad_t_end_before_the_last(self, t_end):
+        bad = ps.CouplingSchedule(((t_end, 1.0), (math.inf, 0.0)))
+        assert any("finite and positive" in v for v in bad.violations())
+        params = ps.SystemParams(0.0, -100.0, 1.0, 1.0, bad)
+        config = ps.EnsembleConfig(n_trajectories=10, dt=1e-4, t_final=0.5,
+                                   N_a0=100.0, N_b0=0.01)
+        with pytest.raises(ps.ConfigError, match="finite and positive"):
+            ps.validate_config(config, ps.MethodSpec.of("hybrid"), params)
+
+    def test_valid_schedules_have_no_violations(self):
+        for schedule in (ps.CouplingSchedule.switched(1.0, 0.1),
+                         ps.CouplingSchedule.switched(1.0, 1e-4, 0.5),
+                         ps.CouplingSchedule(((0.05, 1.0), (0.1, 0.5),
+                                              (math.inf, 0.0)))):
+            assert schedule.violations() == []
+
     @settings(max_examples=50, deadline=None)
     @given(
         ends=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4, unique=True),
@@ -164,3 +182,15 @@ def test_result_dead_batch_means_are_nan(kerr_params):
     assert np.isnan(means["beta"][1].real)
     assert res.n_samples == 2
     assert res.n_batches == 2
+
+
+def test_package_exports_every_module_name():
+    """phasesde.__all__ is the union of the modules' __all__ lists."""
+    from phasesde import core, dynamics, integrator, oracle, representations, stats
+    modules = (core, representations, dynamics, integrator, oracle, stats)
+    exported = [name for m in modules for name in m.__all__]
+    assert ps.__all__ == ["__version__", *exported]
+    assert len(set(ps.__all__)) == len(ps.__all__)
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(ps, name) is getattr(module, name), name

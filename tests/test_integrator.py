@@ -405,3 +405,16 @@ def test_switched_coupling_tracks_the_exact_curve():
     assert series.exact is not None
     err = np.abs(series.mean - series.exact)
     assert np.all(err <= np.maximum(4.0 * series.stderr, 0.01))
+
+
+def test_positive_p_factors_follow_the_coupling_schedule():
+    """One factor per substep, equal to the factor of that substep's g."""
+    params = SystemParams(0.0, 0.0, 1.0, 0.5, CouplingSchedule(
+        ((0.01, 1.0), (0.02, 0.7), (math.inf, 1.0))))
+    plan = build_step_plan(config(t_final=0.03), params)
+    F = _substep_coefficients(MethodSpec.of("positive_p"), params, plan)["F"]
+    expected = np.array([dynamics.positive_p_mode_factor(1.0, 0.5, g)
+                         for g in plan.sub_g])
+    assert F.shape == (plan.n_substeps, 2, 2)
+    assert F.tobytes() == expected.tobytes()
+    assert set(plan.sub_g) == {1.0, 0.7}
