@@ -67,6 +67,9 @@ __all__ = [
 
 PRESET_NAMES = ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6")
 
+# Most sample times an ``oracle --times`` range may ask for.
+MAX_TIMES = 10**6
+
 
 # --------------------------------------------------------------------------
 # config handling
@@ -396,8 +399,11 @@ def _parse_times(text: str) -> np.ndarray:
         start, stop, step = (_time(p) for p in parts)
         if step <= 0 or stop < start:
             raise ConfigError(["--times range must advance: start:stop:step"])
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return start + step * np.arange(count)
+        span = (stop - start) / step + 1e-9
+        if not span < MAX_TIMES:  # an overflow to inf included
+            raise ConfigError(
+                [f"--times range must give at most {MAX_TIMES} points"])
+        return start + step * np.arange(int(math.floor(span)) + 1)
     return np.asarray([_time(p) for p in text.split(",") if p.strip()])
 
 

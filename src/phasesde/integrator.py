@@ -16,6 +16,11 @@ the plus variables by the same factor and so conserves alpha_plus*alpha
 and beta_plus*beta to machine precision.  The plain Euler map, violently
 unstable on the stiff Kerr rotation at the occupations of interest, stays
 only as the reference ``euler_maruyama_step``.
+
+Between two records the substeps run in one of two loops that give the
+same bytes: the native kernel of ``_kernel.c``, used once it has loaded
+and matched the numpy loop on a small probe, or the numpy loop, which is
+the reference and the fallback.
 """
 from __future__ import annotations
 
@@ -28,7 +33,9 @@ import numpy as np
 
 from . import dynamics
 from .core import (
+    METHOD_NAMES,
     MONOMIALS,
+    CouplingSchedule,
     EnsembleConfig,
     EnsembleResult,
     MethodSpec,
@@ -294,6 +301,15 @@ def _simulate_chunk(indices, method: MethodSpec, params: SystemParams,
                     coeffs, noise_free: bool, record_gauge: bool,
                     threshold: float):
     """Integrate one chunk of trajectories; returns per-chunk partials."""
+    return _chunk(_native, indices, method, params, config, init, plan,
+                  coeffs, noise_free, record_gauge, threshold)
+
+
+def _chunk(native, indices, method, params, config, init, plan, coeffs,
+           noise_free, record_gauge, threshold):
+    """``_simulate_chunk`` on ``native``: a loaded kernel, or False for the
+    numpy loop.  Separate so the probe runs both without touching
+    ``_native``."""
     n_batches = config.n_batches
     m = len(indices)
     n_samples = plan.n_samples
@@ -337,60 +353,70 @@ def _simulate_chunk(indices, method: MethodSpec, params: SystemParams,
             lane_live.reshape(rows, n_batches), axis=0)
 
     record(0)
-    sample_index = 1
     kick = None if noise_free else _KICKS.get(method.method)
     frequencies = _FREQUENCIES[method.method]
     # Truncated Wigner points stay conjugate-symmetric.
     conjugate = method.method == "wigner"
+    xi = None
 
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        for block_start in range(0, plan.n_substeps, NOISE_BLOCK):
-            block_len = min(NOISE_BLOCK, plan.n_substeps - block_start)
-            if kick is not None:
+    def numpy_advance(j0, j1):
+        """Substeps j0..j1-1; noise is drawn NOISE_BLOCK substeps at a time."""
+        nonlocal a, ap, b, bp, live, gauge_max, xi
+        for j in range(j0, j1):
+            if kick is not None and j % NOISE_BLOCK == 0:
+                block_len = min(NOISE_BLOCK, plan.n_substeps - j)
                 xi = np.empty((m, block_len, 4))
-                for j, gen in enumerate(gens):
-                    xi[j] = draw_standard_normals(
+                for k, gen in enumerate(gens):
+                    xi[k] = draw_standard_normals(
                         gen, block_len * 4).reshape(block_len, 4)
-            for s_local in range(block_len):
-                j = block_start + s_local
-                dt_s = plan.sub_dt[j]
-                f_a, f_b = frequencies(a, ap, b, bp, params, plan.sub_g[j])
-                if kick is not None:
-                    a_mid, ap_mid, b_mid, bp_mid = kick(
-                        coeffs, j, xi[:, s_local, :], math.sqrt(dt_s),
-                        a, ap, b, bp)
-                else:
-                    a_mid, ap_mid, b_mid, bp_mid = a, ap, b, bp
-                rot_a = np.exp(-1j * f_a * dt_s)
-                rot_b = np.exp(-1j * f_b * dt_s)
-                a = a_mid * rot_a
-                b = b_mid * rot_b
-                if conjugate:
-                    ap = np.conj(a)
-                    bp = np.conj(b)
-                else:
-                    ap = ap_mid / rot_a
-                    bp = bp_mid / rot_b
+            dt_s = plan.sub_dt[j]
+            f_a, f_b = frequencies(a, ap, b, bp, params, plan.sub_g[j])
+            if kick is not None:
+                a_mid, ap_mid, b_mid, bp_mid = kick(
+                    coeffs, j, xi[:, j % NOISE_BLOCK, :], math.sqrt(dt_s),
+                    a, ap, b, bp)
+            else:
+                a_mid, ap_mid, b_mid, bp_mid = a, ap, b, bp
+            rot_a = np.exp(-1j * f_a * dt_s)
+            rot_b = np.exp(-1j * f_b * dt_s)
+            a = a_mid * rot_a
+            b = b_mid * rot_b
+            if conjugate:
+                ap = np.conj(a)
+                bp = np.conj(b)
+            else:
+                ap = ap_mid / rot_a
+                bp = bp_mid / rot_b
 
-                bad = np.zeros(m, dtype=bool)
-                for v in (a, ap, b, bp):
-                    bad |= ~np.isfinite(v) | (np.abs(v) > threshold)
-                newly = bad & live
-                if newly.any():
-                    blow_t[newly] = plan.sub_t_end[j]
-                    live &= ~bad
-                    # Zero is a fixed point of every update rule here, so
-                    # dead lanes stay put without special-casing the loop.
-                    a[newly] = ap[newly] = b[newly] = bp[newly] = 0.0
+            bad = np.zeros(m, dtype=bool)
+            for v in (a, ap, b, bp):
+                bad |= ~np.isfinite(v) | (np.abs(v) > threshold)
+            newly = bad & live
+            if newly.any():
+                blow_t[newly] = plan.sub_t_end[j]
+                live &= ~bad
+                # Zero is a fixed point of every update rule here, so
+                # dead lanes stay put without special-casing the loop.
+                a[newly] = ap[newly] = b[newly] = bp[newly] = 0.0
 
-                if record_gauge:
-                    drift = np.abs(ap * a - apa0) / apa0_scale
-                    gauge_max = np.where(live & (drift > gauge_max),
-                                         drift, gauge_max)
+            if record_gauge:
+                drift = np.abs(ap * a - apa0) / apa0_scale
+                gauge_max = np.where(live & (drift > gauge_max),
+                                     drift, gauge_max)
 
-                if plan.record_after[j]:
-                    record(sample_index)
-                    sample_index += 1
+    # The native kernel updates the arrays in place, skipping dead lanes.
+    advance = (native.advancer(
+        method.method, kick is not None, record_gauge, (a, ap, b, bp), live,
+        blow_t, gauge_max, apa0, apa0_scale, gens, plan, coeffs, params,
+        threshold) if native else numpy_advance)
+    # The plan records after its last substep, so this covers them all.
+    j0 = 0
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for sample_index, j1 in enumerate(
+                np.flatnonzero(plan.record_after) + 1, start=1):
+            advance(j0, int(j1))
+            record(sample_index)
+            j0 = int(j1)
 
     return {
         "sums": sums,
@@ -398,6 +424,61 @@ def _simulate_chunk(indices, method: MethodSpec, params: SystemParams,
         "blowup_times": blow_t,
         "gauge_max": gauge_max,
     }
+
+
+# The native advance of ``_kernel.c``: None until the first run in this
+# process, then the kernel if it loaded and matched the numpy loop's bytes
+# on the probe, else False (the numpy loop).
+_native = None
+
+
+def _load_native():
+    """Load and probe the native kernel once per process; see ``_native``."""
+    global _native
+    if _native is None:
+        from . import _kernel
+
+        _native = False
+        kernel = _kernel.load()
+        try:
+            if kernel is not None and _probe_matches(kernel):
+                _native = kernel
+            elif kernel is not None:
+                _kernel.log.info("native kernel differs from numpy")
+        except Exception as exc:  # say, a numpy without bit generator capsules
+            _kernel.log.info("native kernel failed the probe: %s", exc,
+                             exc_info=True)
+        if not _native:
+            _kernel.log.info("running the numpy substep loop")
+    return _native
+
+
+def _probe_matches(kernel) -> bool:
+    """True if ``kernel`` gives the numpy loop's bytes on a small probe.
+
+    Every method runs twice: with noise, gauge drift and a threshold low
+    enough to kill some lanes at different substeps, and noise-free.  The
+    coupling switches off the dt grid, and the tail step is shortened.
+    """
+    params = SystemParams(0.3, -0.7, 1.1, 0.9, CouplingSchedule(
+        ((0.0123, 1.0), (math.inf, 0.6))))
+    config = EnsembleConfig(n_trajectories=8, dt=1e-3, t_final=0.0305,
+                            N_a0=4.0, N_b0=0.25, n_batches=3,
+                            sample_interval=7, master_seed=2)
+    init = CoherentInit.from_occupations(config.N_a0, config.N_b0)
+    plan = build_step_plan(config, params)
+    indices = np.arange(config.n_trajectories)
+    for name in METHOD_NAMES:
+        method = MethodSpec.of(name)
+        coeffs = _substep_coefficients(method, params, plan)
+        for noise_free, gauge, threshold in ((False, True, 2.4),
+                                             (True, False, 1e6)):
+            fast, ref = (_chunk(native, indices, method, params, config, init,
+                                plan, coeffs, noise_free, gauge, threshold)
+                         for native in (kernel, False))
+            if any(fast[k].tobytes() != ref[k].tobytes() for k in ref):
+                return False
+    return True
 
 
 def _chunk_job(method, params, config, init, plan, coeffs, noise_free,
@@ -456,6 +537,7 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
     """
     method = MethodSpec.of(method)
     validate_config(config, method, params)
+    _load_native()  # before any fork, so workers inherit it
 
     init = CoherentInit.from_occupations(config.N_a0, config.N_b0)
     plan = build_step_plan(config, params)
@@ -525,6 +607,7 @@ def simulate_trajectory(init: CoherentInit, method, params: SystemParams,
     """
     method = MethodSpec.of(method)
     validate_config(config, method, params)
+    _load_native()
     plan = build_step_plan(config, params)
     coeffs = _substep_coefficients(method, params, plan)
     threshold = config.blowup_threshold * max(1.0, math.sqrt(config.N_a0))

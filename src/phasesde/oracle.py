@@ -31,8 +31,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrc, pdtrik
 
 __all__ = [
     "OracleParams",
@@ -257,13 +256,30 @@ def default_cutoff(occupation: float) -> int:
     if occupation <= 0:
         tail = 0
     else:
-        tail = int(poisson.isf(TAIL_MASS, occupation)) + 1
+        tail = int(_poisson_isf(TAIL_MASS, occupation)) + 1
     floor = int(math.ceil(occupation + 10.0 * math.sqrt(occupation) + 30.0))
     return max(tail, floor)
 
 
+def _poisson_isf(q: float, mu: float) -> float:
+    """Smallest k with P(N > k) <= q for N ~ Poisson(mu > 0).
+
+    The scipy.special calls of ``scipy.stats.poisson.isf``, without the
+    import cost of ``scipy.stats``.
+    """
+    p = 1.0 - q
+    k = np.ceil(pdtrik(p, mu))
+    below = np.maximum(k - 1, 0)
+    return below if pdtr(below, mu) >= p else k
+
+
+def _poisson_sf(k: int, mu: float) -> float:
+    """P(N > k) for N ~ Poisson(mu), as ``scipy.stats.poisson.sf``."""
+    return 1.0 if k < 0 else pdtrc(math.floor(k), mu)
+
+
 def _check_cutoff(occupation: float, cutoff: int, label: str) -> None:
-    if occupation > 0 and poisson.sf(cutoff, occupation) >= TAIL_MASS:
+    if occupation > 0 and _poisson_sf(cutoff, occupation) >= TAIL_MASS:
         raise ValueError(
             f"Fock cutoff {cutoff} for {label} leaves tail mass >= {TAIL_MASS:g}; "
             f"use at least {default_cutoff(occupation)}"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phasesde
@@ -187,7 +187,8 @@ def test_oracle_command_writes_exact_values(tmp_path, capsys):
                                exact_series("X_a", table["t"], p), atol=1e-14)
 
 
-@pytest.mark.parametrize("times", ["abc", "0:1:x", "0,nan", "0:inf:1"])
+@pytest.mark.parametrize("times", ["abc", "0:1:x", "0,nan", "0:inf:1",
+                                   "0:1e18:1", "0:1e308:1e-308"])
 def test_oracle_command_rejects_malformed_times(tmp_path, capsys, times):
     assert main(["oracle", "--preset", "fig1", "--out", str(tmp_path),
                  "--times", times]) == 2
@@ -369,6 +370,48 @@ def test_oracle_parse_layer_fuzz(raw):
         assert lines and all(line.startswith("error: ") for line in lines)
 
 
+@st.composite
+def rescaled_presets(draw):
+    """A preset with one to three numbers replaced by zero, a tiny or a
+    huge value: mostly valid configs, so the engine runs."""
+    raw = load_preset(draw(st.sampled_from(PRESET_NAMES)))
+    spots = [path for path, v in positions(raw)
+             if isinstance(v, (int, float)) and not isinstance(v, bool)]
+    for path in draw(st.lists(st.sampled_from(spots), min_size=1,
+                              max_size=3)):
+        parent = raw
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(st.one_of(
+            st.just(0.0), st.floats(1e-9, 1e6), st.integers(0, 10 ** 6)))
+    return raw
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=st.one_of(mutated_presets(), rescaled_presets()))
+def test_run_fuzz(raw):
+    """A mutated preset run at 10 trajectories and dt=1e-3 exits 0, or 2
+    with only error lines; never raises."""
+    ensemble = raw.get("ensemble")
+    t_final = ensemble.get("t_final") if isinstance(ensemble, dict) else None
+    if isinstance(t_final, (int, float)) and not isinstance(t_final, bool):
+        assume(not t_final > 5.0)  # at most 5000 substeps
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(raw, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", path, "--out",
+                         os.path.join(tmp, "out"), "--trajectories", "10",
+                         "--dt", "1e-3"])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2), lines
+    if code == 2:
+        assert lines and all(line.startswith("error: ") for line in lines)
+
+
 def test_main_rejects_unknown_preset():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--preset", "fig9"])
@@ -407,6 +450,14 @@ def check_cli_process(command, tmp_path):
     assert run.returncode == 0, run.stderr
     listed = [line for line in run.stdout.splitlines() if line]
     assert str(tmp_path / "fig1_positive_p_X_a.csv") in listed
+
+
+def test_cli_import_leaves_out_scipy_stats(tmp_path):
+    """Importing the CLI stays cheap: scipy.stats alone costs about 0.7 s."""
+    probe = run_cli([sys.executable, "-c", "import sys, phasesde.cli; "
+                     "print('scipy.stats' in sys.modules)"], [], tmp_path)
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
 
 
 def test_console_script(tmp_path):

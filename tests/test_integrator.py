@@ -1,5 +1,6 @@
 """Step plans, the single-step map, and ensemble integration."""
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -418,3 +419,130 @@ def test_positive_p_factors_follow_the_coupling_schedule():
     assert F.shape == (plan.n_substeps, 2, 2)
     assert F.tobytes() == expected.tobytes()
     assert set(plan.sub_g) == {1.0, 0.7}
+
+
+# ---------------------------------------------------------------------------
+# native kernel against the numpy loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def native(monkeypatch):
+    """The loaded native kernel; the numpy loop is restored afterwards."""
+    monkeypatch.setattr(integrator, "_native", None)
+    kernel = integrator._load_native()
+    if not kernel:
+        pytest.skip("the native kernel does not load (no gcc, a failed "
+                    "build, or a probe mismatch); runs use the numpy loop")
+    return kernel
+
+
+def run_bytes(*args, **kwargs):
+    res = run_ensemble(*args, **kwargs)
+    gauge = b"" if res.gauge_drift is None else res.gauge_drift.tobytes()
+    return (res.sums.tobytes(), res.live_counts.tobytes(),
+            res.blowup_times.tobytes(), gauge)
+
+
+NATIVE_SCHEDULES = {
+    "constant": CouplingSchedule.constant(1.0),
+    # breakpoint off the dt grid: a shortened substep lands on it
+    "switch": CouplingSchedule(((0.01234, 1.0), (math.inf, 0.6))),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(NATIVE_SCHEDULES))
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_native_kernel_gives_the_numpy_bytes(native, monkeypatch, name,
+                                             schedule):
+    """Same sums, live counts, blow-up times and gauge drift, bit for bit.
+
+    Over plain, noise-free, gauge-recording and lane-losing runs, with one
+    chunk or several 16-lane chunks, on one or two workers.
+    """
+    params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES[schedule])
+    base = dict(n_trajectories=48, dt=1e-3, t_final=0.0305, N_a0=4.0,
+                N_b0=0.25, n_batches=3, sample_interval=7, master_seed=23)
+    variants = {
+        "plain": ({}, {}),
+        "noise_free": ({}, {"noise_free": True}),
+        "gauge": ({}, {"record_gauge_drift": True}),
+        "lossy": ({"blowup_threshold": 1.05}, {"record_gauge_drift": True}),
+    }
+    for chunk in (2048, 16):
+        monkeypatch.setattr(integrator, "CHUNK_SIZE", chunk)
+        for variant, (cfg_kw, run_kw) in variants.items():
+            cfg = EnsembleConfig(**{**base, **cfg_kw})
+            for workers in (1, 2):
+                monkeypatch.setattr(integrator, "_native", native)
+                fast = run_bytes(name, params, cfg, n_workers=workers,
+                                 **run_kw)
+                monkeypatch.setattr(integrator, "_native", False)
+                ref = run_bytes(name, params, cfg, n_workers=workers,
+                                **run_kw)
+                assert fast == ref, (variant, chunk, workers)
+            if variant == "lossy":
+                blow = np.frombuffer(ref[2])
+                assert 0 < np.isfinite(blow).sum() < len(blow)
+                if name != "wigner":  # wigner conserves |alpha|
+                    assert len(set(blow[np.isfinite(blow)])) > 1
+
+
+class Corrupted:
+    """A native kernel whose advance nudges the first lane afterwards."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+
+    def advancer(self, method, noisy, record_gauge, state, *args):
+        advance = self.kernel.advancer(method, noisy, record_gauge, state,
+                                       *args)
+
+        def nudged(j0, j1):
+            advance(j0, j1)
+            state[0][0] *= 1.0 + 2.0 ** -52
+        return nudged
+
+
+@pytest.mark.parametrize("fault", ["corrupted", "no_compiler",
+                                   "failing_compiler"])
+def test_native_faults_fall_back_to_numpy_bytes(monkeypatch, tmp_path, fault):
+    """A kernel that fails the probe, or that cannot be built, is not used."""
+    from phasesde import _kernel
+
+    cfg = config(n_trajectories=48, n_batches=3, master_seed=29)
+    monkeypatch.setattr(integrator, "_native", False)
+    ref = run_bytes("hybrid", kerr(), cfg, record_gauge_drift=True)
+
+    if fault == "corrupted":
+        kernel = _kernel.load()
+        if kernel is None:
+            pytest.skip("the native kernel does not load")
+        monkeypatch.setattr(_kernel, "load", lambda: Corrupted(kernel))
+    else:
+        monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
+        monkeypatch.setattr(_kernel, "COMPILER", {
+            "no_compiler": "no-such-compiler-phasesde",
+            "failing_compiler": "false"}[fault])
+    monkeypatch.setattr(integrator, "_native", None)
+    assert run_bytes("hybrid", kerr(), cfg, record_gauge_drift=True) == ref
+    assert integrator._native is False
+
+
+def test_native_build_is_cached_by_source_and_flags(monkeypatch, tmp_path):
+    from phasesde import _kernel
+
+    if shutil.which(_kernel.COMPILER) is None:
+        pytest.skip(f"no {_kernel.COMPILER} on PATH")
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(_kernel, "CACHE_DIR", cache)
+    path = _kernel.build()
+    assert path is not None and path.parent == cache
+    assert cache.stat().st_mode & 0o777 == 0o700
+    assert [p.name for p in cache.iterdir()] == [path.name]  # no temp file
+    # A second build finds the cached file and needs no compiler.
+    monkeypatch.setattr(_kernel, "COMPILER", "no-such-compiler-phasesde")
+    assert _kernel.build() == path
+    # A cache directory that others may write is refused.
+    cache.chmod(0o770)
+    assert _kernel.build() is None

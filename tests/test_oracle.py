@@ -151,6 +151,24 @@ def test_default_cutoff_grows_with_occupation():
     assert default_cutoff(100.0) < 400
 
 
+@pytest.mark.parametrize("occupation, cutoff, tail_cutoff", [
+    (0.0, 30, None), (0.01, 32, 4), (1.0, 41, 14), (100.0, 230, 178)])
+def test_default_cutoff_at_preset_occupations(occupation, cutoff,
+                                              tail_cutoff):
+    """The values scipy.stats.poisson gave, at every preset occupation.
+
+    ``tail_cutoff`` is poisson.isf(TAIL_MASS, occupation): the tail-mass
+    check accepts it and refuses one less.
+    """
+    assert default_cutoff(occupation) == cutoff
+    if tail_cutoff is None:
+        return
+    p = OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, occupation, 0.0)
+    fock_word_expect("+-", "", 0.0, p, cutoff_a=tail_cutoff)
+    with pytest.raises(ValueError, match="tail mass"):
+        fock_word_expect("+-", "", 0.0, p, cutoff_a=tail_cutoff - 1)
+
+
 def test_symmetrized_number_word_gains_half_quantum():
     """avg(a+ a, a a+) = N + 1/2 for any state, here a coherent one."""
     for n0 in (0.25, 4.0):
