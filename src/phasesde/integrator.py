@@ -17,10 +17,11 @@ and beta_plus*beta to machine precision.  The plain Euler map, violently
 unstable on the stiff Kerr rotation at the occupations of interest, stays
 only as the reference ``euler_maruyama_step``.
 
-Between two records the substeps run in one of two loops that give the
-same bytes: the native kernel of ``_kernel.c``, used once it has loaded
-and matched the numpy loop on a small probe, or the numpy loop, which is
-the reference and the fallback.
+Each chunk runs on one of two engines that give the same bytes: the
+native kernel of ``_kernel.c``, which does a chunk's stream set-up,
+initial sampling, substeps and records in one call and is used once it
+has loaded and matched the numpy loop on a small probe, or the numpy
+loop, which is the reference and the fallback.
 """
 from __future__ import annotations
 
@@ -318,6 +319,18 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
     live_counts = np.zeros((n_samples, n_batches), dtype=np.int64)
     blow_t = np.full(m, np.nan)
     gauge_max = np.zeros(m)
+    kick = None if noise_free else _KICKS.get(method.method)
+    if native:
+        # Streams, initial sampling, substeps and records in one call.
+        if native.run_chunk(method, kick is not None, record_gauge, init,
+                            config.master_seed, int(indices[0]), plan,
+                            coeffs, params, threshold, sums, live_counts,
+                            blow_t, gauge_max):
+            return {"sums": sums, "live_counts": live_counts,
+                    "blowup_times": blow_t, "gauge_max": gauge_max}
+        # A recorded lane was huge or not finite; numpy sets the nan bits.
+        return _chunk(False, indices, method, params, config, init, plan,
+                      coeffs, noise_free, record_gauge, threshold)
 
     a, ap, b, bp, gens = _initial_arrays(indices, method, init,
                                          config.master_seed)
@@ -353,7 +366,6 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
             lane_live.reshape(rows, n_batches), axis=0)
 
     record(0)
-    kick = None if noise_free else _KICKS.get(method.method)
     frequencies = _FREQUENCIES[method.method]
     # Truncated Wigner points stay conjugate-symmetric.
     conjugate = method.method == "wigner"
@@ -404,17 +416,12 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
                 gauge_max = np.where(live & (drift > gauge_max),
                                      drift, gauge_max)
 
-    # The native kernel updates the arrays in place, skipping dead lanes.
-    advance = (native.advancer(
-        method.method, kick is not None, record_gauge, (a, ap, b, bp), live,
-        blow_t, gauge_max, apa0, apa0_scale, gens, plan, coeffs, params,
-        threshold) if native else numpy_advance)
     # The plan records after its last substep, so this covers them all.
     j0 = 0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for sample_index, j1 in enumerate(
                 np.flatnonzero(plan.record_after) + 1, start=1):
-            advance(j0, int(j1))
+            numpy_advance(j0, int(j1))
             record(sample_index)
             j0 = int(j1)
 
@@ -426,7 +433,7 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
     }
 
 
-# The native advance of ``_kernel.c``: None until the first run in this
+# The native chunk engine of ``_kernel.c``: None until the first run in this
 # process, then the kernel if it loaded and matched the numpy loop's bytes
 # on the probe, else False (the numpy loop).
 _native = None
@@ -445,7 +452,7 @@ def _load_native():
                 _native = kernel
             elif kernel is not None:
                 _kernel.log.info("native kernel differs from numpy")
-        except Exception as exc:  # say, a numpy without bit generator capsules
+        except Exception as exc:  # say, a kernel that rejects the arrays
             _kernel.log.info("native kernel failed the probe: %s", exc,
                              exc_info=True)
         if not _native:
@@ -456,9 +463,11 @@ def _load_native():
 def _probe_matches(kernel) -> bool:
     """True if ``kernel`` gives the numpy loop's bytes on a small probe.
 
-    Every method runs twice: with noise, gauge drift and a threshold low
-    enough to kill some lanes at different substeps, and noise-free.  The
-    coupling switches off the dt grid, and the tail step is shortened.
+    Every method runs three times: with noise, gauge drift and a threshold
+    low enough to kill some lanes at different substeps; noise-free; and
+    noisy again from complex amplitudes on a chunk whose first lane is not
+    in batch 0.  The coupling switches off the dt grid, and the tail step
+    is shortened.
     """
     params = SystemParams(0.3, -0.7, 1.1, 0.9, CouplingSchedule(
         ((0.0123, 1.0), (math.inf, 0.6))))
@@ -467,14 +476,17 @@ def _probe_matches(kernel) -> bool:
                             sample_interval=7, master_seed=2)
     init = CoherentInit.from_occupations(config.N_a0, config.N_b0)
     plan = build_step_plan(config, params)
-    indices = np.arange(config.n_trajectories)
+    runs = ((np.arange(8), init, False, True, 2.4),
+            (np.arange(8), init, True, False, 1e6),
+            (np.arange(5, 13), CoherentInit(2 + 0.5j, 0.5 - 0.1j), False,
+             True, 2.4))
     for name in METHOD_NAMES:
         method = MethodSpec.of(name)
         coeffs = _substep_coefficients(method, params, plan)
-        for noise_free, gauge, threshold in ((False, True, 2.4),
-                                             (True, False, 1e6)):
-            fast, ref = (_chunk(native, indices, method, params, config, init,
-                                plan, coeffs, noise_free, gauge, threshold)
+        for indices, start, noise_free, gauge, threshold in runs:
+            fast, ref = (_chunk(native, indices, method, params, config,
+                                start, plan, coeffs, noise_free, gauge,
+                                threshold)
                          for native in (kernel, False))
             if any(fast[k].tobytes() != ref[k].tobytes() for k in ref):
                 return False

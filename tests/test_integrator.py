@@ -1,4 +1,5 @@
 """Step plans, the single-step map, and ensemble integration."""
+import logging
 import math
 import shutil
 
@@ -488,28 +489,108 @@ def test_native_kernel_gives_the_numpy_bytes(native, monkeypatch, name,
                     assert len(set(blow[np.isfinite(blow)])) > 1
 
 
+def trajectory_bytes(monkeypatch, kernel, *args, **kwargs):
+    """``simulate_trajectory`` on ``kernel``, or on the numpy loop if False."""
+    monkeypatch.setattr(integrator, "_native", kernel)
+    rec = simulate_trajectory(*args, **kwargs)
+    return rec.monomials.tobytes(), rec.live.tobytes(), rec.blowup_time
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_native_streams_match_numpy_at_extreme_keys(native, monkeypatch,
+                                                    name, seed):
+    """Both Philox key words at their extremes, index words above 2**32."""
+    cfg = config(master_seed=seed, n_batches=4, t_final=0.03,
+                 sample_interval=7)
+    init = CoherentInit.from_occupations(cfg.N_a0, cfg.N_b0)
+    for index in (2 ** 32 + 7, 2 ** 64 - 1):
+        fast, ref = (trajectory_bytes(monkeypatch, kernel, init, name,
+                                      kerr(), cfg, trajectory_index=index)
+                     for kernel in (native, False))
+        assert fast == ref, index
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_native_samples_complex_amplitudes_like_numpy(native, monkeypatch,
+                                                      name):
+    """Complex gammas, in one trajectory and in a chunk off batch 0."""
+    cfg = config(n_batches=4, t_final=0.03, sample_interval=7,
+                 master_seed=31)
+    init = CoherentInit(2 + 0.5j, 0.5 - 0.1j)
+    fast, ref = (trajectory_bytes(monkeypatch, kernel, init, name, kerr(),
+                                  cfg, trajectory_index=5)
+                 for kernel in (native, False))
+    assert fast == ref
+
+    plan = build_step_plan(cfg, kerr())
+    method = MethodSpec.of(name)
+    coeffs = _substep_coefficients(method, kerr(), plan)
+    fast, ref = ({k: v.tobytes() for k, v in integrator._chunk(
+        kernel, np.arange(7, 27), method, kerr(), cfg, init, plan, coeffs,
+        False, True, 2.6).items()} for kernel in (native, False))
+    assert fast == ref
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("gamma", [complex(math.nan, 1.0),
+                                   complex(1.0, math.nan),
+                                   complex(math.inf, 1.0)],
+                         ids=["nan_re", "nan_im", "inf_re"])
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_native_non_finite_amplitude_dies_like_numpy(native, monkeypatch,
+                                                     name, gamma):
+    """A non-finite initial amplitude kills the lane at the first substep.
+
+    The kernel kills it itself, and hands the chunk to the numpy loop,
+    which alone knows the nan bits of its record 0.
+    """
+    cfg = config(n_batches=1, t_final=0.02)
+    plan = build_step_plan(cfg, kerr())
+    method = MethodSpec.of(name)
+    coeffs = _substep_coefficients(method, kerr(), plan)
+    threshold = cfg.blowup_threshold * max(1.0, math.sqrt(cfg.N_a0))
+    for init in (CoherentInit(gamma, 0.5), CoherentInit(2.0, gamma)):
+        fast, ref = (trajectory_bytes(monkeypatch, kernel, init, name,
+                                      kerr(), cfg, trajectory_index=3)
+                     for kernel in (native, False))
+        assert fast == ref, init
+        assert ref[2] == plan.sub_t_end[0]
+
+        ref = integrator._chunk(False, np.array([3]), method, kerr(), cfg,
+                                init, plan, coeffs, False, False, threshold)
+        out = {k: np.zeros_like(v) for k, v in ref.items()}
+        out["blowup_times"][:] = np.nan
+        assert not native.run_chunk(
+            method, name != "wigner", False, init, cfg.master_seed, 3, plan,
+            coeffs, kerr(), threshold, out["sums"], out["live_counts"],
+            out["blowup_times"], out["gauge_max"])
+        for k in ("live_counts", "blowup_times", "gauge_max"):
+            assert out[k].tobytes() == ref[k].tobytes(), k
+        assert out["sums"][1:].tobytes() == ref["sums"][1:].tobytes()
+
+
 class Corrupted:
-    """A native kernel whose advance nudges the first lane afterwards."""
+    """A native kernel whose chunks come out with the first sum nudged."""
 
     def __init__(self, kernel):
         self.kernel = kernel
 
-    def advancer(self, method, noisy, record_gauge, state, *args):
-        advance = self.kernel.advancer(method, noisy, record_gauge, state,
-                                       *args)
-
-        def nudged(j0, j1):
-            advance(j0, j1)
-            state[0][0] *= 1.0 + 2.0 ** -52
-        return nudged
+    def run_chunk(self, *args):
+        done = self.kernel.run_chunk(*args)
+        sums = args[-4]
+        sums.flat[0] *= 1.0 + 2.0 ** -52
+        return done
 
 
 @pytest.mark.parametrize("fault", ["corrupted", "no_compiler",
                                    "failing_compiler"])
-def test_native_faults_fall_back_to_numpy_bytes(monkeypatch, tmp_path, fault):
+def test_native_faults_fall_back_to_numpy_bytes(monkeypatch, tmp_path, caplog,
+                                                fault):
     """A kernel that fails the probe, or that cannot be built, is not used."""
     from phasesde import _kernel
 
+    caplog.set_level(logging.INFO, logger=_kernel.log.name)
     cfg = config(n_trajectories=48, n_batches=3, master_seed=29)
     monkeypatch.setattr(integrator, "_native", False)
     ref = run_bytes("hybrid", kerr(), cfg, record_gauge_drift=True)
@@ -527,13 +608,16 @@ def test_native_faults_fall_back_to_numpy_bytes(monkeypatch, tmp_path, fault):
     monkeypatch.setattr(integrator, "_native", None)
     assert run_bytes("hybrid", kerr(), cfg, record_gauge_drift=True) == ref
     assert integrator._native is False
+    if fault == "corrupted":  # loaded, then refused by the probe
+        assert "native kernel differs from numpy" in caplog.messages
 
 
 def test_native_build_is_cached_by_source_and_flags(monkeypatch, tmp_path):
     from phasesde import _kernel
 
-    if shutil.which(_kernel.COMPILER) is None:
-        pytest.skip(f"no {_kernel.COMPILER} on PATH")
+    compiler = _kernel.COMPILER
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no {compiler} on PATH")
     cache = tmp_path / "cache"
     monkeypatch.setattr(_kernel, "CACHE_DIR", cache)
     path = _kernel.build()
@@ -543,6 +627,17 @@ def test_native_build_is_cached_by_source_and_flags(monkeypatch, tmp_path):
     # A second build finds the cached file and needs no compiler.
     monkeypatch.setattr(_kernel, "COMPILER", "no-such-compiler-phasesde")
     assert _kernel.build() == path
+    # A build from a changed source removes the stale object, and leaves
+    # the temporary file of a concurrent build alone.
+    monkeypatch.setattr(_kernel, "COMPILER", compiler)
+    source = tmp_path / "_kernel.c"
+    source.write_bytes(_kernel.SOURCE.read_bytes() + b"/* changed */\n")
+    monkeypatch.setattr(_kernel, "SOURCE", source)
+    (cache / "tmp123.so.tmp").touch()
+    changed = _kernel.build()
+    assert changed is not None and changed != path
+    assert sorted(p.name for p in cache.iterdir()) == [
+        changed.name, "tmp123.so.tmp"]
     # A cache directory that others may write is refused.
     cache.chmod(0o770)
     assert _kernel.build() is None
