@@ -30,7 +30,6 @@ __all__ = [
     "MethodSpec",
     "EnsembleConfig",
     "EnsembleResult",
-    "RunDescriptor",
     "validate_config",
     "config_violations",
 ]
@@ -238,15 +237,6 @@ class EnsembleConfig:
         return out
 
 
-@dataclass(frozen=True)
-class RunDescriptor:
-    """A (method, params, config) triple that passed validation."""
-
-    method: MethodSpec
-    params: SystemParams
-    config: EnsembleConfig
-
-
 def config_violations(config: EnsembleConfig, method: MethodSpec,
                       params: SystemParams) -> list:
     """Collect every violated invariant, naming the offending field."""
@@ -269,15 +259,14 @@ def config_violations(config: EnsembleConfig, method: MethodSpec,
 
 
 def validate_config(config: EnsembleConfig, method: MethodSpec,
-                    params: SystemParams) -> RunDescriptor:
-    """Return a RunDescriptor, or raise ConfigError listing every violation.
+                    params: SystemParams) -> None:
+    """Raise ConfigError listing every violation, if there is any.
 
     Values are never repaired silently; the caller must fix the config.
     """
     violations = config_violations(config, method, params)
     if violations:
         raise ConfigError(violations)
-    return RunDescriptor(method=method, params=params, config=config)
 
 
 @dataclass

@@ -80,6 +80,21 @@ def wigner_frequencies(na, nb, params: SystemParams, g):
     return f_a, f_b
 
 
+# (F_a, F_b) of each method at the point (a, ap, b, bp): the one place that
+# picks the occupations a method's frequencies see.  The frequency
+# functions are looked up as module globals at call time.
+FREQUENCIES = {
+    "hybrid": lambda a, ap, b, bp, params, g: hybrid_frequencies(
+        ap * a, bp * b, params, g),
+    "hybrid_truncated": lambda a, ap, b, bp, params, g: hybrid_frequencies(
+        ap * a, np.real(bp * b), params, g),
+    "positive_p": lambda a, ap, b, bp, params, g: positive_p_frequencies(
+        ap * a, bp * b, params, g),
+    "wigner": lambda a, ap, b, bp, params, g: wigner_frequencies(
+        np.real(ap * a), np.real(bp * b), params, g),
+}
+
+
 def hybrid_noise_coefficients(params: SystemParams, g):
     """(q, s): interface and Kerr noise amplitudes for the mixed method.
 
@@ -91,8 +106,14 @@ def hybrid_noise_coefficients(params: SystemParams, g):
     return q, s
 
 
-def _rotation_drift(p: PhasePoint, f_a, f_b) -> DriftVector:
-    """The shared drift form: alpha rotates by -i F_a, alpha_plus by +i F_a."""
+def _rotation_drift(method: str, p: PhasePoint, params: SystemParams,
+                    g) -> DriftVector:
+    """The shared drift form: alpha rotates by -i F_a, alpha_plus by +i F_a.
+
+    F_a and F_b come from the method's entry in ``FREQUENCIES``.
+    """
+    f_a, f_b = FREQUENCIES[method](
+        p.alpha, p.alpha_plus, p.beta, p.beta_plus, params, g)
     return DriftVector(
         -1j * f_a * p.alpha,
         +1j * f_a * p.alpha_plus,
@@ -118,12 +139,8 @@ def apply_further_truncation(p: PhasePoint):
 
 def hybrid_drift(p: PhasePoint, params: SystemParams, g,
                  further_truncation: bool = False) -> DriftVector:
-    apa = p.alpha_plus * p.alpha
-    bpb = p.beta_plus * p.beta
-    if further_truncation:
-        bpb = np.real(bpb)
-    f_a, f_b = hybrid_frequencies(apa, bpb, params, g)
-    return _rotation_drift(p, f_a, f_b)
+    return _rotation_drift(
+        "hybrid_truncated" if further_truncation else "hybrid", p, params, g)
 
 
 def hybrid_noise_factor(p: PhasePoint, params: SystemParams, g) -> np.ndarray:
@@ -199,10 +216,7 @@ def positive_p_mode_factor(chi_a: float, chi_b: float, g: float) -> np.ndarray:
 
 
 def positive_p_drift(p: PhasePoint, params: SystemParams, g) -> DriftVector:
-    apa = p.alpha_plus * p.alpha
-    bpb = p.beta_plus * p.beta
-    f_a, f_b = positive_p_frequencies(apa, bpb, params, g)
-    return _rotation_drift(p, f_a, f_b)
+    return _rotation_drift("positive_p", p, params, g)
 
 
 def positive_p_noise_factor(p: PhasePoint, params: SystemParams, g) -> np.ndarray:
@@ -255,7 +269,4 @@ def wigner_truncated(p: PhasePoint, params: SystemParams, g) -> DriftVector:
     the flow preserves.  The effective frequencies are real there, so
     |alpha|^2 and |beta|^2 are conserved along every trajectory.
     """
-    na = np.real(p.alpha_plus * p.alpha)
-    nb = np.real(p.beta_plus * p.beta)
-    f_a, f_b = wigner_frequencies(na, nb, params, g)
-    return _rotation_drift(p, f_a, f_b)
+    return _rotation_drift("wigner", p, params, g)

@@ -13,9 +13,7 @@ for a given config no matter how many workers run the chunks.
 Every method takes the same split step: a multiplicative noise kick at
 the pre-step point, then the exact rotation exp(-i F dt), which divides
 the plus variables by the same factor and so conserves alpha_plus*alpha
-and beta_plus*beta to machine precision.  The plain Euler map, violently
-unstable on the stiff Kerr rotation at the occupations of interest, stays
-only as the reference ``euler_maruyama_step``.
+and beta_plus*beta to machine precision.
 
 Each chunk runs on one of two engines that give the same bytes: the
 native kernel of ``_kernel.c``, which does a chunk's stream set-up,
@@ -25,6 +23,7 @@ loop, which is the reference and the fallback.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import os
@@ -36,11 +35,11 @@ from . import dynamics
 from .core import (
     METHOD_NAMES,
     MONOMIALS,
+    ConfigError,
     CouplingSchedule,
     EnsembleConfig,
     EnsembleResult,
     MethodSpec,
-    PhasePoint,
     SystemParams,
     validate_config,
 )
@@ -52,11 +51,9 @@ from .representations import (
 )
 
 __all__ = [
-    "TrajectoryState",
     "TrajectoryRecord",
     "StepPlan",
     "build_step_plan",
-    "euler_maruyama_step",
     "simulate_trajectory",
     "run_ensemble",
 ]
@@ -69,61 +66,10 @@ CHUNK_SIZE = 2048
 NOISE_BLOCK = 256
 
 
-@dataclass
-class TrajectoryState:
-    """A single trajectory between steps."""
-
-    point: PhasePoint
-    live: bool = True
-    t: float = 0.0
-    blowup_time: float | None = None
-
-
 def make_stream(master_seed: int, trajectory_index: int) -> np.random.Generator:
     """The dedicated counter-based stream of one trajectory."""
     key = np.array([master_seed, trajectory_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def euler_maruyama_step(state: TrajectoryState, params: SystemParams, g: float,
-                        dt: float, rng_stream, *, method: MethodSpec,
-                        blowup_threshold: float = math.inf) -> TrajectoryState:
-    """One literal Euler-Maruyama step: point + A dt + B xi sqrt(dt).
-
-    Draws the method's noise vector from ``rng_stream`` (four standard
-    normals, or none for the noiseless method).  A component exceeding the
-    threshold in magnitude, or going non-finite, marks the trajectory dead
-    with the event time recorded; dead trajectories pass through frozen.
-    """
-    if not state.live:
-        return state
-    p = state.point
-    name = method.method
-    if name in ("hybrid", "hybrid_truncated"):
-        drift = dynamics.hybrid_drift(
-            p, params, g, further_truncation=(name == "hybrid_truncated"))
-        noise = dynamics.hybrid_noise_factor(p, params, g)
-    elif name == "positive_p":
-        drift = dynamics.positive_p_drift(p, params, g)
-        noise = dynamics.positive_p_noise_factor(p, params, g)
-    else:
-        drift = dynamics.wigner_truncated(p, params, g)
-        noise = None
-
-    vec = p.as_array() + np.asarray(drift, dtype=complex) * dt
-    if noise is not None:
-        xi = draw_standard_normals(rng_stream, 4)
-        vec = vec + (noise @ xi) * math.sqrt(dt)
-
-    new_point = PhasePoint(*vec)
-    t_new = state.t + dt
-    dead = (not new_point.is_finite()) or bool(np.max(np.abs(vec)) > blowup_threshold)
-    return TrajectoryState(
-        point=new_point,
-        live=not dead,
-        t=t_new,
-        blowup_time=t_new if dead else None,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -219,7 +165,7 @@ def _substep_coefficients(method: MethodSpec, params: SystemParams, plan: StepPl
 
 
 # --------------------------------------------------------------------------
-# per-method kicks and frequencies
+# per-method kicks
 # --------------------------------------------------------------------------
 #
 # A kick maps the pre-step point to x_mid; its linear term is B(p) xi
@@ -256,18 +202,6 @@ _KICKS = {
     "hybrid": _hybrid_kick,
     "hybrid_truncated": functools.partial(_hybrid_kick, exact_pair=True),
     "positive_p": _positive_p_kick,
-}
-
-# (F_a, F_b) at the pre-step point, from ``dynamics`` looked up at call time.
-_FREQUENCIES = {
-    "hybrid": lambda a, ap, b, bp, params, g: dynamics.hybrid_frequencies(
-        ap * a, bp * b, params, g),
-    "hybrid_truncated": lambda a, ap, b, bp, params, g:
-        dynamics.hybrid_frequencies(ap * a, np.real(bp * b), params, g),
-    "positive_p": lambda a, ap, b, bp, params, g:
-        dynamics.positive_p_frequencies(ap * a, bp * b, params, g),
-    "wigner": lambda a, ap, b, bp, params, g: dynamics.wigner_frequencies(
-        np.real(ap * a), np.real(bp * b), params, g),
 }
 
 
@@ -335,8 +269,6 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
     a, ap, b, bp, gens = _initial_arrays(indices, method, init,
                                          config.master_seed)
     live = np.ones(m, dtype=bool)
-    apa0 = ap * a
-    apa0_scale = np.where(np.abs(apa0) > 0, np.abs(apa0), 1.0)
 
     # Both callers pass contiguous indices, so lane k belongs to batch
     # (indices[0] + k) % n_batches.  Lane k sits at row off + k of a zeroed
@@ -365,8 +297,7 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
         live_counts[sample_index] += np.add.reduce(
             lane_live.reshape(rows, n_batches), axis=0)
 
-    record(0)
-    frequencies = _FREQUENCIES[method.method]
+    frequencies = dynamics.FREQUENCIES[method.method]
     # Truncated Wigner points stay conjugate-symmetric.
     conjugate = method.method == "wigner"
     xi = None
@@ -419,6 +350,9 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
     # The plan records after its last substep, so this covers them all.
     j0 = 0
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        apa0 = ap * a
+        apa0_scale = np.where(np.abs(apa0) > 0, np.abs(apa0), 1.0)
+        record(0)
         for sample_index, j1 in enumerate(
                 np.flatnonzero(plan.record_after) + 1, start=1):
             numpy_advance(j0, int(j1))
@@ -615,10 +549,12 @@ def simulate_trajectory(init: CoherentInit, method, params: SystemParams,
 
     Runs the same engine as ``run_ensemble`` on a singleton chunk, so the
     sampled monomials agree bit-for-bit with that trajectory's ensemble
-    contribution.
+    contribution.  A non-finite ``init`` amplitude is a ConfigError.
     """
     method = MethodSpec.of(method)
     validate_config(config, method, params)
+    if not (cmath.isfinite(init.gamma_a) and cmath.isfinite(init.gamma_b)):
+        raise ConfigError(["init amplitudes must be finite"])
     _load_native()
     plan = build_step_plan(config, params)
     coeffs = _substep_coefficients(method, params, plan)

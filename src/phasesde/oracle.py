@@ -180,37 +180,28 @@ def exact_correlation(t, p: OracleParams):
     return num / den
 
 
-EXACT_OBSERVABLES = (
-    "X_a", "Y_a", "X_b", "Y_b",
-    "N_a", "N_b", "var_N_a", "var_Y_b",
-    "N_a_Y_b", "C_Na_Yb",
-)
+# Each observable's closed form on a float time array.
+_EXACT = {
+    "X_a": lambda t, p: exact_quadratures_a(t, p)[0],
+    "Y_a": lambda t, p: exact_quadratures_a(t, p)[1],
+    "X_b": lambda t, p: exact_quadratures_b(t, p)[0],
+    "Y_b": lambda t, p: exact_quadratures_b(t, p)[1],
+    "N_a": lambda t, p: np.full_like(t, p.N_a0),
+    "N_b": lambda t, p: np.full_like(t, p.N_b0),
+    "var_N_a": lambda t, p: np.full_like(t, p.N_a0),
+    "var_Y_b": exact_var_Yb,
+    "N_a_Y_b": exact_NaYb,
+    "C_Na_Yb": exact_correlation,
+}
+
+EXACT_OBSERVABLES = tuple(_EXACT)
 
 
 def exact_series(name: str, t, p: OracleParams):
     """Exact value(s) of a named observable at time(s) t."""
-    t = np.asarray(t, dtype=float)
-    if name == "X_a":
-        return exact_quadratures_a(t, p)[0]
-    if name == "Y_a":
-        return exact_quadratures_a(t, p)[1]
-    if name == "X_b":
-        return exact_quadratures_b(t, p)[0]
-    if name == "Y_b":
-        return exact_quadratures_b(t, p)[1]
-    if name == "N_a":
-        return np.full_like(t, p.N_a0)
-    if name == "N_b":
-        return np.full_like(t, p.N_b0)
-    if name == "var_N_a":
-        return np.full_like(t, p.N_a0)
-    if name == "var_Y_b":
-        return exact_var_Yb(t, p)
-    if name == "N_a_Y_b":
-        return exact_NaYb(t, p)
-    if name == "C_Na_Yb":
-        return exact_correlation(t, p)
-    raise KeyError(f"no exact formula for observable {name!r}")
+    if name not in _EXACT:
+        raise KeyError(f"no exact formula for observable {name!r}")
+    return _EXACT[name](np.asarray(t, dtype=float), p)
 
 
 def match_schedule(params, N_a0: float, N_b0: float) -> OracleParams | None:
@@ -384,7 +375,19 @@ def fock_word_expect(word_a: str, word_b: str, t: float, p: OracleParams,
     return complex(prefactor * sum_a * sum_b)
 
 
-_FOCK_OBSERVABLES = ("X_a", "Y_a", "X_b", "Y_b", "N_a", "N_a2", "Y_b2", "N_aY_b")
+# Each Fock observable from ``w(word_a, word_b)``, the ladder-word
+# expectation of ``fock_word_expect``.
+_FOCK = {
+    "X_a": lambda w: 0.5 * (w("-", "") + w("+", "")),
+    "Y_a": lambda w: (w("-", "") - w("+", "")) / 2j,
+    "X_b": lambda w: 0.5 * (w("", "-") + w("", "+")),
+    "Y_b": lambda w: (w("", "-") - w("", "+")) / 2j,
+    "N_a": lambda w: w("+-", ""),
+    "N_a2": lambda w: w("+-+-", ""),
+    "Y_b2": lambda w: -0.25 * (w("", "--") + w("", "++") - w("", "+-")
+                               - w("", "-+")),
+    "N_aY_b": lambda w: (w("+-", "-") - w("+-", "+")) / 2j,
+}
 
 
 def fock_expect(observable: str, t: float, p: OracleParams,
@@ -395,32 +398,16 @@ def fock_expect(observable: str, t: float, p: OracleParams,
     observable is one of X_a, Y_a, X_b, Y_b, N_a, N_a2 (second number
     moment), Y_b2 (second quadrature moment), N_aY_b.
     """
+    if observable not in _FOCK:
+        raise KeyError(
+            f"unknown Fock observable {observable!r}; "
+            f"expected one of {tuple(_FOCK)}"
+        )
 
     def w(word_a, word_b):
         return fock_word_expect(word_a, word_b, t, p, cutoff_a, cutoff_b)
 
-    if observable == "X_a":
-        return float(np.real(0.5 * (w("-", "") + w("+", ""))))
-    if observable == "Y_a":
-        return float(np.real((w("-", "") - w("+", "")) / 2j))
-    if observable == "X_b":
-        return float(np.real(0.5 * (w("", "-") + w("", "+"))))
-    if observable == "Y_b":
-        return float(np.real((w("", "-") - w("", "+")) / 2j))
-    if observable == "N_a":
-        return float(np.real(w("+-", "")))
-    if observable == "N_a2":
-        return float(np.real(w("+-+-", "")))
-    if observable == "Y_b2":
-        return float(np.real(
-            -0.25 * (w("", "--") + w("", "++") - w("", "+-") - w("", "-+"))
-        ))
-    if observable == "N_aY_b":
-        return float(np.real((w("+-", "-") - w("+-", "+")) / 2j))
-    raise KeyError(
-        f"unknown Fock observable {observable!r}; "
-        f"expected one of {_FOCK_OBSERVABLES}"
-    )
+    return float(np.real(_FOCK[observable](w)))
 
 
 def fock_symmetrized(letters_a, letters_b, t: float, p: OracleParams,

@@ -82,12 +82,14 @@ def observable_series(result: EnsembleResult, method=None,
                       name: str = "X_a") -> ObservableSeries:
     """Estimate one observable at every sample time of an ensemble run.
 
-    Per-batch estimates are formed from each batch's live moment means and
-    combined with :func:`batch_mean_se`.  Dead batches are dropped; for the
-    correlation coefficient, batches whose variance product is not positive
-    are dropped too (with a warning).  A warning is also emitted when the
-    imaginary residual of the estimate is statistically inconsistent with
-    zero, which signals a sampling or dynamics inconsistency.
+    Per-batch estimates are formed from each batch's live moment means;
+    the series is their mean and ddof=1 standard error over the batches
+    with a finite estimate (a single such batch gives a mean and no
+    error).  Dead batches are dropped; for the correlation coefficient,
+    batches whose variance product is not positive are dropped too (with
+    a warning).  A warning is also emitted when the imaginary residual of
+    the estimate is statistically inconsistent with zero, which signals a
+    sampling or dynamics inconsistency.
     """
     if name not in OBSERVABLE_NAMES:
         raise ValueError(f"unknown observable {name!r}")
@@ -105,35 +107,26 @@ def observable_series(result: EnsembleResult, method=None,
     dropped_alive = int(np.count_nonzero(alive & ~finite))
     used = np.count_nonzero(finite, axis=1)
 
-    # Rows where every batch is finite reduce along the batch axis, which
-    # adds each row in the same order as the 1-D loop for the other rows.
-    full = (used == vals.shape[1]) & (used >= 2)
-    if full.any():
-        re, im = vals.real[full], vals.imag[full]
-        mean[full] = re.mean(axis=1)
-        root = np.sqrt(used[full])
-        stderr[full] = re.std(axis=1, ddof=1) / root
+    # Rows with k finite batches form one group: their finite values, in
+    # batch order, make a (rows, k) array reduced along axis 1, which adds
+    # each row in the same order as a 1-D reduction of that row.
+    for k in np.unique(used[used > 0]):
+        rows = used == k
+        re = vals.real[rows][finite[rows]].reshape(-1, k)
+        mean[rows] = re.mean(axis=1)
+        if k < 2:
+            continue
+        im = vals.imag[rows][finite[rows]].reshape(-1, k)
+        root = math.sqrt(k)
+        stderr[rows] = re.std(axis=1, ddof=1) / root
         cap = 10.0 * (im.std(axis=1, ddof=1) / root)
-        floor = 1e-8 * (1.0 + np.abs(mean[full]))
-        # np.where, not np.maximum: like the loop's max(), it keeps the
-        # first argument unless the second is greater, NaN included.
+        floor = 1e-8 * (1.0 + np.abs(mean[rows]))
+        # np.where, not np.maximum: the larger of the two, but cap whenever
+        # either is NaN.
         excess = np.abs(im.mean(axis=1)) - np.where(floor > cap, floor, cap)
         excess = excess[~np.isnan(excess)]
         if excess.size:
             worst_im = max(worst_im, float(excess.max()))
-
-    for s in np.nonzero(~full)[0]:
-        if used[s] == 0:
-            continue
-        re = vals.real[s][finite[s]]
-        im = vals.imag[s][finite[s]]
-        mean[s] = re.mean()
-        if used[s] >= 2:
-            stderr[s] = re.std(ddof=1) / math.sqrt(used[s])
-            se_im = im.std(ddof=1) / math.sqrt(used[s])
-            excess = abs(im.mean()) - max(10.0 * se_im,
-                                          1e-8 * (1.0 + abs(mean[s])))
-            worst_im = max(worst_im, excess)
 
     if dropped_alive:
         warnings.warn(

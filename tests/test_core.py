@@ -140,14 +140,6 @@ def test_validate_config_reports_everything_at_once(kerr_params):
     assert "dt" in str(excinfo.value)
 
 
-def test_validate_config_returns_descriptor(kerr_params):
-    config = _good_config()
-    desc = ps.validate_config(config, ps.MethodSpec.of("wigner"), kerr_params)
-    assert desc.config is config
-    assert desc.params is kerr_params
-    assert desc.method.method == "wigner"
-
-
 def _toy_result(kerr_params):
     n_monomials = len(ps.MONOMIALS)
     sums = np.zeros((2, 2, n_monomials), dtype=complex)

@@ -2,6 +2,7 @@
 import logging
 import math
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -20,14 +21,7 @@ from phasesde import (
 )
 from phasesde import dynamics, integrator
 from phasesde.core import METHOD_NAMES, MONOMIALS
-from phasesde.integrator import (
-    _FREQUENCIES,
-    _KICKS,
-    TrajectoryState,
-    _substep_coefficients,
-    euler_maruyama_step,
-    make_stream,
-)
+from phasesde.integrator import _KICKS, _substep_coefficients
 
 APA = MONOMIALS.index("alpha_plus_alpha")
 
@@ -101,38 +95,6 @@ def test_plan_zero_duration_is_a_single_sample():
 
 
 # ---------------------------------------------------------------------------
-# single Euler-Maruyama step (reference map)
-# ---------------------------------------------------------------------------
-
-
-def test_euler_tracks_a_linear_oscillator():
-    params = SystemParams(1.0, 0.0, 0.0, 0.0, CouplingSchedule.constant(0.0))
-    method = MethodSpec.of("positive_p")
-    dt = 1e-3
-    state = TrajectoryState(point=PhasePoint(1.0, 1.0, 0.0, 0.0))
-    gen = make_stream(0, 0)
-    for _ in range(100):
-        state = euler_maruyama_step(state, params, 0.0, dt, gen, method=method)
-    assert state.live
-    assert state.t == pytest.approx(0.1)
-    # first-order accuracy: global error O(dt) on this horizon
-    assert state.point.alpha == pytest.approx(np.exp(-0.1j), abs=1e-3)
-
-
-def test_euler_marks_blowup_and_freezes():
-    params = kerr()
-    method = MethodSpec.of("hybrid")
-    state = TrajectoryState(point=PhasePoint(2.0, 2.0, 0.5, 0.5))
-    gen = make_stream(0, 1)
-    dead = euler_maruyama_step(state, params, 1.0, 1e-3, gen, method=method,
-                               blowup_threshold=1.0)
-    assert not dead.live
-    assert dead.blowup_time == pytest.approx(1e-3)
-    frozen = euler_maruyama_step(dead, params, 1.0, 1e-3, gen, method=method)
-    assert frozen is dead
-
-
-# ---------------------------------------------------------------------------
 # the engine's step against dynamics.py
 # ---------------------------------------------------------------------------
 
@@ -158,7 +120,7 @@ def test_engine_step_matches_drift_and_noise_factor(name):
     state = np.array([a, ap, b, bp])
     points = [PhasePoint(*state[:, i]) for i in range(state.shape[1])]
 
-    f_a, f_b = _FREQUENCIES[name](a, ap, b, bp, params, g)
+    f_a, f_b = dynamics.FREQUENCIES[name](a, ap, b, bp, params, g)
     engine_drift = np.array([-1j * f_a * a, 1j * f_a * ap,
                              -1j * f_b * b, 1j * f_b * bp])
     drift = {
@@ -250,6 +212,14 @@ def test_single_trajectory_validates_its_config():
     with pytest.raises(ConfigError):
         simulate_trajectory(CoherentInit.from_occupations(1.0, 0.25),
                             "hybrid", kerr(), config(n_batches=0))
+
+
+@pytest.mark.parametrize("gamma", [complex(math.nan, 1.0),
+                                   complex(1.0, math.inf)])
+def test_single_trajectory_rejects_a_non_finite_amplitude(gamma):
+    for init in (CoherentInit(gamma, 0.5), CoherentInit(2.0, gamma)):
+        with pytest.raises(ConfigError, match="init amplitudes must be finite"):
+            simulate_trajectory(init, "hybrid", kerr(), config())
 
 
 def test_single_trajectory_reproduces_its_ensemble_contribution():
@@ -381,8 +351,9 @@ def test_unknown_stepper_and_method_are_rejected():
 def test_euler_stepper_through_the_ensemble_api():
     """A positive-P linear oscillator through the ensemble API.
 
-    The literal Euler map is covered by test_euler_tracks_a_linear_oscillator
-    and test_euler_marks_blowup_and_freezes.
+    The name predates the split-step kernel, which replaced the Euler
+    stepper; with no Kerr terms and no coupling it draws no noise and
+    rotates alpha by exactly exp(-i omega t).
     """
     from phasesde.stats import observable_series
 
@@ -532,42 +503,42 @@ def test_native_samples_complex_amplitudes_like_numpy(native, monkeypatch,
     assert fast == ref
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("gamma", [complex(math.nan, 1.0),
                                    complex(1.0, math.nan),
                                    complex(math.inf, 1.0)],
                          ids=["nan_re", "nan_im", "inf_re"])
 @pytest.mark.parametrize("name", METHOD_NAMES)
-def test_native_non_finite_amplitude_dies_like_numpy(native, monkeypatch,
-                                                     name, gamma):
+def test_native_non_finite_amplitude_dies_like_numpy(native, name, gamma):
     """A non-finite initial amplitude kills the lane at the first substep.
 
     The kernel kills it itself, and hands the chunk to the numpy loop,
-    which alone knows the nan bits of its record 0.
+    which alone knows the nan bits of its record 0.  Neither engine warns.
     """
     cfg = config(n_batches=1, t_final=0.02)
     plan = build_step_plan(cfg, kerr())
     method = MethodSpec.of(name)
     coeffs = _substep_coefficients(method, kerr(), plan)
     threshold = cfg.blowup_threshold * max(1.0, math.sqrt(cfg.N_a0))
-    for init in (CoherentInit(gamma, 0.5), CoherentInit(2.0, gamma)):
-        fast, ref = (trajectory_bytes(monkeypatch, kernel, init, name,
-                                      kerr(), cfg, trajectory_index=3)
-                     for kernel in (native, False))
-        assert fast == ref, init
-        assert ref[2] == plan.sub_t_end[0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for init in (CoherentInit(gamma, 0.5), CoherentInit(2.0, gamma)):
+            fast, ref = (integrator._chunk(
+                kernel, np.array([3]), method, kerr(), cfg, init, plan,
+                coeffs, False, False, threshold) for kernel in (native, False))
+            for k in ref:
+                assert fast[k].tobytes() == ref[k].tobytes(), (init, k)
+            assert ref["blowup_times"][0] == plan.sub_t_end[0]
 
-        ref = integrator._chunk(False, np.array([3]), method, kerr(), cfg,
-                                init, plan, coeffs, False, False, threshold)
-        out = {k: np.zeros_like(v) for k, v in ref.items()}
-        out["blowup_times"][:] = np.nan
-        assert not native.run_chunk(
-            method, name != "wigner", False, init, cfg.master_seed, 3, plan,
-            coeffs, kerr(), threshold, out["sums"], out["live_counts"],
-            out["blowup_times"], out["gauge_max"])
-        for k in ("live_counts", "blowup_times", "gauge_max"):
-            assert out[k].tobytes() == ref[k].tobytes(), k
-        assert out["sums"][1:].tobytes() == ref["sums"][1:].tobytes()
+            out = {k: np.zeros_like(v) for k, v in ref.items()}
+            out["blowup_times"][:] = np.nan
+            assert not native.run_chunk(
+                method, name != "wigner", False, init, cfg.master_seed, 3,
+                plan, coeffs, kerr(), threshold, out["sums"],
+                out["live_counts"], out["blowup_times"], out["gauge_max"])
+            for k in ("live_counts", "blowup_times", "gauge_max"):
+                assert out[k].tobytes() == ref[k].tobytes(), k
+            assert out["sums"][1:].tobytes() == ref["sums"][1:].tobytes()
+    assert [str(c.message) for c in caught] == []
 
 
 class Corrupted:

@@ -140,43 +140,70 @@ def test_unknown_observable_name_is_rejected():
 # ---------------------------------------------------------------------------
 
 
+def _per_sample_reference(res, name):
+    """Mean, stderr, batches used and warning texts, one sample at a time."""
+    vals = observable_estimate_complex(name, res.moment_means(), res.method)
+    finite = np.isfinite(vals)
+    mean = np.full(res.n_samples, np.nan)
+    stderr = np.full(res.n_samples, np.nan)
+    used = np.count_nonzero(finite, axis=1)
+    worst_im = 0.0
+    for s in range(res.n_samples):
+        re, im = vals.real[s][finite[s]], vals.imag[s][finite[s]]
+        if re.size:
+            mean[s] = re.mean()
+        if re.size >= 2:
+            root = math.sqrt(re.size)
+            stderr[s] = re.std(ddof=1) / root
+            excess = abs(im.mean()) - max(10.0 * (im.std(ddof=1) / root),
+                                          1e-8 * (1.0 + abs(mean[s])))
+            worst_im = max(worst_im, excess)
+    messages = []
+    dropped = np.count_nonzero((res.live_counts > 0) & ~finite)
+    if dropped:
+        messages.append(f"{name}: dropped {dropped} live batch estimates "
+                        "with no finite value (non-positive variance product)")
+    if worst_im > 0:
+        messages.append(f"{name}: imaginary residual inconsistent with zero "
+                        f"(excess {worst_im:.3g}); check sampling or dynamics")
+    return mean, stderr, used, messages
+
+
 def test_series_match_a_per_sample_reference():
-    """Mean, stderr and batches used equal a 1-D reduction per sample.
+    """Mean, stderr, batches used and warnings equal a per-sample reference.
 
-    The positive-P run loses whole batches, and C_Na_Yb also drops live
-    batches whose variance product is not positive, so both the rows
-    where every batch is finite and the others are covered.
+    The positive-P runs lose whole batches, and C_Na_Yb also drops live
+    batches whose variance product is not positive, so rows with every
+    batch finite, with some, with one and with none are covered.  The
+    16-batch run has rows of 8 to 15 finite batches, where numpy sums in
+    pairwise blocks.
     """
-    cfg = EnsembleConfig(n_trajectories=60, dt=1e-3, t_final=0.2,
-                         N_a0=100.0, N_b0=0.01, n_batches=6,
-                         sample_interval=2, master_seed=10,
-                         blowup_threshold=3.0)
     params = SystemParams(0.0, 0.0, 1.0, 1.0, CouplingSchedule.constant(1.0))
-    res = run_ensemble("positive_p", params, cfg)
-    alive = np.count_nonzero(res.live_counts > 0, axis=1)
-    assert (alive == 6).any() and (alive < 6).any()
+    for n_batches, seed in ((6, 10), (16, 11)):
+        cfg = EnsembleConfig(n_trajectories=10 * n_batches, dt=1e-3,
+                             t_final=0.2, N_a0=100.0, N_b0=0.01,
+                             n_batches=n_batches, sample_interval=2,
+                             master_seed=seed, blowup_threshold=3.0)
+        res = run_ensemble("positive_p", params, cfg)
+        alive = np.count_nonzero(res.live_counts > 0, axis=1)
+        assert (alive == n_batches).any() and (alive < n_batches).any()
 
-    dropped_live = False
-    for name in OBSERVABLE_NAMES:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            series = observable_series(res, name=name)
-        vals = observable_estimate_complex(name, res.moment_means(), res.method)
-        mean = np.full(res.n_samples, np.nan)
-        stderr = np.full(res.n_samples, np.nan)
-        used = np.zeros(res.n_samples, dtype=np.int64)
-        for s in range(res.n_samples):
-            re = vals.real[s][np.isfinite(vals[s])]
-            used[s] = re.size
-            if re.size:
-                mean[s] = re.mean()
-            if re.size >= 2:
-                stderr[s] = re.std(ddof=1) / math.sqrt(re.size)
-        assert series.mean.tobytes() == mean.tobytes(), name
-        assert series.stderr.tobytes() == stderr.tobytes(), name
-        assert np.array_equal(series.n_batches_used, used), name
-        dropped_live |= bool((used < alive).any())
-    assert dropped_live
+        counts, dropped_live = set(), False
+        for name in OBSERVABLE_NAMES:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                series = observable_series(res, name=name)
+            mean, stderr, used, messages = _per_sample_reference(res, name)
+            assert series.mean.tobytes() == mean.tobytes(), name
+            assert series.stderr.tobytes() == stderr.tobytes(), name
+            assert np.array_equal(series.n_batches_used, used), name
+            assert [str(c.message) for c in caught] == messages, name
+            counts.update(used.tolist())
+            dropped_live |= bool((used < alive).any())
+        assert dropped_live, n_batches
+        assert {0, 1, n_batches}.issubset(counts), n_batches
+        if n_batches == 16:
+            assert counts & set(range(8, 16)), counts
 
 
 def test_stderr_scales_with_ensemble_size():
