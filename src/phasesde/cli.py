@@ -332,7 +332,7 @@ def _execute(resolved: dict) -> dict:
     for spec, config in runs:
         result = run_ensemble(spec, params, config)
         for obs in resolved["observables"]:
-            series = observable_series(result, spec, obs)
+            series = observable_series(result, obs)
             t_break = detect_blowup(series)
             all_series[(spec.method, obs)] = series
             breakdowns[(spec.method, obs)] = t_break

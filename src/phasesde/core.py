@@ -81,15 +81,6 @@ class PhasePoint:
     beta: complex
     beta_plus: complex
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.as_array())))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.alpha, self.alpha_plus, self.beta, self.beta_plus],
-            dtype=complex,
-        )
-
 
 @dataclass(frozen=True)
 class CouplingSchedule:
@@ -166,30 +157,29 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """Simulation method plus the per-mode ordering tags it implies."""
+    """A simulation method; it alone fixes the ordering tags ``r_a`` and
+    ``r_b``, which are read from ``METHOD_TAGS``, never set."""
 
     method: str
-    r_a: int
-    r_b: int
 
     def __post_init__(self):
         if self.method not in METHOD_TAGS:
             raise ValueError(f"unknown method {self.method!r}")
-        if (self.r_a, self.r_b) != METHOD_TAGS[self.method]:
-            raise ValueError(
-                f"method {self.method!r} forces (r_a, r_b)="
-                f"{METHOD_TAGS[self.method]}, got ({self.r_a}, {self.r_b})"
-            )
+
+    @property
+    def r_a(self) -> int:
+        return METHOD_TAGS[self.method][0]
+
+    @property
+    def r_b(self) -> int:
+        return METHOD_TAGS[self.method][1]
 
     @classmethod
     def of(cls, name) -> "MethodSpec":
         """The spec of a method name; a MethodSpec is returned unchanged."""
         if isinstance(name, MethodSpec):
             return name
-        if name not in METHOD_TAGS:
-            raise ValueError(f"unknown method {name!r}")
-        r_a, r_b = METHOD_TAGS[name]
-        return cls(name, r_a, r_b)
+        return cls(name)
 
 
 @dataclass(frozen=True)
@@ -275,20 +265,18 @@ class EnsembleResult:
 
     sums[s, b, m] is the sum of monomial MONOMIALS[m] over the live
     trajectories of batch b at sample s; live_counts[s, b] is how many
-    contributed.  batch_sizes holds the fixed number of trajectories
-    assigned to each batch (summing to n_trajectories), dead or alive.
+    contributed.  ``method`` fixes the ordering corrections every
+    observable of the result takes.
     """
 
     times: np.ndarray
     sums: np.ndarray
     live_counts: np.ndarray
-    batch_sizes: np.ndarray
     live_fraction: np.ndarray
     blowup_times: np.ndarray
     method: MethodSpec
     params: SystemParams
     config: EnsembleConfig
-    monomials: tuple = MONOMIALS
     # Per-trajectory max relative drift of alpha_plus*alpha, when the run
     # was asked to record it; None otherwise.
     gauge_drift: np.ndarray | None = None
@@ -296,10 +284,6 @@ class EnsembleResult:
     @property
     def n_samples(self) -> int:
         return len(self.times)
-
-    @property
-    def n_batches(self) -> int:
-        return self.sums.shape[1]
 
     def moment_means(self) -> dict:
         """Per-batch live means of every monomial at every sample time.
@@ -311,20 +295,4 @@ class EnsembleResult:
         with np.errstate(invalid="ignore", divide="ignore"):
             means = self.sums / counts
         means = np.where(counts > 0, means, np.nan + 0j)
-        return {name: means[..., i] for i, name in enumerate(self.monomials)}
-
-    def batch_moment_means(self, sample_index: int) -> dict:
-        """Per-batch live means of every monomial at one sample time.
-
-        Batches with no live trajectories yield NaN means.
-        """
-        return {name: col[sample_index]
-                for name, col in self.moment_means().items()}
-
-    def ensemble_moment_means(self, sample_index: int) -> dict:
-        """Live means of every monomial over the whole ensemble."""
-        total = self.live_counts[sample_index].sum()
-        if total == 0:
-            return {name: complex(np.nan) for name in self.monomials}
-        sums = self.sums[sample_index].sum(axis=0)
-        return {name: sums[i] / total for i, name in enumerate(self.monomials)}
+        return {name: means[..., i] for i, name in enumerate(MONOMIALS)}

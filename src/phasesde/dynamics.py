@@ -15,6 +15,8 @@ F_a, F_b depend on the method's ordering constants:
                                    F_b = omega_b + 2 chi_b b+b + g a+a
   both symmetric (trunc. Wigner):  F_a = omega_a + 2 chi_a (|a|^2 - 1) + g (|b|^2 - 1/2)
                                    F_b = omega_b + 2 chi_b (|b|^2 - 1) + g (|a|^2 - 1/2)
+  further-truncated hybrid:        mixed F_a, F_b with b+b replaced by Re(b+b);
+                                   a+a stays real under the conserving update
 
 Noise factors B satisfy B B^T = D (plain transpose) for the method's
 diffusion matrix D; any B with that property gives statistically
@@ -40,7 +42,6 @@ __all__ = [
     "positive_p_diffusion",
     "positive_p_mode_factor",
     "wigner_truncated",
-    "apply_further_truncation",
     "hybrid_frequencies",
     "positive_p_frequencies",
     "wigner_frequencies",
@@ -127,20 +128,8 @@ def _rotation_drift(method: str, p: PhasePoint, params: SystemParams,
 # --------------------------------------------------------------------------
 
 
-def apply_further_truncation(p: PhasePoint):
-    """Effective b occupation with its imaginary part discarded.
-
-    The additionally truncated variant replaces beta_plus*beta by its real
-    part everywhere the drift uses it; alpha_plus*alpha needs no treatment
-    because the conserving update keeps it real.
-    """
-    return np.real(p.beta_plus * p.beta)
-
-
-def hybrid_drift(p: PhasePoint, params: SystemParams, g,
-                 further_truncation: bool = False) -> DriftVector:
-    return _rotation_drift(
-        "hybrid_truncated" if further_truncation else "hybrid", p, params, g)
+def hybrid_drift(p: PhasePoint, params: SystemParams, g) -> DriftVector:
+    return _rotation_drift("hybrid", p, params, g)
 
 
 def hybrid_noise_factor(p: PhasePoint, params: SystemParams, g) -> np.ndarray:

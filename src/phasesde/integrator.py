@@ -479,10 +479,14 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
     ``n_workers``.
     ``noise_free`` zeroes all noise terms (debug aid);
     ``record_gauge_drift`` attaches the per-trajectory maximum relative
-    drift of alpha_plus*alpha over the run.
+    drift of alpha_plus*alpha over the run.  An ``n_workers`` that is not
+    None or a positive integer is a ConfigError.
     """
     method = MethodSpec.of(method)
     validate_config(config, method, params)
+    # type(...) is int: a bool is an int, but not a count.
+    if n_workers is not None and not (type(n_workers) is int and n_workers >= 1):
+        raise ConfigError(["n_workers must be a positive integer"])
     _load_native()  # before any fork, so workers inherit it
 
     init = CoherentInit.from_occupations(config.N_a0, config.N_b0)
@@ -513,15 +517,12 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
     else:
         sums, live_counts, blowup_times, gauge = _reduce(map(job, bounds))
 
-    batch_sizes = np.bincount(
-        np.arange(n) % config.n_batches, minlength=config.n_batches)
     live_fraction = live_counts.sum(axis=1) / float(n)
 
     return EnsembleResult(
         times=plan.sample_times,
         sums=sums,
         live_counts=live_counts,
-        batch_sizes=batch_sizes,
         live_fraction=live_fraction,
         blowup_times=blowup_times,
         method=method,
@@ -539,7 +540,6 @@ class TrajectoryRecord:
     monomials: np.ndarray  # (n_samples, len(MONOMIALS)); NaN after blow-up
     live: np.ndarray
     blowup_time: float | None
-    monomial_names: tuple = MONOMIALS
 
 
 def simulate_trajectory(init: CoherentInit, method, params: SystemParams,
@@ -549,10 +549,13 @@ def simulate_trajectory(init: CoherentInit, method, params: SystemParams,
 
     Runs the same engine as ``run_ensemble`` on a singleton chunk, so the
     sampled monomials agree bit-for-bit with that trajectory's ensemble
-    contribution.  A non-finite ``init`` amplitude is a ConfigError.
+    contribution.  A non-finite ``init`` amplitude or a ``trajectory_index``
+    that is not an int in [0, 2**64) is a ConfigError.
     """
     method = MethodSpec.of(method)
     validate_config(config, method, params)
+    if not (type(trajectory_index) is int and 0 <= trajectory_index < 2 ** 64):
+        raise ConfigError(["trajectory_index must be a 64-bit unsigned integer"])
     if not (cmath.isfinite(init.gamma_a) and cmath.isfinite(init.gamma_b)):
         raise ConfigError(["init amplitudes must be finite"])
     _load_native()

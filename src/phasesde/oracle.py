@@ -91,27 +91,19 @@ def accumulated_coupling_phase(t, p: OracleParams):
     return p.g * np.minimum(t, p.tau)
 
 
-def _mean_a(t, p: OracleParams):
-    """<a>(t) for the coherent-product initial state (complex)."""
+def _mean(mode: str, t, p: OracleParams):
+    """<a>(t) or <b>(t), by ``mode``, for the coherent-product state."""
     t = np.asarray(t, dtype=float)
     th = accumulated_coupling_phase(t, p)
+    if mode == "a":
+        n, omega, chi, n_other = p.N_a0, p.omega_a, p.chi_a, p.N_b0
+    else:
+        n, omega, chi, n_other = p.N_b0, p.omega_b, p.chi_b, p.N_a0
     return (
-        math.sqrt(p.N_a0)
-        * np.exp(-1j * p.omega_a * t)
-        * np.exp(p.N_a0 * (np.exp(-2j * p.chi_a * t) - 1.0))
-        * np.exp(p.N_b0 * (np.exp(-1j * th) - 1.0))
-    )
-
-
-def _mean_b(t, p: OracleParams):
-    """<b>(t); the a<->b mirror of _mean_a."""
-    t = np.asarray(t, dtype=float)
-    th = accumulated_coupling_phase(t, p)
-    return (
-        math.sqrt(p.N_b0)
-        * np.exp(-1j * p.omega_b * t)
-        * np.exp(p.N_b0 * (np.exp(-2j * p.chi_b * t) - 1.0))
-        * np.exp(p.N_a0 * (np.exp(-1j * th) - 1.0))
+        math.sqrt(n)
+        * np.exp(-1j * omega * t)
+        * np.exp(n * (np.exp(-2j * chi * t) - 1.0))
+        * np.exp(n_other * (np.exp(-1j * th) - 1.0))
     )
 
 
@@ -147,13 +139,13 @@ def _mean_b_sq(t, p: OracleParams):
 
 def exact_quadratures_a(t, p: OracleParams):
     """(X_a, Y_a) at time(s) t."""
-    m = _mean_a(t, p)
+    m = _mean("a", t, p)
     return np.real(m), np.imag(m)
 
 
 def exact_quadratures_b(t, p: OracleParams):
     """(X_b, Y_b) at time(s) t."""
-    m = _mean_b(t, p)
+    m = _mean("b", t, p)
     return np.real(m), np.imag(m)
 
 
@@ -164,7 +156,7 @@ def exact_NaYb(t, p: OracleParams):
 
 def exact_var_Yb(t, p: OracleParams):
     """V(Y_b)(t) = <Y_b^2> - <Y_b>^2."""
-    mb = _mean_b(t, p)
+    mb = _mean("b", t, p)
     mb2 = _mean_b_sq(t, p)
     return 0.25 + 0.5 * p.N_b0 - 0.5 * np.real(mb2) - np.imag(mb) ** 2
 
@@ -173,11 +165,13 @@ def exact_correlation(t, p: OracleParams):
     """Number/quadrature correlation C(N_a, Y_b).
 
     C = (<N_a Y_b> - <N_a><Y_b>) / sqrt(V(N_a) V(Y_b)) with the conserved
-    values <N_a> = N_a0 and V(N_a) = N_a0.
+    values <N_a> = N_a0 and V(N_a) = N_a0.  NaN wherever the variance
+    product is not positive, as at N_a0 = 0.
     """
-    num = exact_NaYb(t, p) - p.N_a0 * np.imag(_mean_b(t, p))
-    den = np.sqrt(p.N_a0 * exact_var_Yb(t, p))
-    return num / den
+    num = exact_NaYb(t, p) - p.N_a0 * np.imag(_mean("b", t, p))
+    denom = p.N_a0 * exact_var_Yb(t, p)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(denom > 0, num / np.sqrt(denom), np.nan)
 
 
 # Each observable's closed form on a float time array.

@@ -30,7 +30,6 @@ __all__ = [
     "estimate_Yb_variance",
     "estimate_NaYb",
     "OBSERVABLE_NAMES",
-    "observable_estimate",
     "observable_estimate_complex",
 ]
 
@@ -45,14 +44,6 @@ class CoherentInit:
     @classmethod
     def from_occupations(cls, N_a0: float, N_b0: float) -> "CoherentInit":
         return cls(math.sqrt(N_a0), math.sqrt(N_b0))
-
-    @property
-    def N_a0(self) -> float:
-        return abs(self.gamma_a) ** 2
-
-    @property
-    def N_b0(self) -> float:
-        return abs(self.gamma_b) ** 2
 
 
 def draw_standard_normals(rng, shape):
@@ -221,8 +212,3 @@ def observable_estimate_complex(name, moments, method: MethodSpec):
     if name not in _CONVERSIONS:
         raise KeyError(f"unknown observable {name!r}")
     return _CONVERSIONS[name](moments, method.r_a, method.r_b)
-
-
-def observable_estimate(name, moments, method: MethodSpec) -> float:
-    """Real value of a named observable from raw moments."""
-    return float(np.real(observable_estimate_complex(name, moments, method)))

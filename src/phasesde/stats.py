@@ -9,33 +9,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import oracle
-from .core import EnsembleResult, MethodSpec
+from .core import EnsembleResult
 from .representations import OBSERVABLE_NAMES, observable_estimate_complex
 
 __all__ = [
     "ObservableSeries",
-    "batch_mean_se",
     "observable_series",
     "correlation_series",
     "detect_blowup",
 ]
-
-
-def batch_mean_se(values) -> tuple:
-    """Mean and standard error from per-batch values.
-
-    The standard error is the ddof=1 standard deviation of the batch means
-    divided by sqrt(B).  Non-finite entries (dead batches) are dropped;
-    fewer than two finite values leave no spread to estimate, which is an
-    error.
-    """
-    arr = np.asarray(values, dtype=float).ravel()
-    finite = arr[np.isfinite(arr)]
-    if finite.size < 2:
-        raise ValueError(
-            "batch_mean_se needs at least two finite batch values, got "
-            f"{finite.size}")
-    return float(finite.mean()), float(finite.std(ddof=1) / math.sqrt(finite.size))
 
 
 @dataclass
@@ -78,10 +60,12 @@ def _exact_curve(name: str, result: EnsembleResult) -> np.ndarray | None:
     return np.asarray(oracle.exact_series(name, result.times, params), dtype=float)
 
 
-def observable_series(result: EnsembleResult, method=None,
+def observable_series(result: EnsembleResult,
                       name: str = "X_a") -> ObservableSeries:
     """Estimate one observable at every sample time of an ensemble run.
 
+    The ordering corrections are those of ``result.method``: the method
+    that produced the moments fixes each mode's ordering.
     Per-batch estimates are formed from each batch's live moment means;
     the series is their mean and ddof=1 standard error over the batches
     with a finite estimate (a single such batch gives a mean and no
@@ -93,7 +77,6 @@ def observable_series(result: EnsembleResult, method=None,
     """
     if name not in OBSERVABLE_NAMES:
         raise ValueError(f"unknown observable {name!r}")
-    spec = result.method if method is None else MethodSpec.of(method)
 
     n_samples = result.n_samples
     mean = np.full(n_samples, np.nan)
@@ -101,7 +84,7 @@ def observable_series(result: EnsembleResult, method=None,
     worst_im = 0.0
 
     vals = np.asarray(observable_estimate_complex(
-        name, result.moment_means(), spec), dtype=complex)
+        name, result.moment_means(), result.method), dtype=complex)
     finite = np.isfinite(vals)
     alive = result.live_counts > 0
     dropped_alive = int(np.count_nonzero(alive & ~finite))
@@ -140,7 +123,7 @@ def observable_series(result: EnsembleResult, method=None,
 
     return ObservableSeries(
         name=name,
-        method=spec.method,
+        method=result.method.method,
         times=np.asarray(result.times, dtype=float),
         mean=mean,
         stderr=stderr,
@@ -150,9 +133,9 @@ def observable_series(result: EnsembleResult, method=None,
     )
 
 
-def correlation_series(result: EnsembleResult, method=None) -> ObservableSeries:
+def correlation_series(result: EnsembleResult) -> ObservableSeries:
     """The number-quadrature correlation coefficient against time."""
-    return observable_series(result, method, "C_Na_Yb")
+    return observable_series(result, "C_Na_Yb")
 
 
 def detect_blowup(series: ObservableSeries, window: int = 20,

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from phasesde.cli import (
     run_config,
     run_preset,
 )
-from phasesde.oracle import OracleParams, exact_series
+from phasesde.oracle import OracleParams, exact_correlation, exact_series
 
 
 def read_csv(path):
@@ -201,6 +202,29 @@ def test_oracle_table_correlation_vanishes_without_coupling():
     p = OracleParams(0.0, 0.0, 1.0, 1.0, 0.0, 4.0, 0.25)
     table = oracle_table(p, np.linspace(0.0, 1.0, 9), ["C_Na_Yb"])
     np.testing.assert_allclose(table["C_Na_Yb"], 0.0, atol=1e-12)
+
+
+def test_zero_occupation_correlation_is_nan_without_numpy_warnings(tmp_path):
+    """At N_a0 = 0 the variance product is zero: the exact C_Na_Yb is NaN.
+
+    Neither the closed form nor a run of that config warns from numpy;
+    the run's own warning about dropped batch estimates stays.
+    """
+    p = OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(exact_correlation(np.array([0.0, 0.1]), p)).all()
+    raw = load_preset("fig6")
+    raw["ensemble"]["N_a0"] = 0
+    path = tmp_path / "n_a0_zero.json"
+    path.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "C_Na_Yb: dropped", UserWarning)
+        out = run_config(str(path), {"trajectories": 20, "dt": 1e-3,
+                                     "out": str(tmp_path / "out")})
+    for method in ("hybrid", "wigner"):
+        assert np.isnan(out["series"][(method, "C_Na_Yb")].exact).all()
 
 
 def test_oracle_table_rejects_unsupported_observables():

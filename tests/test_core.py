@@ -10,14 +10,6 @@ import phasesde as ps
 from phasesde.core import METHOD_TAGS
 
 
-def test_phase_point_array_and_finiteness():
-    p = ps.PhasePoint(1 + 2j, 3.0, -1j, 0.5 + 0.5j)
-    assert list(p.as_array()) == [1 + 2j, 3 + 0j, -1j, 0.5 + 0.5j]
-    assert p.is_finite()
-    assert not ps.PhasePoint(complex(np.inf, 0), 0, 0, 0).is_finite()
-    assert not ps.PhasePoint(0, 0, complex(0, np.nan), 0).is_finite()
-
-
 class TestCouplingSchedule:
     def test_constant(self):
         s = ps.CouplingSchedule.constant(0.7)
@@ -83,10 +75,13 @@ def test_method_spec_of_matches_tags():
 
 
 def test_method_spec_rejects_inconsistent_tags():
-    with pytest.raises(ValueError):
+    """The method fixes the tags: they cannot be passed, only read."""
+    with pytest.raises(TypeError):
         ps.MethodSpec("hybrid", 1, 1)
     with pytest.raises(ValueError):
         ps.MethodSpec.of("heisenberg")
+    with pytest.raises(ValueError):
+        ps.MethodSpec("heisenberg")
 
 
 def _good_config(**overrides):
@@ -151,7 +146,6 @@ def _toy_result(kerr_params):
         times=np.array([0.0, 0.1]),
         sums=sums,
         live_counts=live,
-        batch_sizes=np.array([2, 1]),
         live_fraction=np.array([1.0, 2 / 3]),
         blowup_times=np.array([np.nan, np.nan, 0.05]),
         method=ps.MethodSpec.of("hybrid"),
@@ -162,18 +156,17 @@ def _toy_result(kerr_params):
 
 def test_result_batch_means_divide_by_live_counts(kerr_params):
     res = _toy_result(kerr_params)
-    means = res.batch_moment_means(0)
-    assert means["alpha"][0] == pytest.approx(2.0 + 1.0j)
-    assert means["alpha"][1] == pytest.approx(3.0)
+    means = res.moment_means()
+    assert means["alpha"][0, 0] == pytest.approx(2.0 + 1.0j)
+    assert means["alpha"][0, 1] == pytest.approx(3.0)
 
 
 def test_result_dead_batch_means_are_nan(kerr_params):
     res = _toy_result(kerr_params)
-    means = res.batch_moment_means(1)
-    assert means["beta"][0] == pytest.approx(3.0)
-    assert np.isnan(means["beta"][1].real)
+    means = res.moment_means()
+    assert means["beta"][1, 0] == pytest.approx(3.0)
+    assert np.isnan(means["beta"][1, 1].real)
     assert res.n_samples == 2
-    assert res.n_batches == 2
 
 
 def test_package_exports_every_module_name():

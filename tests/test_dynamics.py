@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasesde import CouplingSchedule, PhasePoint, SystemParams
+from phasesde.core import METHOD_NAMES
 from phasesde.dynamics import (
-    apply_further_truncation,
+    FREQUENCIES,
     hybrid_diffusion,
     hybrid_drift,
     hybrid_frequencies,
@@ -116,15 +117,49 @@ def test_wigner_flow_conserves_occupations():
 
 def test_further_truncation_takes_real_part_of_b_occupation():
     p = PhasePoint(1.0, 1.0, 1.0 + 1.0j, 2.0)
-    assert apply_further_truncation(p) == 2.0
-    d_full = hybrid_drift(p, make_params(), 1.0)
-    d_trunc = hybrid_drift(p, make_params(), 1.0, further_truncation=True)
+    params = make_params()
+    point = (p.alpha, p.alpha_plus, p.beta, p.beta_plus)
+    f_full = FREQUENCIES["hybrid"](*point, params, 1.0)
+    f_trunc = FREQUENCIES["hybrid_truncated"](*point, params, 1.0)
+    assert f_trunc == hybrid_frequencies(1.0, 2.0, params, 1.0)
     # beta_plus*beta = 2+2j: dropping the 2j restores a real F_a, so the
     # truncated a-mode drift is conjugation covariant while the full one
-    # is not at this non-classical point
-    assert d_full.d_alpha != d_trunc.d_alpha
-    assert d_trunc.d_alpha_plus == np.conj(d_trunc.d_alpha)
+    # (hybrid_drift) is not at this non-classical point
+    assert np.imag(f_trunc[0]) == 0.0 != np.imag(f_full[0])
+    d_full = hybrid_drift(p, params, 1.0)
+    assert d_full.d_alpha == -1j * f_full[0] * p.alpha
     assert d_full.d_alpha_plus != np.conj(d_full.d_alpha)
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_frequency_table_follows_the_documented_formulas(name):
+    """Each method's (F_a, F_b), written out as in the module docstring.
+
+    Random complex points; truncated Wigner points are conjugate
+    symmetric, as its flow keeps them.
+    """
+    omega_a, omega_b, chi_a, chi_b, g = 0.3, -0.7, 1.1, 0.9, 0.6
+    params = make_params(omega_a, omega_b, chi_a, chi_b, g)
+    rng = np.random.default_rng(41)
+    a, ap, b, bp = rng.normal(size=(4, 50)) + 1j * rng.normal(size=(4, 50))
+    if name == "wigner":
+        ap, bp = np.conj(a), np.conj(b)
+    na, nb = ap * a, bp * b
+    if name == "hybrid_truncated":
+        nb = np.real(nb)
+    if name in ("hybrid", "hybrid_truncated"):
+        f_a = omega_a + 2 * chi_a * (na - 1) + g * nb
+        f_b = omega_b + 2 * chi_b * nb + g * (na - 0.5)
+    elif name == "positive_p":
+        f_a = omega_a + 2 * chi_a * na + g * nb
+        f_b = omega_b + 2 * chi_b * nb + g * na
+    else:
+        na, nb = np.abs(a) ** 2, np.abs(b) ** 2
+        f_a = omega_a + 2 * chi_a * (na - 1) + g * (nb - 0.5)
+        f_b = omega_b + 2 * chi_b * (nb - 1) + g * (na - 0.5)
+    got_a, got_b = FREQUENCIES[name](a, ap, b, bp, params, g)
+    np.testing.assert_allclose(got_a, f_a, rtol=1e-13)
+    np.testing.assert_allclose(got_b, f_b, rtol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from phasesde import (
     run_ensemble,
     simulate_trajectory,
 )
-from phasesde import dynamics, integrator
+from phasesde import _kernel, dynamics, integrator
 from phasesde.core import METHOD_NAMES, MONOMIALS
 from phasesde.integrator import _KICKS, _substep_coefficients
 
@@ -125,8 +125,8 @@ def test_engine_step_matches_drift_and_noise_factor(name):
                              -1j * f_b * b, 1j * f_b * bp])
     drift = {
         "hybrid": lambda p: dynamics.hybrid_drift(p, params, g),
-        "hybrid_truncated": lambda p: dynamics.hybrid_drift(
-            p, params, g, further_truncation=True),
+        "hybrid_truncated": lambda p: dynamics._rotation_drift(
+            "hybrid_truncated", p, params, g),
         "positive_p": lambda p: dynamics.positive_p_drift(p, params, g),
         "wigner": lambda p: dynamics.wigner_truncated(p, params, g),
     }[name]
@@ -212,6 +212,21 @@ def test_single_trajectory_validates_its_config():
     with pytest.raises(ConfigError):
         simulate_trajectory(CoherentInit.from_occupations(1.0, 0.25),
                             "hybrid", kerr(), config(n_batches=0))
+
+
+@pytest.mark.parametrize("index", [1.5, -1, 2 ** 64, True, "3", None])
+def test_single_trajectory_rejects_a_bad_index(index):
+    """Only an int in [0, 2**64) names a trajectory's stream."""
+    with pytest.raises(ConfigError, match="trajectory_index"):
+        simulate_trajectory(CoherentInit.from_occupations(1.0, 0.25),
+                            "hybrid", kerr(), config(),
+                            trajectory_index=index)
+
+
+@pytest.mark.parametrize("n_workers", [0, -2, 2.5, True, "2"])
+def test_ensemble_rejects_a_bad_worker_count(n_workers):
+    with pytest.raises(ConfigError, match="n_workers"):
+        run_ensemble("hybrid", kerr(), config(), n_workers=n_workers)
 
 
 @pytest.mark.parametrize("gamma", [complex(math.nan, 1.0),
@@ -325,8 +340,8 @@ def test_tiny_threshold_kills_everything_but_the_initial_sample():
     assert res.live_fraction[0] == 1.0
     assert res.live_fraction[-1] == 0.0
     assert np.all(np.isfinite(res.blowup_times))
-    means = res.ensemble_moment_means(res.n_samples - 1)
-    assert all(np.isnan(np.real(v)) for v in means.values())
+    means = res.moment_means()
+    assert all(np.isnan(np.real(v[-1])).all() for v in means.values())
 
 
 def test_gauge_drift_recording():
@@ -400,12 +415,23 @@ def test_positive_p_factors_follow_the_coupling_schedule():
 
 @pytest.fixture
 def native(monkeypatch):
-    """The loaded native kernel; the numpy loop is restored afterwards."""
+    """The loaded native kernel; the numpy loop is restored afterwards.
+
+    Skips where no kernel loads, or on a CPU without FMA, whose numpy
+    loops round differently from the kernel; anywhere else a kernel that
+    fails the probe is a failure.
+    """
     monkeypatch.setattr(integrator, "_native", None)
     kernel = integrator._load_native()
     if not kernel:
-        pytest.skip("the native kernel does not load (no gcc, a failed "
-                    "build, or a probe mismatch); runs use the numpy loop")
+        if _kernel.load() is None:
+            pytest.skip("the native kernel does not load (no gcc or a "
+                        "failed build); runs use the numpy loop")
+        if "-mfma" not in _kernel._flags():
+            pytest.skip("no FMA on this CPU: numpy's unfused loops differ "
+                        "from the kernel, so runs use the numpy loop")
+        pytest.fail("the native kernel loaded but differs from the numpy "
+                    "loop on the probe")
     return kernel
 
 

@@ -20,22 +20,10 @@ from phasesde.representations import (
 )
 from phasesde.stats import (
     ObservableSeries,
-    batch_mean_se,
     correlation_series,
     detect_blowup,
     observable_series,
 )
-
-
-def test_batch_mean_se_basics():
-    mean, se = batch_mean_se([1.0, 2.0, 3.0, 4.0])
-    assert mean == pytest.approx(2.5)
-    assert se == pytest.approx(np.std([1, 2, 3, 4], ddof=1) / 2.0)
-    # dead batches (NaN) are dropped, not averaged
-    mean2, se2 = batch_mean_se([1.0, 2.0, 3.0, 4.0, np.nan])
-    assert (mean2, se2) == (mean, se)
-    with pytest.raises(ValueError):
-        batch_mean_se([1.0, np.nan])
 
 
 def test_stderr_reliable_latches_at_first_loss():
@@ -74,7 +62,6 @@ def synthetic_result(rows, method="positive_p"):
         times=np.array([0.0]),
         sums=sums,
         live_counts=live,
-        batch_sizes=np.ones(n_batches, dtype=np.int64),
         live_fraction=np.array([1.0]),
         blowup_times=np.full(n_batches, np.nan),
         method=MethodSpec.of(method),

@@ -8,6 +8,7 @@ import pytest
 from phasesde import cli, core, dynamics, integrator, oracle, stats
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 @pytest.fixture
@@ -59,3 +60,15 @@ def test_frequency_table_sees_wrapped_functions(monkeypatch, method):
                                core.CouplingSchedule.constant(1.0))
     dynamics.FREQUENCIES[method](1.0, 1.0, 0.5, 0.5, params, 1.0)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_demo_imports(monkeypatch, path):
+    """Each demo imports as a module, without running ``main``, so a
+    package name it imports must still exist."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location(f"demo_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert callable(module.main)
