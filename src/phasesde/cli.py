@@ -92,8 +92,10 @@ def load_config_file(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError([f"config file {path} is not valid JSON: {exc}"])
+    except RecursionError:
+        raise ConfigError([f"config file {path} nests too deeply to read"])
 
 
 def _number(value, where: str, integer: bool = False):

@@ -202,21 +202,22 @@ class EnsembleConfig:
     blowup_threshold: float = 1e6
 
     def violations(self) -> list:
+        # type(...) is int: a bool is an int, but not a count or a seed.
         out = []
-        if not (isinstance(self.n_trajectories, int) and self.n_trajectories >= 1):
+        if not (type(self.n_trajectories) is int and self.n_trajectories >= 1):
             out.append("n_trajectories must be a positive integer")
-        if not (isinstance(self.n_batches, int) and self.n_batches >= 1):
+        if not (type(self.n_batches) is int and self.n_batches >= 1):
             out.append("n_batches must be a positive integer")
-        elif isinstance(self.n_trajectories, int) and self.n_trajectories >= 1 \
+        elif type(self.n_trajectories) is int and self.n_trajectories >= 1 \
                 and self.n_trajectories % self.n_batches != 0:
             out.append("n_batches must divide n_trajectories")
         if not (math.isfinite(self.dt) and self.dt > 0):
             out.append("dt must be a positive real")
         if not (math.isfinite(self.t_final) and self.t_final >= 0):
             out.append("t_final must be a non-negative real")
-        if not (isinstance(self.sample_interval, int) and self.sample_interval >= 1):
+        if not (type(self.sample_interval) is int and self.sample_interval >= 1):
             out.append("sample_interval must be a positive integer")
-        if not (isinstance(self.master_seed, int) and 0 <= self.master_seed < 2 ** 64):
+        if not (type(self.master_seed) is int and 0 <= self.master_seed < 2 ** 64):
             out.append("master_seed must be a 64-bit unsigned integer")
         for name in ("N_a0", "N_b0"):
             v = getattr(self, name)

@@ -18,9 +18,13 @@ F_a, F_b depend on the method's ordering constants:
   further-truncated hybrid:        mixed F_a, F_b with b+b replaced by Re(b+b);
                                    a+a stays real under the conserving update
 
-Noise factors B satisfy B B^T = D (plain transpose) for the method's
-diffusion matrix D; any B with that property gives statistically
-equivalent trajectories, so the column layout below is fixed purely for
+Each noisy method's noise rule lives once, in ``NOISE``: the multiplier
+m of every variable x for the four real noises of a substep, which the
+engine applies as x (1 + m sqrt(dt)).  The noise factors read the same
+table, B[r, k] = m_r(unit noise k) x_r, and satisfy B B^T = D (plain
+transpose) for the method's diffusion matrix D, which is written out
+independently below.  Any B with that property gives statistically
+equivalent trajectories, so the column layout is fixed purely for
 reproducibility of seeded runs.  Complex square roots use the principal
 branch throughout.
 """
@@ -107,6 +111,58 @@ def hybrid_noise_coefficients(params: SystemParams, g):
     return q, s
 
 
+def noise_coefficients(method: str, params: SystemParams, sub_g) -> dict:
+    """The scalars ``NOISE[method]`` reads, for substep couplings ``sub_g``."""
+    if method in ("hybrid", "hybrid_truncated"):
+        q, s = hybrid_noise_coefficients(params, sub_g)
+        return {"q": q, "s": complex(s)}
+    if method == "positive_p":
+        # One factor per distinct g, made from its first substep's value.
+        _, first, which = np.unique(sub_g, return_index=True,
+                                    return_inverse=True)
+        table = np.array([
+            positive_p_mode_factor(params.chi_a, params.chi_b, g)
+            for g in sub_g[first]], dtype=complex).reshape(-1, 2, 2)
+        return {"F": table[which]}
+    return {}
+
+
+def _hybrid_noise(c, j, x):
+    q, s = c["q"][j], c["s"]
+    m_a = q * (x[:, 2] + 1j * x[:, 3])
+    em = x[:, 2] - 1j * x[:, 3]
+    return m_a, -m_a, 1j * s * x[:, 0] + q * em, s * x[:, 1] + q * em
+
+
+def _positive_p_noise(c, j, x):
+    F = c["F"][j]
+    return (F[0, 0] * x[:, 0] + F[0, 1] * x[:, 1],
+            1j * (F[0, 0] * x[:, 2] + F[0, 1] * x[:, 3]),
+            F[1, 0] * x[:, 0] + F[1, 1] * x[:, 1],
+            1j * (F[1, 0] * x[:, 2] + F[1, 1] * x[:, 3]))
+
+
+# The noise multipliers (m_a, m_ap, m_b, m_bp) of each noisy method, called
+# as (coefficients, substep j, noises x of shape (lanes, 4)); each is
+# linear in x.  The noiseless method has no entry.
+NOISE = {
+    "hybrid": _hybrid_noise,
+    "hybrid_truncated": _hybrid_noise,
+    "positive_p": _positive_p_noise,
+}
+
+
+def _noise_factor(method: str, p: PhasePoint, params: SystemParams,
+                  g) -> np.ndarray:
+    """B[r, k] = m_r(unit noise k) x_r from the method's ``NOISE`` entry."""
+    coeffs = noise_coefficients(method, params, np.array([g]))
+    multipliers = NOISE[method](coeffs, 0, np.eye(4))
+    point = (p.alpha, p.alpha_plus, p.beta, p.beta_plus)
+    # One scalar product per entry: numpy's array loops may fuse the
+    # multiply-adds of a complex product and round it differently.
+    return np.array([[m_k * x for m_k in m] for m, x in zip(multipliers, point)])
+
+
 def _rotation_drift(method: str, p: PhasePoint, params: SystemParams,
                     g) -> DriftVector:
     """The shared drift form: alpha rotates by -i F_a, alpha_plus by +i F_a.
@@ -138,19 +194,7 @@ def hybrid_noise_factor(p: PhasePoint, params: SystemParams, g) -> np.ndarray:
     Columns 1-2 carry the b-mode Kerr noise, columns 3-4 the interface
     noise shared by both modes.
     """
-    q, s = hybrid_noise_coefficients(params, g)
-    a, ap, b, bp = p.alpha, p.alpha_plus, p.beta, p.beta_plus
-    zero = 0.0 * (a + b)  # matches array shapes when components are arrays
-    B = np.array(
-        [
-            [zero, zero, q * a, 1j * q * a],
-            [zero, zero, -q * ap, -1j * q * ap],
-            [1j * s * b, zero, q * b, -1j * q * b],
-            [zero, s * bp, q * bp, -1j * q * bp],
-        ],
-        dtype=complex,
-    )
-    return B
+    return _noise_factor("hybrid", p, params, g)
 
 
 def hybrid_diffusion(p: PhasePoint, params: SystemParams, g) -> np.ndarray:
@@ -215,18 +259,7 @@ def positive_p_noise_factor(p: PhasePoint, params: SystemParams, g) -> np.ndarra
     an extra factor i, which flips the sign of the diffusion block as
     required for the plus variables.
     """
-    F = positive_p_mode_factor(params.chi_a, params.chi_b, g)
-    a, ap, b, bp = p.alpha, p.alpha_plus, p.beta, p.beta_plus
-    B = np.zeros((4, 4), dtype=complex)
-    B[0, 0] = a * F[0, 0]
-    B[0, 1] = a * F[0, 1]
-    B[2, 0] = b * F[1, 0]
-    B[2, 1] = b * F[1, 1]
-    B[1, 2] = 1j * ap * F[0, 0]
-    B[1, 3] = 1j * ap * F[0, 1]
-    B[3, 2] = 1j * bp * F[1, 0]
-    B[3, 3] = 1j * bp * F[1, 1]
-    return B
+    return _noise_factor("positive_p", p, params, g)
 
 
 def positive_p_diffusion(p: PhasePoint, params: SystemParams, g) -> np.ndarray:

@@ -10,10 +10,12 @@ worker the chunks run in forked worker processes, and their partials are
 merged in chunk order as they arrive, which makes results bit-identical
 for a given config no matter how many workers run the chunks.
 
-Every method takes the same split step: a multiplicative noise kick at
-the pre-step point, then the exact rotation exp(-i F dt), which divides
-the plus variables by the same factor and so conserves alpha_plus*alpha
-and beta_plus*beta to machine precision.
+Every method takes the same split step: a multiplicative noise kick
+x (1 + m sqrt(dt)) at the pre-step point, with each variable's noise
+multiplier m from ``dynamics.NOISE`` (hybrid_truncated's a pair takes
+exp(m_a sqrt(dt)) and its inverse), then the exact rotation exp(-i F dt),
+which divides the plus variables by the same factor and so conserves
+alpha_plus*alpha and beta_plus*beta to machine precision.
 
 Each chunk runs on one of two engines that give the same bytes: the
 native kernel of ``_kernel.c``, which does a chunk's stream set-up,
@@ -23,7 +25,6 @@ loop, which is the reference and the fallback.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import os
@@ -51,10 +52,8 @@ from .representations import (
 )
 
 __all__ = [
-    "TrajectoryRecord",
     "StepPlan",
     "build_step_plan",
-    "simulate_trajectory",
     "run_ensemble",
 ]
 
@@ -147,64 +146,6 @@ def build_step_plan(config: EnsembleConfig, params: SystemParams) -> StepPlan:
     )
 
 
-def _substep_coefficients(method: MethodSpec, params: SystemParams, plan: StepPlan):
-    """Per-substep noise scalars, precomputed once and shared by chunks."""
-    name = method.method
-    if name in ("hybrid", "hybrid_truncated"):
-        q, s = dynamics.hybrid_noise_coefficients(params, plan.sub_g)
-        return {"q": q, "s": complex(s)}
-    if name == "positive_p":
-        # One factor per distinct g, made from its first substep's value.
-        _, first, which = np.unique(plan.sub_g, return_index=True,
-                                    return_inverse=True)
-        table = np.array([
-            dynamics.positive_p_mode_factor(params.chi_a, params.chi_b, g)
-            for g in plan.sub_g[first]], dtype=complex).reshape(-1, 2, 2)
-        return {"F": table[which]}
-    return {}
-
-
-# --------------------------------------------------------------------------
-# per-method kicks
-# --------------------------------------------------------------------------
-#
-# A kick maps the pre-step point to x_mid; its linear term is B(p) xi
-# sqrt(dt) for the method's noise factor in ``dynamics``.
-
-
-def _hybrid_kick(coeffs, j, x, sdt, a, ap, b, bp, exact_pair=False):
-    q, s = coeffs["q"][j], coeffs["s"]
-    e3 = x[:, 2] + 1j * x[:, 3]
-    em = x[:, 2] - 1j * x[:, 3]
-    if exact_pair:
-        # Exact exponential pair: keeps alpha_plus*alpha real under the
-        # interface noise.
-        ee = np.exp(q * e3 * sdt)
-        a_mid, ap_mid = a * ee, ap / ee
-    else:
-        a_mid, ap_mid = a * (1.0 + q * e3 * sdt), ap * (1.0 - q * e3 * sdt)
-    return (a_mid, ap_mid, b * (1.0 + (1j * s * x[:, 0] + q * em) * sdt),
-            bp * (1.0 + (s * x[:, 1] + q * em) * sdt))
-
-
-def _positive_p_kick(coeffs, j, x, sdt, a, ap, b, bp):
-    F = coeffs["F"][j]
-    mult_a = (F[0, 0] * x[:, 0] + F[0, 1] * x[:, 1]) * sdt
-    mult_b = (F[1, 0] * x[:, 0] + F[1, 1] * x[:, 1]) * sdt
-    mult_ap = 1j * (F[0, 0] * x[:, 2] + F[0, 1] * x[:, 3]) * sdt
-    mult_bp = 1j * (F[1, 0] * x[:, 2] + F[1, 1] * x[:, 3]) * sdt
-    return (a * (1.0 + mult_a), ap * (1.0 + mult_ap),
-            b * (1.0 + mult_b), bp * (1.0 + mult_bp))
-
-
-# The noiseless method has no kick.
-_KICKS = {
-    "hybrid": _hybrid_kick,
-    "hybrid_truncated": functools.partial(_hybrid_kick, exact_pair=True),
-    "positive_p": _positive_p_kick,
-}
-
-
 # --------------------------------------------------------------------------
 # chunk engine
 # --------------------------------------------------------------------------
@@ -253,10 +194,10 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
     live_counts = np.zeros((n_samples, n_batches), dtype=np.int64)
     blow_t = np.full(m, np.nan)
     gauge_max = np.zeros(m)
-    kick = None if noise_free else _KICKS.get(method.method)
+    noise = None if noise_free else dynamics.NOISE.get(method.method)
     if native:
         # Streams, initial sampling, substeps and records in one call.
-        if native.run_chunk(method, kick is not None, record_gauge, init,
+        if native.run_chunk(method, noise is not None, record_gauge, init,
                             config.master_seed, int(indices[0]), plan,
                             coeffs, params, threshold, sums, live_counts,
                             blow_t, gauge_max):
@@ -300,13 +241,16 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
     frequencies = dynamics.FREQUENCIES[method.method]
     # Truncated Wigner points stay conjugate-symmetric.
     conjugate = method.method == "wigner"
+    # An exact exponential a pair keeps alpha_plus*alpha real under the
+    # interface noise.
+    exact_pair = method.method == "hybrid_truncated"
     xi = None
 
     def numpy_advance(j0, j1):
         """Substeps j0..j1-1; noise is drawn NOISE_BLOCK substeps at a time."""
         nonlocal a, ap, b, bp, live, gauge_max, xi
         for j in range(j0, j1):
-            if kick is not None and j % NOISE_BLOCK == 0:
+            if noise is not None and j % NOISE_BLOCK == 0:
                 block_len = min(NOISE_BLOCK, plan.n_substeps - j)
                 xi = np.empty((m, block_len, 4))
                 for k, gen in enumerate(gens):
@@ -314,10 +258,17 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
                         gen, block_len * 4).reshape(block_len, 4)
             dt_s = plan.sub_dt[j]
             f_a, f_b = frequencies(a, ap, b, bp, params, plan.sub_g[j])
-            if kick is not None:
-                a_mid, ap_mid, b_mid, bp_mid = kick(
-                    coeffs, j, xi[:, j % NOISE_BLOCK, :], math.sqrt(dt_s),
-                    a, ap, b, bp)
+            if noise is not None:
+                m_a, m_ap, m_b, m_bp = noise(coeffs, j, xi[:, j % NOISE_BLOCK])
+                sdt = math.sqrt(dt_s)
+                if exact_pair:
+                    ee = np.exp(m_a * sdt)
+                    a_mid, ap_mid = a * ee, ap / ee
+                else:
+                    a_mid = a * (1.0 + m_a * sdt)
+                    ap_mid = ap * (1.0 + m_ap * sdt)
+                b_mid = b * (1.0 + m_b * sdt)
+                bp_mid = bp * (1.0 + m_bp * sdt)
             else:
                 a_mid, ap_mid, b_mid, bp_mid = a, ap, b, bp
             rot_a = np.exp(-1j * f_a * dt_s)
@@ -416,7 +367,7 @@ def _probe_matches(kernel) -> bool:
              True, 2.4))
     for name in METHOD_NAMES:
         method = MethodSpec.of(name)
-        coeffs = _substep_coefficients(method, params, plan)
+        coeffs = dynamics.noise_coefficients(name, params, plan.sub_g)
         for indices, start, noise_free, gauge, threshold in runs:
             fast, ref = (_chunk(native, indices, method, params, config,
                                 start, plan, coeffs, noise_free, gauge,
@@ -491,7 +442,7 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
 
     init = CoherentInit.from_occupations(config.N_a0, config.N_b0)
     plan = build_step_plan(config, params)
-    coeffs = _substep_coefficients(method, params, plan)
+    coeffs = dynamics.noise_coefficients(method.method, params, plan.sub_g)
     threshold = config.blowup_threshold * max(1.0, math.sqrt(config.N_a0))
 
     n = config.n_trajectories
@@ -531,49 +482,3 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
         gauge_drift=gauge if record_gauge_drift else None,
     )
 
-
-@dataclass
-class TrajectoryRecord:
-    """Sampled monomials of a single trajectory."""
-
-    times: np.ndarray
-    monomials: np.ndarray  # (n_samples, len(MONOMIALS)); NaN after blow-up
-    live: np.ndarray
-    blowup_time: float | None
-
-
-def simulate_trajectory(init: CoherentInit, method, params: SystemParams,
-                        config: EnsembleConfig, *, trajectory_index: int = 0,
-                        noise_free: bool = False) -> TrajectoryRecord:
-    """Integrate one trajectory identified by its ensemble index.
-
-    Runs the same engine as ``run_ensemble`` on a singleton chunk, so the
-    sampled monomials agree bit-for-bit with that trajectory's ensemble
-    contribution.  A non-finite ``init`` amplitude or a ``trajectory_index``
-    that is not an int in [0, 2**64) is a ConfigError.
-    """
-    method = MethodSpec.of(method)
-    validate_config(config, method, params)
-    if not (type(trajectory_index) is int and 0 <= trajectory_index < 2 ** 64):
-        raise ConfigError(["trajectory_index must be a 64-bit unsigned integer"])
-    if not (cmath.isfinite(init.gamma_a) and cmath.isfinite(init.gamma_b)):
-        raise ConfigError(["init amplitudes must be finite"])
-    _load_native()
-    plan = build_step_plan(config, params)
-    coeffs = _substep_coefficients(method, params, plan)
-    threshold = config.blowup_threshold * max(1.0, math.sqrt(config.N_a0))
-    part = _simulate_chunk(
-        np.array([trajectory_index]), method, params, config, init, plan,
-        coeffs, noise_free, False, threshold)
-
-    batch = trajectory_index % config.n_batches
-    counts = part["live_counts"][:, batch]
-    vals = part["sums"][:, batch, :]
-    vals = np.where(counts[:, None] > 0, vals, np.nan + 0j)
-    blow = part["blowup_times"][0]
-    return TrajectoryRecord(
-        times=plan.sample_times,
-        monomials=vals,
-        live=counts > 0,
-        blowup_time=None if math.isnan(blow) else float(blow),
-    )

@@ -85,6 +85,10 @@ def observable_series(result: EnsembleResult,
 
     vals = np.asarray(observable_estimate_complex(
         name, result.moment_means(), result.method), dtype=complex)
+    if name == "C_Na_Yb" and result.config.N_a0 == 0:
+        # V(N_a) = N_a0 = 0 is conserved, so the correlation is undefined
+        # even where a batch's sampled variance comes out positive.
+        vals[:] = np.nan
     finite = np.isfinite(vals)
     alive = result.live_counts > 0
     dropped_alive = int(np.count_nonzero(alive & ~finite))

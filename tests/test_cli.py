@@ -224,7 +224,10 @@ def test_zero_occupation_correlation_is_nan_without_numpy_warnings(tmp_path):
         out = run_config(str(path), {"trajectories": 20, "dt": 1e-3,
                                      "out": str(tmp_path / "out")})
     for method in ("hybrid", "wigner"):
-        assert np.isnan(out["series"][(method, "C_Na_Yb")].exact).all()
+        series = out["series"][(method, "C_Na_Yb")]
+        assert np.isnan(series.exact).all()
+        assert np.isnan(series.mean).all()
+        assert (series.n_batches_used == 0).all()
 
 
 def test_oracle_table_rejects_unsupported_observables():
@@ -253,6 +256,20 @@ def test_main_reports_config_errors(tmp_path, capsys):
     unbalanced.write_text(json.dumps(raw))
     assert main(["run", "--config", str(unbalanced)]) == 2
     assert "divide" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content,needle", [
+    (b'{"method": "hybrid\xff"}', "not valid JSON"),
+    (b"[" * 100_000 + b"]" * 100_000, "nests too deeply"),
+], ids=["invalid_utf8", "deep_nesting"])
+def test_main_rejects_an_unreadable_config_file(tmp_path, capsys, content,
+                                                needle):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
 
 
 @pytest.mark.parametrize("mangle", [

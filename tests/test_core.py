@@ -111,6 +111,16 @@ def test_config_field_violations(overrides, needle):
     assert any(needle in v for v in violations), violations
 
 
+@pytest.mark.parametrize("field", ["n_trajectories", "n_batches",
+                                   "sample_interval", "master_seed"])
+def test_config_integer_fields_reject_a_bool(field):
+    """A bool is an int to isinstance, but neither a count nor a seed."""
+    violations = _good_config(**{field: True}).violations()
+    assert violations == [f"{field} must be a "
+                          + ("64-bit unsigned" if field == "master_seed"
+                             else "positive") + " integer"], violations
+
+
 def test_good_config_has_no_violations():
     assert _good_config().violations() == []
 

@@ -17,11 +17,10 @@ from phasesde import (
     SystemParams,
     build_step_plan,
     run_ensemble,
-    simulate_trajectory,
 )
 from phasesde import _kernel, dynamics, integrator
 from phasesde.core import METHOD_NAMES, MONOMIALS
-from phasesde.integrator import _KICKS, _substep_coefficients
+from phasesde.representations import draw_standard_normals
 
 APA = MONOMIALS.index("alpha_plus_alpha")
 
@@ -36,6 +35,27 @@ def config(**kw):
                 N_b0=0.25, n_batches=8, sample_interval=10, master_seed=5)
     base.update(kw)
     return EnsembleConfig(**base)
+
+
+def trajectory(name, params, cfg, index=0, init=None, noise_free=False,
+               native=None):
+    """Trajectory ``index`` run alone, as a one-lane ``integrator._chunk``.
+
+    Returns its monomials at each sample (NaN once it is dead), its live
+    flags and its blow-up time (NaN if it lives).  ``native`` defaults to
+    the engine ``run_ensemble`` uses; False is the numpy loop.
+    """
+    init = init or CoherentInit.from_occupations(cfg.N_a0, cfg.N_b0)
+    plan = build_step_plan(cfg, params)
+    part = integrator._chunk(
+        integrator._load_native() if native is None else native,
+        np.array([index]), MethodSpec.of(name), params, cfg, init, plan,
+        dynamics.noise_coefficients(name, params, plan.sub_g), noise_free,
+        False, cfg.blowup_threshold * max(1.0, math.sqrt(cfg.N_a0)))
+    batch = index % cfg.n_batches
+    live = part["live_counts"][:, batch] > 0
+    monomials = np.where(live[:, None], part["sums"][:, batch], np.nan + 0j)
+    return monomials, live, part["blowup_times"][0]
 
 
 # ---------------------------------------------------------------------------
@@ -101,18 +121,17 @@ def test_plan_zero_duration_is_a_single_sample():
 
 @pytest.mark.parametrize("name", METHOD_NAMES)
 def test_engine_step_matches_drift_and_noise_factor(name):
-    """The kernel's kick and rotation give A(p) dt + B(p) xi sqrt(dt).
+    """The engine's kick and rotation give A(p) dt + B(p) xi sqrt(dt).
 
-    Calls the kick and frequency builders that _simulate_chunk runs, at
-    random phase points and a fixed xi: -i F x must equal the drift of
-    dynamics.py, and the kick's linear term (for hybrid_truncated, the log
-    of its exponential pair) must equal B(p) xi sqrt(dt).
+    At random phase points, -i F x from the frequency table the engine
+    reads must equal the drift of dynamics.py.  Then one substep of the
+    numpy loop runs from sampled points, and its exact rotation is
+    undone: the kick's linear term (for hybrid_truncated, the log of its
+    exponential a pair) must equal B(p) xi sqrt(dt), with xi the normals
+    each lane's stream gives for that substep.
     """
-    params = SystemParams(0.3, -0.7, 1.1, 0.9, CouplingSchedule.constant(0.6))
-    plan = build_step_plan(config(), params)
-    method = MethodSpec.of(name)
-    coeffs = _substep_coefficients(method, params, plan)
-    g, sdt = plan.sub_g[0], math.sqrt(plan.sub_dt[0])
+    g = 0.6
+    params = SystemParams(0.3, -0.7, 1.1, 0.9, CouplingSchedule.constant(g))
     rng = np.random.default_rng(17)
     a, ap, b, bp = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
     if name == "wigner":
@@ -134,17 +153,32 @@ def test_engine_step_matches_drift_and_noise_factor(name):
     np.testing.assert_allclose(engine_drift, expected, rtol=1e-13)
 
     if name == "wigner":
-        assert name not in _KICKS  # the noise factor is zero
+        assert name not in dynamics.NOISE  # the noise factor is zero
         return
-    xi = np.array([0.7, -1.3, 0.4, 1.1])
-    mid = np.array(_KICKS[name](coeffs, 0, np.tile(xi, (len(a), 1)), sdt,
-                                a, ap, b, bp))
-    linear = mid - state
+    cfg = config(n_trajectories=6, n_batches=6, t_final=1e-3,
+                 sample_interval=1)
+    method, init = MethodSpec.of(name), CoherentInit(2 + 0.5j, 0.5 - 0.1j)
+    plan = build_step_plan(cfg, params)
+    part = integrator._chunk(
+        False, np.arange(6), method, params, cfg, init, plan,
+        dynamics.noise_coefficients(name, params, plan.sub_g), False, False,
+        1e6)
+    # One lane per batch, so each batch's sums are that lane's monomials.
+    before, after = part["sums"][0, :, :4].T, part["sums"][1, :, :4].T
+    gens = integrator._initial_arrays(np.arange(6), method, init,
+                                      cfg.master_seed)[-1]
+    xi = [draw_standard_normals(gen, 4) for gen in gens]
+    f_a, f_b = dynamics.FREQUENCIES[name](*before, params, g)
+    rot_a, rot_b = np.exp(-1j * f_a * cfg.dt), np.exp(-1j * f_b * cfg.dt)
+    mid = np.array([after[0] / rot_a, after[1] * rot_a,
+                    after[2] / rot_b, after[3] * rot_b])
+    linear = mid - before
     if name == "hybrid_truncated":
-        linear[:2] = state[:2] * np.log(mid[:2] / state[:2])
+        linear[:2] = before[:2] * np.log(mid[:2] / before[:2])
     factor = (dynamics.positive_p_noise_factor if name == "positive_p"
               else dynamics.hybrid_noise_factor)
-    expected = np.array([factor(p, params, g) @ xi for p in points]).T * sdt
+    expected = np.array([factor(PhasePoint(*before[:, i]), params, g) @ xi[i]
+                         for i in range(6)]).T * math.sqrt(cfg.dt)
     np.testing.assert_allclose(linear, expected, rtol=1e-9)
 
 
@@ -154,25 +188,22 @@ def test_engine_step_matches_drift_and_noise_factor(name):
 
 
 def test_noise_free_hybrid_conserves_occupation():
-    rec = simulate_trajectory(
-        CoherentInit.from_occupations(4.0, 0.25), "hybrid", kerr(),
-        config(n_trajectories=1, n_batches=1, t_final=0.5), noise_free=True)
-    apa = rec.monomials[:, APA].real
-    assert np.all(rec.live)
+    monomials, live, _ = trajectory(
+        "hybrid", kerr(), config(n_trajectories=1, n_batches=1, t_final=0.5),
+        init=CoherentInit.from_occupations(4.0, 0.25), noise_free=True)
+    apa = monomials[:, APA].real
+    assert np.all(live)
     np.testing.assert_allclose(apa, apa[0], rtol=1e-12)
-    assert np.abs(rec.monomials[:, APA].imag).max() < 1e-12
+    assert np.abs(monomials[:, APA].imag).max() < 1e-12
 
 
 def test_noise_free_hybrid_equals_further_truncated():
     """Without noise both b occupations stay real, so the flows coincide."""
     init = CoherentInit.from_occupations(2.0, 1.0)
-    kw = dict(trajectory_index=3, noise_free=True)
-    rec_full = simulate_trajectory(init, "hybrid", kerr(),
-                                   config(t_final=0.2), **kw)
-    rec_trunc = simulate_trajectory(init, "hybrid_truncated", kerr(),
-                                    config(t_final=0.2), **kw)
-    np.testing.assert_allclose(rec_full.monomials, rec_trunc.monomials,
-                               rtol=1e-12, atol=1e-13)
+    full, trunc = (trajectory(name, kerr(), config(t_final=0.2), index=3,
+                              init=init, noise_free=True)[0]
+                   for name in ("hybrid", "hybrid_truncated"))
+    np.testing.assert_allclose(full, trunc, rtol=1e-12, atol=1e-13)
 
 
 def test_ensemble_is_deterministic_across_worker_counts(monkeypatch):
@@ -208,56 +239,22 @@ def test_ensemble_depends_on_master_seed():
     assert not np.array_equal(a.sums, b.sums)
 
 
-def test_single_trajectory_validates_its_config():
-    with pytest.raises(ConfigError):
-        simulate_trajectory(CoherentInit.from_occupations(1.0, 0.25),
-                            "hybrid", kerr(), config(n_batches=0))
-
-
-@pytest.mark.parametrize("index", [1.5, -1, 2 ** 64, True, "3", None])
-def test_single_trajectory_rejects_a_bad_index(index):
-    """Only an int in [0, 2**64) names a trajectory's stream."""
-    with pytest.raises(ConfigError, match="trajectory_index"):
-        simulate_trajectory(CoherentInit.from_occupations(1.0, 0.25),
-                            "hybrid", kerr(), config(),
-                            trajectory_index=index)
-
-
 @pytest.mark.parametrize("n_workers", [0, -2, 2.5, True, "2"])
 def test_ensemble_rejects_a_bad_worker_count(n_workers):
     with pytest.raises(ConfigError, match="n_workers"):
         run_ensemble("hybrid", kerr(), config(), n_workers=n_workers)
 
 
-@pytest.mark.parametrize("gamma", [complex(math.nan, 1.0),
-                                   complex(1.0, math.inf)])
-def test_single_trajectory_rejects_a_non_finite_amplitude(gamma):
-    for init in (CoherentInit(gamma, 0.5), CoherentInit(2.0, gamma)):
-        with pytest.raises(ConfigError, match="init amplitudes must be finite"):
-            simulate_trajectory(init, "hybrid", kerr(), config())
-
-
-def test_single_trajectory_reproduces_its_ensemble_contribution():
-    cfg = config(n_trajectories=1, n_batches=1, master_seed=9)
-    ens = run_ensemble("positive_p", kerr(), cfg)
-    rec = simulate_trajectory(CoherentInit.from_occupations(1.0, 0.25),
-                              "positive_p", kerr(), cfg, trajectory_index=0)
-    assert np.array_equal(ens.sums[:, 0, :], rec.monomials)
-
-
 def test_ensemble_sums_match_brute_force_accumulation():
     """Bit-identical to summing single-trajectory runs batch by batch."""
     cfg = config(n_trajectories=100, n_batches=10, master_seed=12)
     ens = run_ensemble("hybrid", kerr(), cfg)
-    init = CoherentInit.from_occupations(cfg.N_a0, cfg.N_b0)
     manual = np.zeros_like(ens.sums)
     counts = np.zeros_like(ens.live_counts)
     for i in range(cfg.n_trajectories):
-        rec = simulate_trajectory(init, "hybrid", kerr(), cfg,
-                                  trajectory_index=i)
+        monomials, live, _ = trajectory("hybrid", kerr(), cfg, index=i)
         batch = i % cfg.n_batches
-        live = rec.live
-        manual[live, batch, :] += rec.monomials[live]
+        manual[live, batch, :] += monomials[live]
         counts[live, batch] += 1
     assert np.array_equal(counts, ens.live_counts)
     assert np.array_equal(manual, ens.sums)
@@ -278,16 +275,15 @@ def test_multi_chunk_sums_match_brute_force_accumulation(monkeypatch):
     ens = run_ensemble("positive_p", kerr(), cfg)
     assert ens.live_fraction[1] == 1.0 > ens.live_fraction[-1] > 0.0
 
-    init = CoherentInit.from_occupations(cfg.N_a0, cfg.N_b0)
     manual = counts = None
     for lo in range(0, cfg.n_trajectories, 16):
         part = np.zeros_like(ens.sums)
         part_counts = np.zeros_like(ens.live_counts)
         for i in range(lo, min(lo + 16, cfg.n_trajectories)):
-            rec = simulate_trajectory(init, "positive_p", kerr(), cfg,
-                                      trajectory_index=i)
-            part[rec.live, i % 3, :] += rec.monomials[rec.live]
-            part_counts[rec.live, i % 3] += 1
+            monomials, live, _ = trajectory("positive_p", kerr(), cfg,
+                                            index=i)
+            part[live, i % 3, :] += monomials[live]
+            part_counts[live, i % 3] += 1
         if manual is None:
             manual, counts = part, part_counts
         else:
@@ -326,11 +322,11 @@ def test_live_fraction_is_monotone_under_breakdown():
 
 
 def test_wigner_flow_conserves_sampled_occupation():
-    rec = simulate_trajectory(
-        CoherentInit.from_occupations(4.0, 0.25), "wigner", kerr(),
-        config(n_trajectories=1, n_batches=1, dt=1e-3, t_final=2.0,
-               sample_interval=100))
-    apa = rec.monomials[:, APA].real
+    monomials, _, _ = trajectory(
+        "wigner", kerr(), config(n_trajectories=1, n_batches=1, dt=1e-3,
+                                 t_final=2.0, sample_interval=100),
+        init=CoherentInit.from_occupations(4.0, 0.25))
+    apa = monomials[:, APA].real
     assert np.abs(apa / apa[0] - 1.0).max() < 1e-9
 
 
@@ -400,7 +396,7 @@ def test_positive_p_factors_follow_the_coupling_schedule():
     params = SystemParams(0.0, 0.0, 1.0, 0.5, CouplingSchedule(
         ((0.01, 1.0), (0.02, 0.7), (math.inf, 1.0))))
     plan = build_step_plan(config(t_final=0.03), params)
-    F = _substep_coefficients(MethodSpec.of("positive_p"), params, plan)["F"]
+    F = dynamics.noise_coefficients("positive_p", params, plan.sub_g)["F"]
     expected = np.array([dynamics.positive_p_mode_factor(1.0, 0.5, g)
                          for g in plan.sub_g])
     assert F.shape == (plan.n_substeps, 2, 2)
@@ -486,43 +482,38 @@ def test_native_kernel_gives_the_numpy_bytes(native, monkeypatch, name,
                     assert len(set(blow[np.isfinite(blow)])) > 1
 
 
-def trajectory_bytes(monkeypatch, kernel, *args, **kwargs):
-    """``simulate_trajectory`` on ``kernel``, or on the numpy loop if False."""
-    monkeypatch.setattr(integrator, "_native", kernel)
-    rec = simulate_trajectory(*args, **kwargs)
-    return rec.monomials.tobytes(), rec.live.tobytes(), rec.blowup_time
+def trajectory_bytes(*args, **kwargs):
+    """The bytes of what ``trajectory`` returns."""
+    return tuple(v.tobytes() for v in trajectory(*args, **kwargs))
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 63, 2 ** 64 - 1])
 @pytest.mark.parametrize("name", METHOD_NAMES)
-def test_native_streams_match_numpy_at_extreme_keys(native, monkeypatch,
-                                                    name, seed):
+def test_native_streams_match_numpy_at_extreme_keys(native, name, seed):
     """Both Philox key words at their extremes, index words above 2**32."""
     cfg = config(master_seed=seed, n_batches=4, t_final=0.03,
                  sample_interval=7)
-    init = CoherentInit.from_occupations(cfg.N_a0, cfg.N_b0)
     for index in (2 ** 32 + 7, 2 ** 64 - 1):
-        fast, ref = (trajectory_bytes(monkeypatch, kernel, init, name,
-                                      kerr(), cfg, trajectory_index=index)
+        fast, ref = (trajectory_bytes(name, kerr(), cfg, index=index,
+                                      native=kernel)
                      for kernel in (native, False))
         assert fast == ref, index
 
 
 @pytest.mark.parametrize("name", METHOD_NAMES)
-def test_native_samples_complex_amplitudes_like_numpy(native, monkeypatch,
-                                                      name):
+def test_native_samples_complex_amplitudes_like_numpy(native, name):
     """Complex gammas, in one trajectory and in a chunk off batch 0."""
     cfg = config(n_batches=4, t_final=0.03, sample_interval=7,
                  master_seed=31)
     init = CoherentInit(2 + 0.5j, 0.5 - 0.1j)
-    fast, ref = (trajectory_bytes(monkeypatch, kernel, init, name, kerr(),
-                                  cfg, trajectory_index=5)
+    fast, ref = (trajectory_bytes(name, kerr(), cfg, index=5, init=init,
+                                  native=kernel)
                  for kernel in (native, False))
     assert fast == ref
 
     plan = build_step_plan(cfg, kerr())
     method = MethodSpec.of(name)
-    coeffs = _substep_coefficients(method, kerr(), plan)
+    coeffs = dynamics.noise_coefficients(name, kerr(), plan.sub_g)
     fast, ref = ({k: v.tobytes() for k, v in integrator._chunk(
         kernel, np.arange(7, 27), method, kerr(), cfg, init, plan, coeffs,
         False, True, 2.6).items()} for kernel in (native, False))
@@ -543,7 +534,7 @@ def test_native_non_finite_amplitude_dies_like_numpy(native, name, gamma):
     cfg = config(n_batches=1, t_final=0.02)
     plan = build_step_plan(cfg, kerr())
     method = MethodSpec.of(name)
-    coeffs = _substep_coefficients(method, kerr(), plan)
+    coeffs = dynamics.noise_coefficients(name, kerr(), plan.sub_g)
     threshold = cfg.blowup_threshold * max(1.0, math.sqrt(cfg.N_a0))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -3,9 +3,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phasesde import cli, core, dynamics, integrator, oracle, stats
+from phasesde.representations import CoherentInit
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -60,6 +62,38 @@ def test_frequency_table_sees_wrapped_functions(monkeypatch, method):
                                core.CouplingSchedule.constant(1.0))
     dynamics.FREQUENCIES[method](1.0, 1.0, 0.5, 0.5, params, 1.0)
     assert len(calls) == 1
+
+
+def test_noise_table_feeds_the_noise_factors_and_the_engine(monkeypatch):
+    """B of ``dynamics`` and the numpy loop's kick read one noise rule."""
+    calls = []
+
+    def counted(name, rule):
+        def wrapper(*args):
+            calls.append((name, args[1]))
+            return rule(*args)
+        return wrapper
+
+    for name, rule in list(dynamics.NOISE.items()):
+        monkeypatch.setitem(dynamics.NOISE, name, counted(name, rule))
+    params = core.SystemParams(0.0, 0.0, 1.0, 1.0,
+                               core.CouplingSchedule.constant(1.0))
+    point = core.PhasePoint(1.0, 1.0, 0.5, 0.5)
+    dynamics.hybrid_noise_factor(point, params, 1.0)
+    dynamics.positive_p_noise_factor(point, params, 1.0)
+    assert calls == [("hybrid", 0), ("positive_p", 0)]
+
+    config = core.EnsembleConfig(n_trajectories=2, dt=1e-3, t_final=3e-3,
+                                 N_a0=1.0, N_b0=0.25, n_batches=1)
+    plan = integrator.build_step_plan(config, params)
+    for name in dynamics.NOISE:
+        calls.clear()
+        integrator._chunk(
+            False, np.arange(2), core.MethodSpec.of(name), params, config,
+            CoherentInit(1.0, 0.5), plan,
+            dynamics.noise_coefficients(name, params, plan.sub_g), False,
+            False, 1e6)
+        assert calls == [(name, j) for j in range(plan.n_substeps)]
 
 
 @pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")),
