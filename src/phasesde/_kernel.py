@@ -189,9 +189,7 @@ class Kernel:
                   c2a=2.0 * params.chi_a, c2b=2.0 * params.chi_b,
                   threshold=threshold)
         arrays = dict(sums=sums, live_counts=live_counts, blow_t=blow_t,
-                      gauge_max=gauge_max,
-                      ends=(np.flatnonzero(plan.record_after)
-                            + 1).astype(np.int64))
+                      gauge_max=gauge_max, ends=plan.ends)
         for name in ("sub_dt", "sub_g", "sub_t_end"):
             arrays[name] = np.ascontiguousarray(getattr(plan, name),
                                                 dtype=float)
@@ -202,8 +200,10 @@ class Kernel:
         factor = {"positive_p": "F", "wigner": None}.get(method.method, "q")
         if noisy and factor not in arrays:
             raise ValueError(f"a noisy {method.method} chunk needs {factor}")
-        if len(plan.record_after) != plan.n_substeps:
-            raise ValueError("record_after must flag every substep")
+        # The kernel reads sub_dt up to the last end.
+        if (np.diff(plan.ends, prepend=0) < 0).any() or (
+                plan.ends.size and plan.ends[-1] != plan.n_substeps):
+            raise ValueError("ends must rise from 0 to the substep count")
         sizes = {"m": m, "n": plan.n_substeps, "s": plan.n_samples,
                  "s-1": plan.n_samples - 1, "nb": nb}
         for name, v in arrays.items():

@@ -32,6 +32,7 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -173,12 +174,11 @@ _FIELDS = {
                "chi_a": (_number, _REQUIRED), "chi_b": (_number, _REQUIRED),
                "coupling": (_coupling, _REQUIRED)},
     "segment": {"t_end": (_open_end, _REQUIRED), "g": (_number, _REQUIRED)},
-    "ensemble": {"n_trajectories": (_integer, _REQUIRED),
-                 "dt": (_number, _REQUIRED), "t_final": (_number, _REQUIRED),
-                 "N_a0": (_number, _REQUIRED), "N_b0": (_number, _REQUIRED),
-                 "n_batches": (_integer, 10), "sample_interval": (_integer, 1),
-                 "master_seed": (_integer, 0),
-                 "blowup_threshold": (_number, 1e6)},
+    # EnsembleConfig's fields, with its defaults.
+    "ensemble": {f.name: ({"int": _integer, "float": _number}[f.type],
+                          _REQUIRED if f.default is dataclasses.MISSING
+                          else f.default)
+                 for f in dataclasses.fields(EnsembleConfig)},
     "method": {"name": (_method_name, _REQUIRED),
                "n_trajectories": (_integer, None)},
     "output": {"path": (_path, _REQUIRED), "format": (_format, "csv")},
@@ -234,10 +234,11 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
     _section(config["params"], "params")
 
     ensemble = config["ensemble"]
-    for option, key, cast in (("seed", "master_seed", int), ("dt", "dt", float),
-                              ("trajectories", "n_trajectories", int)):
+    for option, key, check in (("seed", "master_seed", _integer),
+                               ("dt", "dt", _number),
+                               ("trajectories", "n_trajectories", _integer)):
         if option in over:
-            ensemble[key] = cast(over[option])
+            ensemble[key] = check(over[option], f"--{option}")
     default_n = _section(ensemble, "ensemble")["n_trajectories"]
 
     field = config["method"]
@@ -406,7 +407,10 @@ def _parse_times(text: str) -> np.ndarray:
             raise ConfigError(
                 [f"--times range must give at most {MAX_TIMES} points"])
         return start + step * np.arange(int(math.floor(span)) + 1)
-    return np.asarray([_time(p) for p in text.split(",") if p.strip()])
+    times = [_time(p) for p in text.split(",") if p.strip()]
+    if not times:
+        raise ConfigError(["--times must give at least one time"])
+    return np.asarray(times)
 
 
 def _time(text: str) -> float:

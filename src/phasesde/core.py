@@ -273,7 +273,6 @@ class EnsembleResult:
     times: np.ndarray
     sums: np.ndarray
     live_counts: np.ndarray
-    live_fraction: np.ndarray
     blowup_times: np.ndarray
     method: MethodSpec
     params: SystemParams
@@ -285,6 +284,11 @@ class EnsembleResult:
     @property
     def n_samples(self) -> int:
         return len(self.times)
+
+    @property
+    def live_fraction(self) -> np.ndarray:
+        """Share of all trajectories alive at each sample time."""
+        return self.live_counts.sum(axis=1) / float(self.config.n_trajectories)
 
     def moment_means(self) -> dict:
         """Per-batch live means of every monomial at every sample time.

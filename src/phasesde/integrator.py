@@ -17,18 +17,21 @@ exp(m_a sqrt(dt)) and its inverse), then the exact rotation exp(-i F dt),
 which divides the plus variables by the same factor and so conserves
 alpha_plus*alpha and beta_plus*beta to machine precision.
 
-Each chunk runs on one of two engines that give the same bytes: the
-native kernel of ``_kernel.c``, which does a chunk's stream set-up,
-initial sampling, substeps and records in one call and is used once it
-has loaded and matched the numpy loop on a small probe, or the numpy
-loop, which is the reference and the fallback.
+A chunk, trajectories ``first`` to ``first + m - 1``, works out its own
+noise coefficients, blow-up threshold and coherent start, and records
+sample s after substep ``StepPlan.ends[s - 1] - 1``.  It runs on one of
+two engines that give the same bytes: the native kernel of
+``_kernel.c``, which does a chunk's stream set-up, initial sampling,
+substeps and records in one call and is used once it has loaded and
+matched the numpy loop on a small probe, or the numpy loop, which is
+the reference and the fallback.
 """
 from __future__ import annotations
 
 import functools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,13 +87,15 @@ class StepPlan:
     inside a nominal step splits it into shortened auxiliary substeps that
     land on the breakpoint exactly.  Auxiliary substeps do not advance the
     sampling cadence: samples are recorded after nominal step k whenever k
-    is a multiple of sample_interval, plus the final time.
+    is a multiple of sample_interval, plus the final time.  Sample s >= 1
+    is recorded after substep ``ends[s - 1] - 1``, so the last end is
+    ``n_substeps``.
     """
 
     sub_dt: np.ndarray
     sub_g: np.ndarray
     sub_t_end: np.ndarray
-    record_after: np.ndarray
+    ends: np.ndarray
     sample_times: np.ndarray
 
     @property
@@ -113,7 +118,7 @@ def build_step_plan(config: EnsembleConfig, params: SystemParams) -> StepPlan:
         t for t in params.coupling.breakpoints() if tol < t < t_final - tol
     ]
 
-    sub_dt, sub_g, sub_t_end, record_after = [], [], [], []
+    sub_dt, sub_g, sub_t_end, ends = [], [], [], []
     sample_times = [0.0]
     schedule = params.coupling
 
@@ -124,24 +129,23 @@ def build_step_plan(config: EnsembleConfig, params: SystemParams) -> StepPlan:
             sub_dt.append(hi - lo)
             sub_g.append(schedule.g_at(0.5 * (lo + hi)))
             sub_t_end.append(hi)
-            record_after.append(False)
 
     for k in range(n_nominal):
         extend(k * dt, (k + 1) * dt)
         is_last = (k + 1 == n_nominal) and not has_tail
         if (k + 1) % config.sample_interval == 0 or is_last:
-            record_after[-1] = True
+            ends.append(len(sub_dt))
             sample_times.append((k + 1) * dt)
     if has_tail:
         extend(n_nominal * dt, t_final)
-        record_after[-1] = True
+        ends.append(len(sub_dt))
         sample_times.append(t_final)
 
     return StepPlan(
         sub_dt=np.asarray(sub_dt, dtype=float),
         sub_g=np.asarray(sub_g, dtype=float),
         sub_t_end=np.asarray(sub_t_end, dtype=float),
-        record_after=np.asarray(record_after, dtype=bool),
+        ends=np.asarray(ends, dtype=np.int64),
         sample_times=np.asarray(sample_times, dtype=float),
     )
 
@@ -151,15 +155,16 @@ def build_step_plan(config: EnsembleConfig, params: SystemParams) -> StepPlan:
 # --------------------------------------------------------------------------
 
 
-def _initial_arrays(indices, method: MethodSpec, init: CoherentInit,
-                    master_seed: int):
-    """Initial phase-space arrays plus the per-trajectory streams.
+def _initial_arrays(first: int, m: int, method: MethodSpec,
+                    init: CoherentInit, master_seed: int):
+    """Initial phase-space arrays of trajectories ``first`` to
+    ``first + m - 1``, plus their streams.
 
     Consumption order within each stream: mode a draws first, then mode b;
     delta-sampled modes consume nothing.
     """
-    a, ap, b, bp = np.empty((4, len(indices)), dtype=complex)
-    gens = [make_stream(master_seed, int(i)) for i in indices]
+    a, ap, b, bp = np.empty((4, m), dtype=complex)
+    gens = [make_stream(master_seed, first + k) for k in range(m)]
     for j, gen in enumerate(gens):
         if method.r_a == 2:
             a[j], ap[j] = sample_wigner_coherent(init.gamma_a, gen)
@@ -172,53 +177,57 @@ def _initial_arrays(indices, method: MethodSpec, init: CoherentInit,
     return a, ap, b, bp, gens
 
 
-def _simulate_chunk(indices, method: MethodSpec, params: SystemParams,
-                    config: EnsembleConfig, init: CoherentInit, plan: StepPlan,
-                    coeffs, noise_free: bool, record_gauge: bool,
-                    threshold: float):
-    """Integrate one chunk of trajectories; returns per-chunk partials."""
-    return _chunk(_native, indices, method, params, config, init, plan,
-                  coeffs, noise_free, record_gauge, threshold)
+def _simulate_chunk(first: int, m: int, method: MethodSpec,
+                    params: SystemParams, config: EnsembleConfig,
+                    plan: StepPlan, noise_free: bool = False,
+                    record_gauge: bool = False,
+                    init: CoherentInit | None = None, native=None):
+    """Integrate trajectories ``first`` to ``first + m - 1``; returns the
+    chunk's partials.
 
-
-def _chunk(native, indices, method, params, config, init, plan, coeffs,
-           noise_free, record_gauge, threshold):
-    """``_simulate_chunk`` on ``native``: a loaded kernel, or False for the
-    numpy loop.  Separate so the probe runs both without touching
-    ``_native``."""
+    The noise coefficients, the blow-up threshold and, unless ``init`` is
+    given, the coherent start are worked out from the arguments.
+    ``native`` is a loaded kernel, False for the numpy loop, or None for
+    the engine ``run_ensemble`` uses.
+    """
+    if native is None:
+        native = _load_native()
+    if init is None:
+        init = CoherentInit.from_occupations(config.N_a0, config.N_b0)
+    coeffs = dynamics.noise_coefficients(method.method, params, plan.sub_g)
+    threshold = config.blowup_threshold * max(1.0, math.sqrt(config.N_a0))
     n_batches = config.n_batches
-    m = len(indices)
     n_samples = plan.n_samples
 
     sums = np.zeros((n_samples, n_batches, len(MONOMIALS)), dtype=complex)
     live_counts = np.zeros((n_samples, n_batches), dtype=np.int64)
     blow_t = np.full(m, np.nan)
     gauge_max = np.zeros(m)
+    partials = {"sums": sums, "live_counts": live_counts,
+                "blowup_times": blow_t, "gauge_max": gauge_max}
     noise = None if noise_free else dynamics.NOISE.get(method.method)
     if native:
         # Streams, initial sampling, substeps and records in one call.
         if native.run_chunk(method, noise is not None, record_gauge, init,
-                            config.master_seed, int(indices[0]), plan,
-                            coeffs, params, threshold, sums, live_counts,
-                            blow_t, gauge_max):
-            return {"sums": sums, "live_counts": live_counts,
-                    "blowup_times": blow_t, "gauge_max": gauge_max}
+                            config.master_seed, first, plan, coeffs, params,
+                            threshold, sums, live_counts, blow_t, gauge_max):
+            return partials
         # A recorded lane was huge or not finite; numpy sets the nan bits.
-        return _chunk(False, indices, method, params, config, init, plan,
-                      coeffs, noise_free, record_gauge, threshold)
+        return _simulate_chunk(first, m, method, params, config, plan,
+                               noise_free, record_gauge, init, native=False)
 
-    a, ap, b, bp, gens = _initial_arrays(indices, method, init,
+    a, ap, b, bp, gens = _initial_arrays(first, m, method, init,
                                          config.master_seed)
     live = np.ones(m, dtype=bool)
 
-    # Both callers pass contiguous indices, so lane k belongs to batch
-    # (indices[0] + k) % n_batches.  Lane k sits at row off + k of a zeroed
-    # buffer of rows * n_batches rows; viewed as (rows, n_batches, ...),
-    # each batch is one column, and a reduce over the rows adds its lanes
-    # one after another in lane order.  Added into a zero row with +=,
-    # this gives the bytes of a lane-by-lane scatter-add, signed zeros
-    # included; a matrix product would let BLAS reorder the sums.
-    off = int(indices[0]) % n_batches
+    # Lane k belongs to batch (first + k) % n_batches.  It sits at row
+    # off + k of a zeroed buffer of rows * n_batches rows; viewed as
+    # (rows, n_batches, ...), each batch is one column, and a reduce over
+    # the rows adds its lanes one after another in lane order.  Added into
+    # a zero row with +=, this gives the bytes of a lane-by-lane
+    # scatter-add, signed zeros included; a matrix product would let BLAS
+    # reorder the sums.
+    off = first % n_batches
     rows = -(-(off + m) // n_batches)
     buf = np.zeros((rows * n_batches, len(MONOMIALS)), dtype=complex)
     lane_live = np.zeros(rows * n_batches, dtype=np.int64)
@@ -248,7 +257,7 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
 
     def numpy_advance(j0, j1):
         """Substeps j0..j1-1; noise is drawn NOISE_BLOCK substeps at a time."""
-        nonlocal a, ap, b, bp, live, gauge_max, xi
+        nonlocal a, ap, b, bp, live, xi
         for j in range(j0, j1):
             if noise is not None and j % NOISE_BLOCK == 0:
                 block_len = min(NOISE_BLOCK, plan.n_substeps - j)
@@ -295,8 +304,8 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
 
             if record_gauge:
                 drift = np.abs(ap * a - apa0) / apa0_scale
-                gauge_max = np.where(live & (drift > gauge_max),
-                                     drift, gauge_max)
+                np.copyto(gauge_max, drift,
+                          where=live & (drift > gauge_max))
 
     # The plan records after its last substep, so this covers them all.
     j0 = 0
@@ -304,18 +313,12 @@ def _chunk(native, indices, method, params, config, init, plan, coeffs,
         apa0 = ap * a
         apa0_scale = np.where(np.abs(apa0) > 0, np.abs(apa0), 1.0)
         record(0)
-        for sample_index, j1 in enumerate(
-                np.flatnonzero(plan.record_after) + 1, start=1):
+        for sample_index, j1 in enumerate(plan.ends, start=1):
             numpy_advance(j0, int(j1))
             record(sample_index)
             j0 = int(j1)
 
-    return {
-        "sums": sums,
-        "live_counts": live_counts,
-        "blowup_times": blow_t,
-        "gauge_max": gauge_max,
-    }
+    return partials
 
 
 # The native chunk engine of ``_kernel.c``: None until the first run in this
@@ -356,38 +359,36 @@ def _probe_matches(kernel) -> bool:
     """
     params = SystemParams(0.3, -0.7, 1.1, 0.9, CouplingSchedule(
         ((0.0123, 1.0), (math.inf, 0.6))))
-    config = EnsembleConfig(n_trajectories=8, dt=1e-3, t_final=0.0305,
-                            N_a0=4.0, N_b0=0.25, n_batches=3,
-                            sample_interval=7, master_seed=2)
-    init = CoherentInit.from_occupations(config.N_a0, config.N_b0)
-    plan = build_step_plan(config, params)
-    runs = ((np.arange(8), init, False, True, 2.4),
-            (np.arange(8), init, True, False, 1e6),
-            (np.arange(5, 13), CoherentInit(2 + 0.5j, 0.5 - 0.1j), False,
-             True, 2.4))
+    plain = EnsembleConfig(n_trajectories=8, dt=1e-3, t_final=0.0305,
+                           N_a0=4.0, N_b0=0.25, n_batches=3,
+                           sample_interval=7, master_seed=2)
+    # A threshold of 1.2 * sqrt(N_a0) = 2.4.
+    lossy = replace(plain, blowup_threshold=1.2)
+    plan = build_step_plan(plain, params)
+    runs = ((0, lossy, False, True, None), (0, plain, True, False, None),
+            (5, lossy, False, True, CoherentInit(2 + 0.5j, 0.5 - 0.1j)))
     for name in METHOD_NAMES:
         method = MethodSpec.of(name)
-        coeffs = dynamics.noise_coefficients(name, params, plan.sub_g)
-        for indices, start, noise_free, gauge, threshold in runs:
-            fast, ref = (_chunk(native, indices, method, params, config,
-                                start, plan, coeffs, noise_free, gauge,
-                                threshold)
+        for first, config, noise_free, gauge, init in runs:
+            fast, ref = (_simulate_chunk(first, 8, method, params, config,
+                                         plan, noise_free, gauge, init,
+                                         native)
                          for native in (kernel, False))
             if any(fast[k].tobytes() != ref[k].tobytes() for k in ref):
                 return False
     return True
 
 
-def _chunk_job(method, params, config, init, plan, coeffs, noise_free,
-               record_gauge, threshold, bound):
+def _chunk_job(method, params, config, plan, noise_free, record_gauge,
+               bound):
     """One chunk, trajectories ``bound[0]`` to ``bound[1] - 1``.
 
     A module-level function so that a worker process can unpickle it;
     ``_simulate_chunk`` is looked up by name at call time.
     """
     lo, hi = bound
-    return _simulate_chunk(np.arange(lo, hi), method, params, config, init,
-                           plan, coeffs, noise_free, record_gauge, threshold)
+    return _simulate_chunk(lo, hi - lo, method, params, config, plan,
+                           noise_free, record_gauge)
 
 
 def _reduce(partials):
@@ -440,15 +441,12 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
         raise ConfigError(["n_workers must be a positive integer"])
     _load_native()  # before any fork, so workers inherit it
 
-    init = CoherentInit.from_occupations(config.N_a0, config.N_b0)
     plan = build_step_plan(config, params)
-    coeffs = dynamics.noise_coefficients(method.method, params, plan.sub_g)
-    threshold = config.blowup_threshold * max(1.0, math.sqrt(config.N_a0))
 
     n = config.n_trajectories
     bounds = [(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
-    job = functools.partial(_chunk_job, method, params, config, init, plan,
-                            coeffs, noise_free, record_gauge_drift, threshold)
+    job = functools.partial(_chunk_job, method, params, config, plan,
+                            noise_free, record_gauge_drift)
 
     if n_workers is None:
         n_workers = min(4, os.cpu_count() or 1, len(bounds))
@@ -468,13 +466,10 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
     else:
         sums, live_counts, blowup_times, gauge = _reduce(map(job, bounds))
 
-    live_fraction = live_counts.sum(axis=1) / float(n)
-
     return EnsembleResult(
         times=plan.sample_times,
         sums=sums,
         live_counts=live_counts,
-        live_fraction=live_fraction,
         blowup_times=blowup_times,
         method=method,
         params=params,

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrc, pdtrik
+from scipy.special import gammaln, pdtr, pdtrik
 
 __all__ = [
     "OracleParams",
@@ -258,19 +258,6 @@ def _poisson_isf(q: float, mu: float) -> float:
     return below if pdtr(below, mu) >= p else k
 
 
-def _poisson_sf(k: int, mu: float) -> float:
-    """P(N > k) for N ~ Poisson(mu), as ``scipy.stats.poisson.sf``."""
-    return 1.0 if k < 0 else pdtrc(math.floor(k), mu)
-
-
-def _check_cutoff(occupation: float, cutoff: int, label: str) -> None:
-    if occupation > 0 and _poisson_sf(cutoff, occupation) >= TAIL_MASS:
-        raise ValueError(
-            f"Fock cutoff {cutoff} for {label} leaves tail mass >= {TAIL_MASS:g}; "
-            f"use at least {default_cutoff(occupation)}"
-        )
-
-
 def _coherent_coefficients(occupation: float, cutoff: int) -> np.ndarray:
     """Real number-basis coefficients of |gamma| = sqrt(occupation).
 
@@ -309,42 +296,33 @@ def _ladder_walk(word: str, n: np.ndarray):
     return amp, delta
 
 
-def fock_word_expect(word_a: str, word_b: str, t: float, p: OracleParams,
-                     cutoff_a: int | None = None,
-                     cutoff_b: int | None = None) -> complex:
+def fock_word_expect(word_a: str, word_b: str, t: float,
+                     p: OracleParams) -> complex:
     """<W_a (x) W_b>(t) for ladder words acting on each mode.
 
     The number-diagonal evolution factorizes the double sum into a product
     of two single sums with mode-coupling phases; the result is exact up
-    to the Poisson tails beyond the cutoffs.
+    to the Poisson tails beyond the cutoffs, which ``default_cutoff``
+    takes from each mode's occupation.
     """
-    if cutoff_a is None:
-        cutoff_a = default_cutoff(p.N_a0)
-    if cutoff_b is None:
-        cutoff_b = default_cutoff(p.N_b0)
-    _check_cutoff(p.N_a0, cutoff_a, "mode a")
-    _check_cutoff(p.N_b0, cutoff_b, "mode b")
+    top_a = default_cutoff(p.N_a0)
+    top_b = default_cutoff(p.N_b0)
 
     theta = float(accumulated_coupling_phase(float(t), p))
     # Pad the coefficient array so shifted indices stay in range.
     pad_a = max(4, len(word_a))
     pad_b = max(4, len(word_b))
-    c_a = _coherent_coefficients(p.N_a0, cutoff_a + pad_a)
-    c_b = _coherent_coefficients(p.N_b0, cutoff_b + pad_b)
-    n_a = np.arange(cutoff_a + 1)
-    n_b = np.arange(cutoff_b + 1)
+    c_a = _coherent_coefficients(p.N_a0, top_a + pad_a)
+    c_b = _coherent_coefficients(p.N_b0, top_b + pad_b)
+    n_a = np.arange(top_a + 1)
+    n_b = np.arange(top_b + 1)
 
     amp_a, d_a = _ladder_walk(word_a, n_a)
     amp_b, d_b = _ladder_walk(word_b, n_b)
 
-    if d_a < 0:
-        shift_a = np.where(n_a + d_a >= 0, c_a[np.maximum(n_a + d_a, 0)], 0.0)
-    else:
-        shift_a = c_a[n_a + d_a]
-    if d_b < 0:
-        shift_b = np.where(n_b + d_b >= 0, c_b[np.maximum(n_b + d_b, 0)], 0.0)
-    else:
-        shift_b = c_b[n_b + d_b]
+    # The coefficient of |n + d>, zero below the vacuum.
+    shift_a = np.where(n_a + d_a >= 0, c_a[np.maximum(n_a + d_a, 0)], 0.0)
+    shift_b = np.where(n_b + d_b >= 0, c_b[np.maximum(n_b + d_b, 0)], 0.0)
 
     # Energy-difference phase between |n+d> and |n>, split into an
     # n-independent prefactor and per-mode linear-in-n factors.
@@ -384,9 +362,7 @@ _FOCK = {
 }
 
 
-def fock_expect(observable: str, t: float, p: OracleParams,
-                cutoff_a: int | None = None,
-                cutoff_b: int | None = None) -> float:
+def fock_expect(observable: str, t: float, p: OracleParams) -> float:
     """Numerically exact expectation value from the Fock double sum.
 
     observable is one of X_a, Y_a, X_b, Y_b, N_a, N_a2 (second number
@@ -399,14 +375,13 @@ def fock_expect(observable: str, t: float, p: OracleParams,
         )
 
     def w(word_a, word_b):
-        return fock_word_expect(word_a, word_b, t, p, cutoff_a, cutoff_b)
+        return fock_word_expect(word_a, word_b, t, p)
 
     return float(np.real(_FOCK[observable](w)))
 
 
-def fock_symmetrized(letters_a, letters_b, t: float, p: OracleParams,
-                     cutoff_a: int | None = None,
-                     cutoff_b: int | None = None) -> complex:
+def fock_symmetrized(letters_a, letters_b, t: float,
+                     p: OracleParams) -> complex:
     """Symmetrically ordered expectation of ladder letters on each mode.
 
     Averages the ordered expectation over every distinct arrangement of
@@ -416,7 +391,7 @@ def fock_symmetrized(letters_a, letters_b, t: float, p: OracleParams,
     perms_a = sorted(set(permutations(letters_a))) or [()]
     perms_b = sorted(set(permutations(letters_b))) or [()]
     vals = [
-        fock_word_expect("".join(pa), "".join(pb), t, p, cutoff_a, cutoff_b)
+        fock_word_expect("".join(pa), "".join(pb), t, p)
         for pa in perms_a
         for pb in perms_b
     ]

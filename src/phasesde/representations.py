@@ -134,7 +134,7 @@ def _NaYb(moments, r_a):
 
 def _correlation(moments, r_a, r_b):
     """NaN wherever the variance product is not positive; imaginary part 0."""
-    _, y_b = estimate_quadratures(moments, "b", r_b)
+    _, y_b = estimate_quadratures(moments, "b")
     cov = estimate_NaYb(moments, r_a) - estimate_number(moments, "a", r_a) * y_b
     denom = (estimate_number_variance(moments, "a", r_a)
              * estimate_Yb_variance(moments, r_b))
@@ -142,7 +142,7 @@ def _correlation(moments, r_a, r_b):
         return np.where(denom > 0, cov / np.sqrt(denom), np.nan) + 0j
 
 
-def estimate_quadratures(moments, mode, r):
+def estimate_quadratures(moments, mode):
     """(mean_X, mean_Y); identical for both orderings (linear observable)."""
     x, y = _quadratures(moments, mode)
     return np.real(x), np.real(y)

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phasesde
-from phasesde import ConfigError, __version__
+from phasesde import ConfigError, EnsembleConfig, __version__, cli
 from phasesde.cli import (
     PRESET_NAMES,
     load_preset,
@@ -67,6 +67,22 @@ def test_resolve_applies_overrides():
     assert resolved["ensemble"]["dt"] == 2e-4
     assert resolved["output"]["path"] == "/tmp/elsewhere/fig2"
     assert resolved["observables"] == ["X_a", "N_a"]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"trajectories": 2.7}, {"trajectories": True}, {"seed": 3.9},
+    {"seed": "7"}, {"dt": "1e-3"}])
+def test_resolve_rejects_overrides_it_would_have_to_repair(overrides):
+    """An override is checked like the config value it replaces."""
+    option = next(iter(overrides))
+    with pytest.raises(ConfigError, match=f"^--{option} must be"):
+        resolve_config(load_preset("fig2"), overrides)
+
+
+def test_optional_ensemble_keys_default_to_the_dataclass_defaults():
+    required = {"n_trajectories": 10, "dt": 1e-3, "t_final": 0.1,
+                "N_a0": 1.0, "N_b0": 0.0}
+    assert cli._ensemble_from_json(required, 10) == EnsembleConfig(**required)
 
 
 @pytest.mark.parametrize("mangle,fragment", [
@@ -189,7 +205,8 @@ def test_oracle_command_writes_exact_values(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("times", ["abc", "0:1:x", "0,nan", "0:inf:1",
-                                   "0:1e18:1", "0:1e308:1e-308"])
+                                   "0:1e18:1", "0:1e308:1e-308",
+                                   ",", "", " "])
 def test_oracle_command_rejects_malformed_times(tmp_path, capsys, times):
     assert main(["oracle", "--preset", "fig1", "--out", str(tmp_path),
                  "--times", times]) == 2

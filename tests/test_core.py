@@ -156,7 +156,6 @@ def _toy_result(kerr_params):
         times=np.array([0.0, 0.1]),
         sums=sums,
         live_counts=live,
-        live_fraction=np.array([1.0, 2 / 3]),
         blowup_times=np.array([np.nan, np.nan, 0.05]),
         method=ps.MethodSpec.of("hybrid"),
         params=kerr_params,
@@ -177,6 +176,8 @@ def test_result_dead_batch_means_are_nan(kerr_params):
     assert means["beta"][1, 0] == pytest.approx(3.0)
     assert np.isnan(means["beta"][1, 1].real)
     assert res.n_samples == 2
+    # Live trajectories over all 3, at each sample.
+    assert res.live_fraction.tolist() == [1.0, 2 / 3]
 
 
 def test_package_exports_every_module_name():

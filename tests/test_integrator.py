@@ -1,4 +1,5 @@
 """Step plans, the single-step map, and ensemble integration."""
+import dataclasses
 import logging
 import math
 import shutil
@@ -39,19 +40,15 @@ def config(**kw):
 
 def trajectory(name, params, cfg, index=0, init=None, noise_free=False,
                native=None):
-    """Trajectory ``index`` run alone, as a one-lane ``integrator._chunk``.
+    """Trajectory ``index`` run alone, as a one-lane chunk.
 
     Returns its monomials at each sample (NaN once it is dead), its live
     flags and its blow-up time (NaN if it lives).  ``native`` defaults to
     the engine ``run_ensemble`` uses; False is the numpy loop.
     """
-    init = init or CoherentInit.from_occupations(cfg.N_a0, cfg.N_b0)
-    plan = build_step_plan(cfg, params)
-    part = integrator._chunk(
-        integrator._load_native() if native is None else native,
-        np.array([index]), MethodSpec.of(name), params, cfg, init, plan,
-        dynamics.noise_coefficients(name, params, plan.sub_g), noise_free,
-        False, cfg.blowup_threshold * max(1.0, math.sqrt(cfg.N_a0)))
+    part = integrator._simulate_chunk(
+        index, 1, MethodSpec.of(name), params, cfg,
+        build_step_plan(cfg, params), noise_free, init=init, native=native)
     batch = index % cfg.n_batches
     live = part["live_counts"][:, batch] > 0
     monomials = np.where(live[:, None], part["sums"][:, batch], np.nan + 0j)
@@ -70,7 +67,8 @@ def test_plan_uniform_grid():
     np.testing.assert_allclose(plan.sub_dt, 1e-4)
     np.testing.assert_allclose(
         plan.sample_times, np.linspace(0.0, 0.02, 11), atol=1e-15)
-    assert plan.record_after.sum() == 10  # t=0 is not a recorded substep
+    # t=0 ends no segment
+    np.testing.assert_array_equal(plan.ends, np.arange(20, 201, 20))
 
 
 def test_plan_splits_at_off_grid_breakpoint():
@@ -105,7 +103,7 @@ def test_plan_keeps_partial_tail_step():
     assert plan.n_substeps == 3
     assert plan.sub_dt[-1] == pytest.approx(5e-5)
     assert plan.sample_times[-1] == pytest.approx(2.5e-4)
-    assert plan.record_after[-1]
+    np.testing.assert_array_equal(plan.ends, [1, 2, 3])
 
 
 def test_plan_zero_duration_is_a_single_sample():
@@ -159,13 +157,11 @@ def test_engine_step_matches_drift_and_noise_factor(name):
                  sample_interval=1)
     method, init = MethodSpec.of(name), CoherentInit(2 + 0.5j, 0.5 - 0.1j)
     plan = build_step_plan(cfg, params)
-    part = integrator._chunk(
-        False, np.arange(6), method, params, cfg, init, plan,
-        dynamics.noise_coefficients(name, params, plan.sub_g), False, False,
-        1e6)
+    part = integrator._simulate_chunk(0, 6, method, params, cfg, plan,
+                                      init=init, native=False)
     # One lane per batch, so each batch's sums are that lane's monomials.
     before, after = part["sums"][0, :, :4].T, part["sums"][1, :, :4].T
-    gens = integrator._initial_arrays(np.arange(6), method, init,
+    gens = integrator._initial_arrays(0, 6, method, init,
                                       cfg.master_seed)[-1]
     xi = [draw_standard_normals(gen, 4) for gen in gens]
     f_a, f_b = dynamics.FREQUENCIES[name](*before, params, g)
@@ -511,12 +507,12 @@ def test_native_samples_complex_amplitudes_like_numpy(native, name):
                  for kernel in (native, False))
     assert fast == ref
 
+    cfg = config(n_batches=4, t_final=0.03, sample_interval=7,
+                 master_seed=31, blowup_threshold=2.6)  # N_a0 = 1
     plan = build_step_plan(cfg, kerr())
-    method = MethodSpec.of(name)
-    coeffs = dynamics.noise_coefficients(name, kerr(), plan.sub_g)
-    fast, ref = ({k: v.tobytes() for k, v in integrator._chunk(
-        kernel, np.arange(7, 27), method, kerr(), cfg, init, plan, coeffs,
-        False, True, 2.6).items()} for kernel in (native, False))
+    fast, ref = ({k: v.tobytes() for k, v in integrator._simulate_chunk(
+        7, 20, MethodSpec.of(name), kerr(), cfg, plan, record_gauge=True,
+        init=init, native=kernel).items()} for kernel in (native, False))
     assert fast == ref
 
 
@@ -535,13 +531,13 @@ def test_native_non_finite_amplitude_dies_like_numpy(native, name, gamma):
     plan = build_step_plan(cfg, kerr())
     method = MethodSpec.of(name)
     coeffs = dynamics.noise_coefficients(name, kerr(), plan.sub_g)
-    threshold = cfg.blowup_threshold * max(1.0, math.sqrt(cfg.N_a0))
+    threshold = cfg.blowup_threshold  # the engine's, as N_a0 = 1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for init in (CoherentInit(gamma, 0.5), CoherentInit(2.0, gamma)):
-            fast, ref = (integrator._chunk(
-                kernel, np.array([3]), method, kerr(), cfg, init, plan,
-                coeffs, False, False, threshold) for kernel in (native, False))
+            fast, ref = (integrator._simulate_chunk(
+                3, 1, method, kerr(), cfg, plan, init=init, native=kernel)
+                for kernel in (native, False))
             for k in ref:
                 assert fast[k].tobytes() == ref[k].tobytes(), (init, k)
             assert ref["blowup_times"][0] == plan.sub_t_end[0]
@@ -556,6 +552,27 @@ def test_native_non_finite_amplitude_dies_like_numpy(native, name, gamma):
                 assert out[k].tobytes() == ref[k].tobytes(), k
             assert out["sums"][1:].tobytes() == ref["sums"][1:].tobytes()
     assert [str(c.message) for c in caught] == []
+
+
+@pytest.mark.parametrize("ends", [[30, 20, 50], [20, 40, 49], [-1, 20, 50]],
+                         ids=["falling", "short", "negative"])
+def test_native_refuses_segment_ends_it_cannot_follow(native, ends):
+    """The kernel reads ``sub_dt`` up to the last end, so the ends must
+    rise from 0 to the substep count."""
+    cfg = config(sample_interval=20)
+    plan = build_step_plan(cfg, kerr())
+    assert plan.ends.tolist() == [20, 40, 50]
+    bad = dataclasses.replace(plan, ends=np.array(ends, dtype=np.int64))
+    # Output arrays of the right layout: sums, live_counts, blow-up times
+    # and gauge maxima, in run_chunk's order.
+    out = integrator._simulate_chunk(0, 4, MethodSpec.of("hybrid"), kerr(),
+                                     cfg, plan, native=False)
+    with pytest.raises(ValueError, match="ends must rise"):
+        native.run_chunk(
+            MethodSpec.of("hybrid"), True, False, CoherentInit(1.0, 0.5),
+            cfg.master_seed, 0, bad,
+            dynamics.noise_coefficients("hybrid", kerr(), plan.sub_g), kerr(),
+            cfg.blowup_threshold, *out.values())
 
 
 class Corrupted:

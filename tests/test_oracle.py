@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import pdtrc
 
 from phasesde import CouplingSchedule, SystemParams
 from phasesde.oracle import (
     EXACT_OBSERVABLES,
+    TAIL_MASS,
     OracleParams,
+    _poisson_isf,
     accumulated_coupling_phase,
     default_cutoff,
     exact_correlation,
@@ -138,11 +141,6 @@ def test_word_evaluator_handles_vacuum_annihilation():
 def test_word_evaluator_rejects_bad_input():
     with pytest.raises(ValueError):
         fock_word_expect("+*", "", 0.0, KERR)
-    with pytest.raises(ValueError):
-        # cutoff 3 leaves far too much tail mass for occupation 4
-        fock_word_expect("+-", "", 0.0,
-                         OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, 4.0, 0.0),
-                         cutoff_a=3)
 
 
 def test_default_cutoff_grows_with_occupation():
@@ -157,16 +155,15 @@ def test_default_cutoff_at_preset_occupations(occupation, cutoff,
                                               tail_cutoff):
     """The values scipy.stats.poisson gave, at every preset occupation.
 
-    ``tail_cutoff`` is poisson.isf(TAIL_MASS, occupation): the tail-mass
-    check accepts it and refuses one less.
+    ``tail_cutoff`` is poisson.isf(TAIL_MASS, occupation): the Poisson
+    tail beyond it is at most TAIL_MASS, and beyond one less it is more.
     """
     assert default_cutoff(occupation) == cutoff
     if tail_cutoff is None:
         return
-    p = OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, occupation, 0.0)
-    fock_word_expect("+-", "", 0.0, p, cutoff_a=tail_cutoff)
-    with pytest.raises(ValueError, match="tail mass"):
-        fock_word_expect("+-", "", 0.0, p, cutoff_a=tail_cutoff - 1)
+    assert _poisson_isf(TAIL_MASS, occupation) == tail_cutoff
+    assert pdtrc(tail_cutoff, occupation) <= TAIL_MASS
+    assert pdtrc(tail_cutoff - 1, occupation) > TAIL_MASS
 
 
 def test_symmetrized_number_word_gains_half_quantum():

@@ -132,7 +132,7 @@ def test_estimators_reproduce_coherent_values(method_name, gamma_a, gamma_b):
     moments = coherent_state_moments(gamma_a, gamma_b, method)
     na = abs(gamma_a) ** 2
 
-    x, y = ps.estimate_quadratures(moments, "a", method.r_a)
+    x, y = ps.estimate_quadratures(moments, "a")
     assert x == pytest.approx(np.real(gamma_a), abs=1e-10)
     assert y == pytest.approx(np.imag(gamma_a), abs=1e-10)
 

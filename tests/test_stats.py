@@ -62,7 +62,6 @@ def synthetic_result(rows, method="positive_p"):
         times=np.array([0.0]),
         sums=sums,
         live_counts=live,
-        live_fraction=np.array([1.0]),
         blowup_times=np.full(n_batches, np.nan),
         method=MethodSpec.of(method),
         params=params,

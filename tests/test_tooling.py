@@ -3,7 +3,6 @@ import importlib.util
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from phasesde import cli, core, dynamics, integrator, oracle, stats
@@ -88,11 +87,9 @@ def test_noise_table_feeds_the_noise_factors_and_the_engine(monkeypatch):
     plan = integrator.build_step_plan(config, params)
     for name in dynamics.NOISE:
         calls.clear()
-        integrator._chunk(
-            False, np.arange(2), core.MethodSpec.of(name), params, config,
-            CoherentInit(1.0, 0.5), plan,
-            dynamics.noise_coefficients(name, params, plan.sub_g), False,
-            False, 1e6)
+        integrator._simulate_chunk(
+            0, 2, core.MethodSpec.of(name), params, config, plan,
+            init=CoherentInit(1.0, 0.5), native=False)
         assert calls == [(name, j) for j in range(plan.n_substeps)]
 
 
