@@ -52,7 +52,7 @@ from .core import (
     validate_config,
 )
 from .integrator import build_step_plan, run_ensemble
-from .oracle import EXACT_OBSERVABLES, exact_series, match_schedule
+from .oracle import exact_series, match_schedule
 from .representations import OBSERVABLE_NAMES
 from .stats import detect_blowup, observable_series
 
@@ -380,14 +380,14 @@ def run_config(path: str, overrides: dict | None = None) -> dict:
 def oracle_table(params, times, observables) -> dict:
     """Exact values on a time grid: {"t": grid, name: values, ...}.
 
-    ``params`` is an OracleParams; every observable must have a closed
-    form.
+    ``params`` is an OracleParams; every name of ``OBSERVABLE_NAMES`` has
+    a closed form.
     """
     times = np.asarray(times, dtype=float)
-    bad = [o for o in observables if o not in EXACT_OBSERVABLES]
+    bad = [o for o in observables if o not in OBSERVABLE_NAMES]
     if bad:
         raise ConfigError(
-            [f"no closed form for {bad}; available: {', '.join(EXACT_OBSERVABLES)}"])
+            [f"unknown observables {bad}; available: {', '.join(OBSERVABLE_NAMES)}"])
     table = {"t": times}
     for name in observables:
         table[name] = np.asarray(exact_series(name, times, params), dtype=float)
@@ -418,9 +418,9 @@ def _time(text: str) -> float:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
+    if not (math.isfinite(value) and value >= 0):
         raise ConfigError(
-            [f"--times entries must be finite numbers, got {text!r}"])
+            [f"--times entries must be finite numbers >= 0, got {text!r}"])
     return value
 
 
@@ -434,8 +434,7 @@ def _oracle_command(resolved: dict, times_text: str | None) -> dict:
 
     times = (build_step_plan(config, params).sample_times if times_text is None
              else _parse_times(times_text))
-    observables = [o for o in resolved["observables"] if o in EXACT_OBSERVABLES]
-    table = oracle_table(op, times, observables or list(EXACT_OBSERVABLES))
+    table = oracle_table(op, times, resolved["observables"])
     path = f"{resolved['output']['path']}_exact.{resolved['output']['format']}"
     _write_table(path, table, {"version": __version__, "config": resolved})
     return {"outputs": [path], "table": table}

@@ -103,9 +103,9 @@ class CouplingSchedule:
         return cls(((math.inf, g),))
 
     @classmethod
-    def switched(cls, g: float, t_off: float, g_after: float = 0.0) -> "CouplingSchedule":
-        """g until t_off, then g_after from t_off onward."""
-        return cls(((t_off, g), (math.inf, g_after)))
+    def switched(cls, g: float, t_off: float) -> "CouplingSchedule":
+        """g until t_off, then 0 from t_off onward."""
+        return cls(((t_off, g), (math.inf, 0.0)))
 
     def g_at(self, t: float) -> float:
         ends = [seg[0] for seg in self.segments]

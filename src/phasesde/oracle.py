@@ -17,9 +17,10 @@ provided and cross-checked against each other in the test suite:
   keep running.
 
 * A numerically exact Fock-basis evaluator (``fock_expect``) that sums the
-  same diagonal evolution over number states up to a cutoff chosen from
-  the Poisson occupation tail.  It knows nothing about the closed forms,
-  so agreement between the two is a genuine two-sided check.
+  same diagonal evolution over number states up to the cutoff
+  ``default_cutoff``, ceil(N + 10 sqrt(N) + 30) for occupation N.  It
+  knows nothing about the closed forms, so agreement between the two is a
+  genuine two-sided check.
 
 Quadrature conventions: X = (a + a^dag)/2 and Y = (a - a^dag)/(2i), so a
 coherent state gamma has X + iY = gamma and quadrature variance 1/4.
@@ -31,27 +32,18 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.special import gammaln, pdtr, pdtrik
+from scipy.special import gammaln
 
 __all__ = [
     "OracleParams",
     "accumulated_coupling_phase",
-    "exact_quadratures_a",
-    "exact_quadratures_b",
-    "exact_NaYb",
-    "exact_var_Yb",
-    "exact_correlation",
     "exact_series",
-    "EXACT_OBSERVABLES",
     "default_cutoff",
     "fock_expect",
     "fock_word_expect",
     "fock_symmetrized",
     "match_schedule",
 ]
-
-#: Poisson tail mass that a Fock cutoff must leave beyond it.
-TAIL_MASS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -72,8 +64,14 @@ class OracleParams:
     tau: float | None = None
 
     def __post_init__(self):
-        if self.tau is not None and self.tau < 0:
-            raise ValueError("tau must be >= 0 when present")
+        values = (self.omega_a, self.omega_b, self.chi_a, self.chi_b, self.g,
+                  self.N_a0, self.N_b0)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("frequencies, coupling and occupations must be "
+                             "finite")
+        if self.tau is not None and not (math.isfinite(self.tau)
+                                         and self.tau >= 0):
+            raise ValueError("tau must be a finite number >= 0 when present")
         if self.N_a0 < 0 or self.N_b0 < 0:
             raise ValueError("initial occupations must be non-negative")
 
@@ -137,58 +135,39 @@ def _mean_b_sq(t, p: OracleParams):
     )
 
 
-def exact_quadratures_a(t, p: OracleParams):
-    """(X_a, Y_a) at time(s) t."""
-    m = _mean("a", t, p)
-    return np.real(m), np.imag(m)
-
-
-def exact_quadratures_b(t, p: OracleParams):
-    """(X_b, Y_b) at time(s) t."""
-    m = _mean("b", t, p)
-    return np.real(m), np.imag(m)
-
-
-def exact_NaYb(t, p: OracleParams):
-    """<N_a Y_b>(t)."""
-    return np.imag(_mean_nab(t, p))
-
-
-def exact_var_Yb(t, p: OracleParams):
+def _var_Yb(t, p: OracleParams):
     """V(Y_b)(t) = <Y_b^2> - <Y_b>^2."""
     mb = _mean("b", t, p)
     mb2 = _mean_b_sq(t, p)
     return 0.25 + 0.5 * p.N_b0 - 0.5 * np.real(mb2) - np.imag(mb) ** 2
 
 
-def exact_correlation(t, p: OracleParams):
+def _correlation(t, p: OracleParams):
     """Number/quadrature correlation C(N_a, Y_b).
 
     C = (<N_a Y_b> - <N_a><Y_b>) / sqrt(V(N_a) V(Y_b)) with the conserved
     values <N_a> = N_a0 and V(N_a) = N_a0.  NaN wherever the variance
     product is not positive, as at N_a0 = 0.
     """
-    num = exact_NaYb(t, p) - p.N_a0 * np.imag(_mean("b", t, p))
-    denom = p.N_a0 * exact_var_Yb(t, p)
+    num = np.imag(_mean_nab(t, p)) - p.N_a0 * np.imag(_mean("b", t, p))
+    denom = p.N_a0 * _var_Yb(t, p)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom > 0, num / np.sqrt(denom), np.nan)
 
 
 # Each observable's closed form on a float time array.
 _EXACT = {
-    "X_a": lambda t, p: exact_quadratures_a(t, p)[0],
-    "Y_a": lambda t, p: exact_quadratures_a(t, p)[1],
-    "X_b": lambda t, p: exact_quadratures_b(t, p)[0],
-    "Y_b": lambda t, p: exact_quadratures_b(t, p)[1],
+    "X_a": lambda t, p: np.real(_mean("a", t, p)),
+    "Y_a": lambda t, p: np.imag(_mean("a", t, p)),
+    "X_b": lambda t, p: np.real(_mean("b", t, p)),
+    "Y_b": lambda t, p: np.imag(_mean("b", t, p)),
     "N_a": lambda t, p: np.full_like(t, p.N_a0),
     "N_b": lambda t, p: np.full_like(t, p.N_b0),
     "var_N_a": lambda t, p: np.full_like(t, p.N_a0),
-    "var_Y_b": exact_var_Yb,
-    "N_a_Y_b": exact_NaYb,
-    "C_Na_Yb": exact_correlation,
+    "var_Y_b": _var_Yb,
+    "N_a_Y_b": lambda t, p: np.imag(_mean_nab(t, p)),
+    "C_Na_Yb": _correlation,
 }
-
-EXACT_OBSERVABLES = tuple(_EXACT)
 
 
 def exact_series(name: str, t, p: OracleParams):
@@ -230,32 +209,15 @@ def match_schedule(params, N_a0: float, N_b0: float) -> OracleParams | None:
 
 
 def default_cutoff(occupation: float) -> int:
-    """Smallest safe Fock cutoff for a coherent state of given occupation.
+    """Fock cutoff for a coherent state of given occupation N >= 0.
 
-    Combines the exact Poisson-tail criterion (tail mass below TAIL_MASS)
-    with a generous fixed-margin floor; the floor matters because moment
-    sums weight the tail by powers of n, so the bare probability-tail
-    cutoff is not quite enough for 1e-10 accuracy on second moments at
-    large occupation.
+    ceil(N + 10 sqrt(N) + 30).  The Bernstein bound
+    P(n >= N + x) <= exp(-x^2 / (2 (N + x/3))) with x = 10 sqrt(N) + 30
+    puts a Poisson tail mass of at most e^-45 beyond it for every N.  The
+    margin is wider than the probability tail alone needs because moment
+    sums weight the tail by powers of n.
     """
-    if occupation <= 0:
-        tail = 0
-    else:
-        tail = int(_poisson_isf(TAIL_MASS, occupation)) + 1
-    floor = int(math.ceil(occupation + 10.0 * math.sqrt(occupation) + 30.0))
-    return max(tail, floor)
-
-
-def _poisson_isf(q: float, mu: float) -> float:
-    """Smallest k with P(N > k) <= q for N ~ Poisson(mu > 0).
-
-    The scipy.special calls of ``scipy.stats.poisson.isf``, without the
-    import cost of ``scipy.stats``.
-    """
-    p = 1.0 - q
-    k = np.ceil(pdtrik(p, mu))
-    below = np.maximum(k - 1, 0)
-    return below if pdtr(below, mu) >= p else k
+    return int(math.ceil(occupation + 10.0 * math.sqrt(occupation) + 30.0))
 
 
 def _coherent_coefficients(occupation: float, cutoff: int) -> np.ndarray:

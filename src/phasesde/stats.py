@@ -55,7 +55,7 @@ class ObservableSeries:
 def _exact_curve(name: str, result: EnsembleResult) -> np.ndarray | None:
     params = oracle.match_schedule(
         result.params, result.config.N_a0, result.config.N_b0)
-    if params is None or name not in oracle.EXACT_OBSERVABLES:
+    if params is None:
         return None
     return np.asarray(oracle.exact_series(name, result.times, params), dtype=float)
 
@@ -143,12 +143,11 @@ def correlation_series(result: EnsembleResult) -> ObservableSeries:
 
 
 def detect_blowup(series: ObservableSeries, window: int = 20,
-                  factor: float = 10.0,
-                  live_threshold: float = 0.999) -> float | None:
+                  factor: float = 10.0) -> float | None:
     """Earliest sampling-breakdown time of a series, or None.
 
     Breakdown is flagged at the earlier of (a) the live fraction dipping
-    below ``live_threshold`` and (b) the standard error exceeding
+    below 0.999 and (b) the standard error exceeding
     ``factor`` times the median standard error over the preceding
     ``window`` samples.  The error rule needs at least three finite
     preceding values and a positive median, so a quiet start can never
@@ -156,7 +155,7 @@ def detect_blowup(series: ObservableSeries, window: int = 20,
     """
     candidates = []
     lf = np.asarray(series.live_fraction, dtype=float)
-    below = np.nonzero(lf < live_threshold)[0]
+    below = np.nonzero(lf < 0.999)[0]
     if below.size:
         candidates.append(float(series.times[below[0]]))
 

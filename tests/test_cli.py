@@ -27,7 +27,7 @@ from phasesde.cli import (
     run_config,
     run_preset,
 )
-from phasesde.oracle import OracleParams, exact_correlation, exact_series
+from phasesde.oracle import OracleParams, exact_series
 
 
 def read_csv(path):
@@ -206,10 +206,12 @@ def test_oracle_command_writes_exact_values(tmp_path, capsys):
 
 @pytest.mark.parametrize("times", ["abc", "0:1:x", "0,nan", "0:inf:1",
                                    "0:1e18:1", "0:1e308:1e-308",
-                                   ",", "", " "])
+                                   ",", "", " ", "-1,0.5", "-1:0:0.5",
+                                   "0.5,-1e-9"])
 def test_oracle_command_rejects_malformed_times(tmp_path, capsys, times):
+    # One argument, so that argparse cannot take "-1,0.5" for an option.
     assert main(["oracle", "--preset", "fig1", "--out", str(tmp_path),
-                 "--times", times]) == 2
+                 f"--times={times}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
@@ -230,7 +232,7 @@ def test_zero_occupation_correlation_is_nan_without_numpy_warnings(tmp_path):
     p = OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.25)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.isnan(exact_correlation(np.array([0.0, 0.1]), p)).all()
+        assert np.isnan(exact_series("C_Na_Yb", [0.0, 0.1], p)).all()
     raw = load_preset("fig6")
     raw["ensemble"]["N_a0"] = 0
     path = tmp_path / "n_a0_zero.json"

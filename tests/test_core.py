@@ -46,7 +46,7 @@ class TestCouplingSchedule:
 
     def test_valid_schedules_have_no_violations(self):
         for schedule in (ps.CouplingSchedule.switched(1.0, 0.1),
-                         ps.CouplingSchedule.switched(1.0, 1e-4, 0.5),
+                         ps.CouplingSchedule(((1e-4, 1.0), (math.inf, 0.5))),
                          ps.CouplingSchedule(((0.05, 1.0), (0.1, 0.5),
                                               (math.inf, 0.0)))):
             assert schedule.violations() == []

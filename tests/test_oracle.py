@@ -5,17 +5,11 @@ import numpy as np
 import pytest
 from scipy.special import pdtrc
 
-from phasesde import CouplingSchedule, SystemParams
+from phasesde import OBSERVABLE_NAMES, CouplingSchedule, SystemParams
 from phasesde.oracle import (
-    EXACT_OBSERVABLES,
-    TAIL_MASS,
     OracleParams,
-    _poisson_isf,
     accumulated_coupling_phase,
     default_cutoff,
-    exact_correlation,
-    exact_quadratures_a,
-    exact_quadratures_b,
     exact_series,
     fock_expect,
     fock_symmetrized,
@@ -30,7 +24,7 @@ KERR = OracleParams(omega_a=0.0, omega_b=0.0, chi_a=1.0, chi_b=1.0, g=1.0,
 def test_quadratures_start_on_the_real_axis():
     for n0 in (0.25, 1.0, 4.0, 100.0):
         p = OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, n0, 0.01)
-        x, y = exact_quadratures_a(0.0, p)
+        x, y = exact_series("X_a", 0.0, p), exact_series("Y_a", 0.0, p)
         assert x == pytest.approx(math.sqrt(n0), abs=1e-14)
         assert y == pytest.approx(0.0, abs=1e-14)
 
@@ -40,7 +34,7 @@ def test_linear_oscillator_is_a_rotating_coherent_state():
     p = OracleParams(omega_a=0.4, omega_b=0.0, chi_a=0.0, chi_b=0.0, g=0.0,
                      N_a0=100.0, N_b0=0.0)
     t = np.linspace(0.0, 12.0, 97)
-    x, y = exact_quadratures_a(t, p)
+    x, y = exact_series("X_a", t, p), exact_series("Y_a", t, p)
     np.testing.assert_allclose(x, 10.0 * np.cos(0.4 * t), atol=1e-12)
     np.testing.assert_allclose(y, -10.0 * np.sin(0.4 * t), atol=1e-12)
 
@@ -48,7 +42,7 @@ def test_linear_oscillator_is_a_rotating_coherent_state():
 def test_kerr_revival_is_two_pi_periodic():
     """Integer chi makes every phase factor 2*pi periodic in t."""
     t = np.array([0.13, 0.57, 1.9])
-    for name in EXACT_OBSERVABLES:
+    for name in OBSERVABLE_NAMES:
         early = exact_series(name, t, KERR)
         late = exact_series(name, t + 2.0 * math.pi, KERR)
         np.testing.assert_allclose(late, early, atol=1e-12)
@@ -65,7 +59,7 @@ def test_observables_are_continuous_at_the_switch():
     """Only theta(t) carries the coupling, so curves are C^0 at tau."""
     p = OracleParams(0.0, -100.0, 1.0, 1.0, 1.0, 100.0, 0.01, tau=0.1)
     eps = 1e-9
-    for name in EXACT_OBSERVABLES:
+    for name in OBSERVABLE_NAMES:
         left = float(exact_series(name, 0.1 - eps, p))
         right = float(exact_series(name, 0.1 + eps, p))
         # slope is O(|omega_b| * amplitude), so allow ~1e-6 over 2e-9
@@ -74,10 +68,11 @@ def test_observables_are_continuous_at_the_switch():
 
 def test_correlation_is_bounded_and_vanishes_without_coupling():
     t = np.linspace(0.0, 2.0, 50)
-    c = exact_correlation(t, OracleParams(0.0, -100.0, 1.0, 1.0, 1.0, 100.0,
-                                          0.01, tau=0.1))
+    c = exact_series("C_Na_Yb", t, OracleParams(0.0, -100.0, 1.0, 1.0, 1.0,
+                                                 100.0, 0.01, tau=0.1))
     assert np.all(np.abs(c) <= 1.0 + 1e-12)
-    c0 = exact_correlation(t, OracleParams(0.0, 0.0, 1.0, 1.0, 0.0, 4.0, 0.25))
+    c0 = exact_series("C_Na_Yb", t,
+                      OracleParams(0.0, 0.0, 1.0, 1.0, 0.0, 4.0, 0.25))
     np.testing.assert_allclose(c0, 0.0, atol=1e-12)
 
 
@@ -91,6 +86,18 @@ def test_oracle_params_validate():
         OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.25, tau=-0.1)
     with pytest.raises(ValueError):
         OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, -1.0, 0.25)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("omega_a", math.nan), ("omega_b", math.inf), ("chi_a", -math.inf),
+    ("chi_b", math.nan), ("g", math.nan), ("N_a0", math.inf),
+    ("N_b0", math.nan), ("tau", math.nan), ("tau", math.inf)])
+def test_oracle_params_reject_non_finite_values(field, value):
+    """A NaN or infinite input used to give NaN curves without an error."""
+    good = dict(omega_a=0.0, omega_b=0.0, chi_a=1.0, chi_b=1.0, g=1.0,
+                N_a0=1.0, N_b0=0.25, tau=0.5)
+    with pytest.raises(ValueError):
+        OracleParams(**{**good, field: value})
 
 
 def test_match_schedule_shapes():
@@ -155,15 +162,20 @@ def test_default_cutoff_at_preset_occupations(occupation, cutoff,
                                               tail_cutoff):
     """The values scipy.stats.poisson gave, at every preset occupation.
 
-    ``tail_cutoff`` is poisson.isf(TAIL_MASS, occupation): the Poisson
-    tail beyond it is at most TAIL_MASS, and beyond one less it is more.
+    ``tail_cutoff`` is poisson.isf(1e-12, occupation): the Poisson tail
+    beyond it is at most 1e-12, and beyond one less it is more.
     """
     assert default_cutoff(occupation) == cutoff
     if tail_cutoff is None:
         return
-    assert _poisson_isf(TAIL_MASS, occupation) == tail_cutoff
-    assert pdtrc(tail_cutoff, occupation) <= TAIL_MASS
-    assert pdtrc(tail_cutoff - 1, occupation) > TAIL_MASS
+    assert pdtrc(tail_cutoff, occupation) <= 1e-12
+    assert pdtrc(tail_cutoff - 1, occupation) > 1e-12
+
+
+def test_default_cutoff_leaves_a_negligible_poisson_tail():
+    """The Bernstein bound of ``default_cutoff``, checked from 1e-6 to 1e8."""
+    for occupation in np.concatenate([[0.0], np.logspace(-6, 8, 2001)]):
+        assert pdtrc(default_cutoff(occupation), occupation) <= 1e-12
 
 
 def test_symmetrized_number_word_gains_half_quantum():

@@ -273,11 +273,11 @@ def test_detector_ignores_a_noisy_start():
     assert detect_blowup(flat_series(stderr=se)) is None
 
 
-def _detect_blowup_loop(series, window=20, factor=10.0, live_threshold=0.999):
+def _detect_blowup_loop(series, window=20, factor=10.0):
     """The per-sample loop ``detect_blowup`` replaced, kept as a reference."""
     candidates = []
     lf = np.asarray(series.live_fraction, dtype=float)
-    below = np.nonzero(lf < live_threshold)[0]
+    below = np.nonzero(lf < 0.999)[0]
     if below.size:
         candidates.append(float(series.times[below[0]]))
 
