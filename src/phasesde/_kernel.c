@@ -13,7 +13,8 @@
  *   - complex quotient: numpy's Smith division, without fma;
  *   - complex exp: libm cexp;
  *   - complex abs: larger * sqrt(fma(r, r, 1)), r = smaller / larger,
- *     with numpy's handling of zero, inf and nan.
+ *     with numpy's handling of zero, inf and nan;
+ *   - normals: scipy's ndtri, ported below.
  *
  * Build with -ffp-contract=off and without -ffast-math, so the compiler
  * neither fuses nor reorders anything; fma() is spelt out where numpy
@@ -22,17 +23,29 @@
  * Streams: lane k is trajectory first+k and owns numpy's Philox4x64-10
  * stream keyed [master_seed, first+k], counter 0 (Salmon et al., SC'11):
  * the counter is incremented before each block of four words, and a
- * uniform is (word >> 11) * 2^-53.  Normals are the inverse normal CDF
- * (scipy's ndtri) of the uniforms, with a zero uniform nudged to the
- * smallest normal double, as representations.draw_standard_normals does.
- * The initial draws come first (mode a, then mode b), then four normals
- * per substep.  Dead lanes are skipped, so their streams are never read
- * again.
+ * uniform is (word >> 11) * 2^-53.  Normals are the inverse normal CDF of
+ * the uniforms, with a zero uniform nudged to the smallest normal double,
+ * as representations.draw_standard_normals does.  The initial draws come
+ * first (mode a, then mode b), then four normals per substep, drawn for
+ * up to FILL substeps of a segment at a time.  A lane that dies leaves
+ * the rest of its fill unread, and dead lanes are skipped, so their
+ * streams are never read again.
+ *
+ * The inverse CDF is a port of Cephes ndtri (Moshier, Methods and
+ * Programs for Mathematical Functions, 1989), which scipy.special.ndtri
+ * evaluates: the same rational approximations, in the same order of IEEE
+ * +, -, *, / and sqrt, with glibc log, give scipy's bits.  Those five
+ * operations round alike in vector lanes and in scalar code, so
+ * phasesde_ndtri evaluates the polynomials four lanes at a time and
+ * calls log one value at a time.
  */
 #include <complex.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#ifdef __AVX__
+#include <immintrin.h>
+#endif
 
 typedef struct {
     double re, im;
@@ -57,7 +70,6 @@ typedef struct {
     cplx *sums;           /* (n_samples, n_batches, N_MONOMIALS) */
     int64_t *live_counts; /* (n_samples, n_batches) */
     double *blow_t, *gauge_max;
-    double (*ndtri)(double, int);
     const double *sub_dt, *sub_g, *sub_t_end;
     const int64_t *ends; /* sample s >= 1 is recorded after substep ends[s-1]-1 */
     const cplx *q; /* hybrid interface amplitude, per substep */
@@ -176,10 +188,164 @@ static inline uint64_t philox_next(philox_t *p)
     return c0;
 }
 
-static inline double normal(const chunk_t *c, philox_t *p)
+/* Cephes ndtri's coefficients: |y - 0.5| <= 0.5 - exp(-2), then
+ * z = sqrt(-2 log y) in [2, 8) and in [8, 64), for y the smaller of u
+ * and 1 - u.  The leading 1 of each Q is implicit. */
+#define EXPM2 0.13533528323661269189 /* exp(-2) */
+static const double P0[5] = {
+    -5.99633501014107895267E1, 9.80010754185999661536E1,
+    -5.66762857469070293439E1, 1.39312609387279679503E1,
+    -1.23916583867381258016E0,
+};
+static const double Q0[8] = {
+    1.95448858338141759834E0,  4.67627912898881538453E0,
+    8.63602421390890590575E1,  -2.25462687854119370527E2,
+    2.00260212380060660359E2,  -8.20372256168333339912E1,
+    1.59056225126211695515E1,  -1.18331621121330003142E0,
+};
+static const double P1[9] = {
+    4.05544892305962419923E0,  3.15251094599893866154E1,
+    5.71628192246421288162E1,  4.40805073893200834700E1,
+    1.46849561928858024014E1,  2.18663306850790267539E0,
+    -1.40256079171354495875E-1, -3.50424626827848203418E-2,
+    -8.57456785154685413611E-4,
+};
+static const double Q1[8] = {
+    1.57799883256466749731E1,  4.53907635128879210584E1,
+    4.13172038254672030440E1,  1.50425385692907503408E1,
+    2.50464946208309415979E0,  -1.42182922854787788574E-1,
+    -3.80806407691578277194E-2, -9.33259480895457427372E-4,
+};
+static const double P2[9] = {
+    3.23774891776946035970E0,  6.91522889068984211695E0,
+    3.93881025292474443415E0,  1.33303460815807542389E0,
+    2.01485389549179081538E-1, 1.23716634817820021358E-2,
+    3.01581553508235416007E-4, 2.65806974686737550832E-6,
+    6.23974539184983293730E-9,
+};
+static const double Q2[8] = {
+    6.02427039364742014255E0,  3.67983563856160859403E0,
+    1.37702099489081330271E0,  2.16236993594496635890E-1,
+    1.34204006088543189037E-2, 3.28014464682127739104E-4,
+    2.89247864745380683936E-6, 6.79019408009981274425E-9,
+};
+
+typedef double v4d __attribute__((vector_size(32)));
+typedef int64_t v4i __attribute__((vector_size(32)));
+
+static inline v4d load4(const double *p)
 {
-    double u = (double)(philox_next(p) >> 11) * (1.0 / 9007199254740992.0);
-    return c->ndtri(u == 0.0 ? 2.2250738585072014e-308 : u, 0);
+    v4d v;
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void store4(double *p, v4d v) { __builtin_memcpy(p, &v, sizeof v); }
+
+static inline v4d splat(double a) { return (v4d){a, a, a, a}; }
+
+static inline v4d sqrt4(v4d x)
+{
+#ifdef __AVX__
+    return _mm256_sqrt_pd(x);
+#else
+    return (v4d){sqrt(x[0]), sqrt(x[1]), sqrt(x[2]), sqrt(x[3])};
+#endif
+}
+
+/* a where mask m is set, else b. */
+static inline v4d pick(v4i m, double a, double b)
+{
+    return (v4d)(((v4i)splat(a) & m) | ((v4i)splat(b) & ~m));
+}
+
+/* ndtri(y) for y in the central interval. */
+static inline v4d central(v4d y)
+{
+    y = y - 0.5;
+    v4d y2 = y * y, p = splat(P0[0]), q = y2 + Q0[0];
+#pragma GCC unroll 8
+    for (int k = 1; k < 5; k++)
+        p = p * y2 + P0[k];
+#pragma GCC unroll 8
+    for (int k = 1; k < 8; k++)
+        q = q * y2 + Q0[k];
+    return (y + y * (y2 * p / q)) * 2.50662827463100050242E0; /* sqrt(2 pi) */
+}
+
+/* -ndtri(y) for y in the lower tail, from x = sqrt(-2 log y) and lx = log(x). */
+static inline v4d tail(v4d x, v4d lx)
+{
+    v4d x0 = x - lx / x, z = 1.0 / x;
+    v4i m = x < 8.0;
+    v4d p = pick(m, P1[0], P2[0]), q = z + pick(m, Q1[0], Q2[0]);
+#pragma GCC unroll 8
+    for (int k = 1; k < 9; k++)
+        p = p * z + pick(m, P1[k], P2[k]);
+#pragma GCC unroll 8
+    for (int k = 1; k < 8; k++)
+        q = q * z + pick(m, Q1[k], Q2[k]);
+    return x0 - z * p / q;
+}
+
+/* Substeps of normals drawn per lane at a time, four normals each. */
+enum { FILL = 256, NDTRI_BLOCK = 4 * FILL };
+
+/* ndtri of u[0..n-1], n <= NDTRI_BLOCK, all in (0, 1): the central
+ * formula for all of them, then the tail formula for those outside the
+ * central interval, gathered into a packed list. */
+static void ndtri_block(const double *u, double *x, int n)
+{
+    double t[NDTRI_BLOCK], w[NDTRI_BLOCK];
+    int at[NDTRI_BLOCK], nt = 0, i = 0;
+    for (; i + 4 <= n; i += 4)
+        store4(x + i, central(load4(u + i)));
+    if (i < n) {
+        double y[4] = {0.5, 0.5, 0.5, 0.5};
+        __builtin_memcpy(y, u + i, (n - i) * sizeof *y);
+        store4(y, central(load4(y)));
+        __builtin_memcpy(x + i, y, (n - i) * sizeof *y);
+    }
+    for (i = 0; i < n; i++) {
+        double y = u[i], f = y > 1.0 - EXPM2 ? 1.0 - y : y;
+        t[nt] = f;
+        at[nt] = i;
+        nt += !(f > EXPM2);
+    }
+    int padded = (nt + 3) & ~3;
+    for (i = nt; i < padded; i++)
+        t[i] = 0.5;
+    for (i = 0; i < padded; i++)
+        t[i] = log(t[i]);
+    for (i = 0; i < padded; i += 4)
+        store4(t + i, sqrt4(-2.0 * load4(t + i)));
+    for (i = 0; i < padded; i++)
+        w[i] = log(t[i]);
+    for (i = 0; i < padded; i += 4)
+        store4(t + i, tail(load4(t + i), load4(w + i)));
+    for (i = 0; i < nt; i++)
+        x[at[i]] = u[at[i]] > 1.0 - EXPM2 ? t[i] : -t[i];
+}
+
+/* out[i] = scipy.special.ndtri(u[i]) for i < n and 0 < u[i] < 1; out
+ * must not overlap u. */
+void phasesde_ndtri(const double *u, double *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i += NDTRI_BLOCK)
+        ndtri_block(u + i, out + i,
+                    n - i < NDTRI_BLOCK ? (int)(n - i) : NDTRI_BLOCK);
+}
+
+/* The next n <= NDTRI_BLOCK normals of stream p into x. */
+static void normals(philox_t *p, double *x, int n)
+{
+    double u[NDTRI_BLOCK];
+    for (int i = 0; i < n; i++) {
+        u[i] = (double)(philox_next(p) >> 11) * (1.0 / 9007199254740992.0);
+        if (u[i] == 0.0)
+            u[i] = 2.2250738585072014e-308;
+    }
+    ndtri_block(u, x, n);
 }
 
 /* (F_a, F_b) at the pre-step point; dynamics.*_frequencies. */
@@ -217,6 +383,8 @@ static inline void frequencies(const chunk_t *c, double g, cplx A, cplx AP,
 static void advance(const chunk_t *c, lane_t *L, int64_t k, int64_t j0, int64_t j1)
 {
     cplx A = L->a, AP = L->ap, B = L->b, BP = L->bp;
+    double xs[NDTRI_BLOCK];
+    const double *x = xs;
     for (int64_t j = j0; j < j1; j++) {
         double dt = c->sub_dt[j];
         cplx fa, fb;
@@ -224,8 +392,12 @@ static void advance(const chunk_t *c, lane_t *L, int64_t k, int64_t j0, int64_t 
 
         cplx Am = A, APm = AP, Bm = B, BPm = BP;
         if (c->noisy) {
-            double x0 = normal(c, &L->rng), x1 = normal(c, &L->rng);
-            double x2 = normal(c, &L->rng), x3 = normal(c, &L->rng);
+            if ((j - j0) % FILL == 0) {
+                normals(&L->rng, xs, 4 * (int)(j1 - j < FILL ? j1 - j : FILL));
+                x = xs;
+            }
+            double x0 = x[0], x1 = x[1], x2 = x[2], x3 = x[3];
+            x += 4;
             cplx sdt = real(sqrt(dt));
             if (c->method == POSITIVE_P) {
                 const cplx *F = c->F + 4 * j;
@@ -291,12 +463,14 @@ static void advance(const chunk_t *c, lane_t *L, int64_t k, int64_t j0, int64_t 
  * for r = 2, in the order of its Python and numpy scalar arithmetic:
  * complex(gamma) + 0.5 * (n1 + 1j * n2), then the conjugate.  For r = 1
  * the delta (gamma, conj gamma) of sample_positive_p_coherent. */
-static void sample(const chunk_t *c, philox_t *rng, int r, cplx gamma,
-                   cplx *alpha, cplx *alpha_plus)
+static void sample(philox_t *rng, int r, cplx gamma, cplx *alpha,
+                   cplx *alpha_plus)
 {
     cplx x = gamma;
     if (r == 2) {
-        double n1 = normal(c, rng), n2 = normal(c, rng);
+        double n[2];
+        normals(rng, n, 2);
+        double n1 = n[0], n2 = n[1];
         double jr = 0.0 * n2 - 1.0 * 0.0, ji = 0.0 * 0.0 + 1.0 * n2; /* 1j*n2 */
         double ur = n1 + jr, ui = 0.0 + ji;                          /* n1 + */
         x = (cplx){gamma.re + (0.5 * ur - 0.0 * ui),                 /* 0.5 * */
@@ -309,8 +483,8 @@ static void sample(const chunk_t *c, philox_t *rng, int r, cplx gamma,
 static void init_lane(const chunk_t *c, lane_t *L, uint64_t index)
 {
     L->rng = (philox_t){.key = {c->master_seed, index}, .pos = 4};
-    sample(c, &L->rng, c->r_a, c->gamma_a, &L->a, &L->ap);
-    sample(c, &L->rng, c->r_b, c->gamma_b, &L->b, &L->bp);
+    sample(&L->rng, c->r_a, c->gamma_a, &L->a, &L->ap);
+    sample(&L->rng, c->r_b, c->gamma_b, &L->b, &L->bp);
     L->apa0 = mul(L->ap, L->a);
     double scale = absolute(L->apa0);
     L->apa0_scale = scale > 0 ? scale : 1.0;

@@ -31,8 +31,6 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILER = "gcc"
 CACHE_DIR = Path(os.path.expanduser("~/.cache/phasesde"))  # relative: no home
 
-_NDTRI_SIGNATURE = b"double (double, int __pyx_skip_dispatch)"
-
 # dtype and shape of each array chunk_t points at; m lanes, n substeps,
 # s samples (so s - 1 segment ends), nb batches.
 _LAYOUT = {
@@ -61,20 +59,13 @@ class Chunk(ctypes.Structure):
         ("master_seed", ctypes.c_uint64), ("first", ctypes.c_uint64),
         ("gamma_a", _dbl * 2), ("gamma_b", _dbl * 2),
         ("sums", _ptr), ("live_counts", _ptr),
-        ("blow_t", _ptr), ("gauge_max", _ptr), ("ndtri", _ptr),
+        ("blow_t", _ptr), ("gauge_max", _ptr),
         ("sub_dt", _ptr), ("sub_g", _ptr), ("sub_t_end", _ptr),
         ("ends", _ptr), ("q", _ptr), ("F", _ptr),
         ("s", _dbl * 2), ("cs", _dbl * 2),
         ("omega_a", _dbl), ("omega_b", _dbl), ("c2a", _dbl), ("c2b", _dbl),
         ("threshold", _dbl),
     ]
-
-
-# Private prototypes, so the shared ``ctypes.pythonapi`` entries keep theirs.
-_capsule_pointer = ctypes.PYFUNCTYPE(_ptr, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
 
 
 def _flags() -> list:
@@ -140,17 +131,13 @@ def build() -> Path | None:
 
 
 class Kernel:
-    """The loaded ``phasesde_chunk`` plus scipy's ``ndtri``."""
+    """The loaded shared object: ``lib`` is its ``CDLL``, whose
+    ``phasesde_chunk`` runs a chunk and ``phasesde_ndtri`` is the inverse
+    normal CDF that the chunk draws its normals with."""
 
     def __init__(self, path: Path):
-        from scipy.special import cython_special
-
-        capsule = cython_special.__pyx_capi__["ndtri"]
-        if _capsule_name(capsule) != _NDTRI_SIGNATURE:
-            raise OSError(
-                f"scipy's ndtri has signature {_capsule_name(capsule)!r}")
-        self._ndtri = _capsule_pointer(capsule, _NDTRI_SIGNATURE)
-        self._chunk = ctypes.CDLL(str(path)).phasesde_chunk
+        self.lib = ctypes.CDLL(str(path))
+        self._chunk = self.lib.phasesde_chunk
         self._chunk.argtypes = [ctypes.POINTER(Chunk)]
         self._chunk.restype = ctypes.c_int
 
@@ -183,7 +170,7 @@ class Kernel:
                   m=m, n_batches=nb, off=first % nb,
                   n_samples=plan.n_samples, master_seed=master_seed,
                   first=first, gamma_a=(gamma_a.real, gamma_a.imag),
-                  gamma_b=(gamma_b.real, gamma_b.imag), ndtri=self._ndtri,
+                  gamma_b=(gamma_b.real, gamma_b.imag),
                   s=(s.real, s.imag), cs=(cs.real, cs.imag),
                   omega_a=params.omega_a, omega_b=params.omega_b,
                   c2a=2.0 * params.chi_a, c2b=2.0 * params.chi_b,
@@ -227,6 +214,6 @@ def load() -> Kernel | None:
         return None
     try:
         return Kernel(path)
-    except (OSError, AttributeError, KeyError, ImportError) as exc:
+    except (OSError, AttributeError) as exc:
         log.info("loading the native kernel failed: %s", exc)
         return None

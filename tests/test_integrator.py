@@ -1,7 +1,9 @@
 """Step plans, the single-step map, and ensemble integration."""
+import ctypes
 import dataclasses
 import logging
 import math
+import re
 import shutil
 import warnings
 
@@ -552,6 +554,92 @@ def test_native_non_finite_amplitude_dies_like_numpy(native, name, gamma):
                 assert out[k].tobytes() == ref[k].tobytes(), k
             assert out["sums"][1:].tobytes() == ref["sums"][1:].tobytes()
     assert [str(c.message) for c in caught] == []
+
+
+# Substeps of normals the kernel draws per lane at a time.
+FILL = int(re.search(r"\bFILL = (\d+)", _kernel.SOURCE.read_text())[1])
+
+
+@pytest.mark.parametrize("case", ["one_substep_segments",
+                                  "segment_past_one_fill",
+                                  "lanes_die_mid_fill"])
+@pytest.mark.parametrize("name", ["hybrid", "hybrid_truncated", "positive_p"])
+def test_native_normal_fills_give_the_numpy_bytes(native, name, case):
+    """The kernel draws a lane's normals up to FILL substeps of a segment
+    at a time; the numpy loop draws NOISE_BLOCK substeps of the run at a
+    time.  Segments of one substep, segments longer than a fill, and lanes
+    that die with part of a fill unread all give the numpy bytes."""
+    params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
+    cfg = EnsembleConfig(n_trajectories=48, dt=1e-4, t_final=0.0605,
+                         N_a0=4.0, N_b0=0.25, n_batches=3,
+                         sample_interval=300, master_seed=2)
+    if case == "one_substep_segments":  # no switch to split a step
+        params = dataclasses.replace(
+            params, coupling=NATIVE_SCHEDULES["constant"])
+        cfg = dataclasses.replace(cfg, dt=1e-3, t_final=0.0205,
+                                  sample_interval=1)
+    elif case == "lanes_die_mid_fill":
+        cfg = dataclasses.replace(cfg, blowup_threshold=1.2)  # the probe's
+    plan = build_step_plan(cfg, params)
+    lengths = np.diff(plan.ends, prepend=0)
+    if case == "one_substep_segments":
+        assert lengths.max() == 1
+    else:
+        assert lengths.max() > FILL
+    fast, ref = (integrator._simulate_chunk(
+        0, 48, MethodSpec.of(name), params, cfg, plan, record_gauge=True,
+        native=kernel) for kernel in (native, False))
+    for k in ref:
+        assert fast[k].tobytes() == ref[k].tobytes(), k
+    blow_t = ref["blowup_times"]
+    if case == "lanes_die_mid_fill":
+        # Each death's substep, counted from the start of its segment.
+        j = np.searchsorted(plan.sub_t_end, blow_t[np.isfinite(blow_t)])
+        seg = np.searchsorted(plan.ends, j, side="right")
+        pos = j - np.concatenate([[0], plan.ends[:-1]])[seg]
+        assert ((0 < pos) & (pos < FILL - 1)).any()  # in the first fill
+        assert (pos >= FILL).any()  # in the second
+    else:
+        assert not np.isfinite(blow_t).any()
+
+
+def test_native_ndtri_is_scipys_bit_for_bit():
+    """``phasesde_ndtri``, the kernel's inverse normal CDF, gives
+    ``scipy.special.ndtri``'s bits in each branch and at each edge.
+
+    The probe reaches neither the branch for u below exp(-32) nor the
+    zero uniform's stand-in, the smallest normal double.
+    """
+    from scipy.special import ndtri
+
+    kernel = _kernel.load()
+    if kernel is None:
+        pytest.skip("the native kernel does not load (no gcc or a failed "
+                    "build); runs use the numpy loop")
+    ulps = np.arange(1, 4097, dtype=float) * 2.0 ** -53
+    steps = np.arange(-64, 65)
+
+    def around(v):
+        """v and its 64 neighbours on each side."""
+        return (np.float64(v).view(np.int64) + steps).view(np.float64)
+
+    tiny = np.finfo(float).tiny
+    u = np.concatenate([
+        ulps, 1.0 - ulps,
+        np.logspace(-308, math.log10(0.5), 20001),
+        around(math.exp(-2)), around(1.0 - math.exp(-2)),
+        around(math.exp(-32)), around(1.0 - math.exp(-32)),
+        around(tiny)[64:],  # the zero uniform's stand-in and above
+        np.random.default_rng(20261019).random(1_000_000),
+    ])
+    assert (u < math.exp(-32)).sum() > 1000
+    out = np.full_like(u, 7.0)
+    kernel.lib.phasesde_ndtri(ctypes.c_void_p(u.ctypes.data),
+                              ctypes.c_void_p(out.ctypes.data),
+                              ctypes.c_int64(u.size))
+    ref = ndtri(u)
+    bad = np.flatnonzero(out.view(np.uint64) != ref.view(np.uint64))
+    assert bad.size == 0, [(u[i], out[i], ref[i]) for i in bad[:5]]
 
 
 @pytest.mark.parametrize("ends", [[30, 20, 50], [20, 40, 49], [-1, 20, 50]],
