@@ -31,8 +31,8 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILER = "gcc"
 CACHE_DIR = Path(os.path.expanduser("~/.cache/phasesde"))  # relative: no home
 
-# dtype and shape of each array chunk_t points at; m lanes, n substeps,
-# s samples (so s - 1 segment ends), nb batches.
+# dtype and shape of each array chunk_t points at, in chunk_t's order; m
+# lanes, n substeps, s samples (so s - 1 segment ends), nb batches.
 _LAYOUT = {
     "sums": (np.complex128, ("s", "nb", len(MONOMIALS))),
     "live_counts": (np.int64, ("s", "nb")),
@@ -43,7 +43,6 @@ _LAYOUT = {
     "F": (np.complex128, ("n", 2, 2)),
 }
 
-_ptr = ctypes.c_void_p
 _dbl = ctypes.c_double
 
 
@@ -58,10 +57,7 @@ class Chunk(ctypes.Structure):
         ("n_samples", ctypes.c_int64),
         ("master_seed", ctypes.c_uint64), ("first", ctypes.c_uint64),
         ("gamma_a", _dbl * 2), ("gamma_b", _dbl * 2),
-        ("sums", _ptr), ("live_counts", _ptr),
-        ("blow_t", _ptr), ("gauge_max", _ptr),
-        ("sub_dt", _ptr), ("sub_g", _ptr), ("sub_t_end", _ptr),
-        ("ends", _ptr), ("q", _ptr), ("F", _ptr),
+        *((name, ctypes.c_void_p) for name in _LAYOUT),
         ("s", _dbl * 2), ("cs", _dbl * 2),
         ("omega_a", _dbl), ("omega_b", _dbl), ("c2a", _dbl), ("c2b", _dbl),
         ("threshold", _dbl),
@@ -142,18 +138,18 @@ class Kernel:
         self._chunk.restype = ctypes.c_int
 
     def run_chunk(self, method, noisy, record_gauge, init, master_seed, first,
-                  plan, coeffs, params, threshold, sums, live_counts, blow_t,
-                  gauge_max):
+                  plan, coeffs, params, threshold, partials):
         """Run the chunk of trajectories ``first``, ``first + 1``, ...
 
         ``method`` is a MethodSpec and ``init`` a CoherentInit.  Lane k
-        belongs to batch ``(first + k) % n_batches``.  The outputs
-        ``sums`` and ``live_counts`` are added to, and ``blow_t`` and
-        ``gauge_max`` updated, in place; each must be a contiguous
+        belongs to batch ``(first + k) % n_batches``.  In ``partials``,
+        ``sums`` and ``live_counts`` are added to, and ``blowup_times``
+        and ``gauge_max`` updated, in place; each must be a contiguous
         array of its engine dtype.  Returns False if a recorded lane
         reached 2**200 or was not finite: the sums may then differ from
         the numpy loop's in their nan bits, and the chunk must run on it.
         """
+        sums, blow_t = partials["sums"], partials["blowup_times"]
         m = len(blow_t)
         if sums.ndim != 3 or sums.shape[1] < 1:
             raise ValueError("sums must have shape (samples, batches, "
@@ -175,8 +171,9 @@ class Kernel:
                   omega_a=params.omega_a, omega_b=params.omega_b,
                   c2a=2.0 * params.chi_a, c2b=2.0 * params.chi_b,
                   threshold=threshold)
-        arrays = dict(sums=sums, live_counts=live_counts, blow_t=blow_t,
-                      gauge_max=gauge_max, ends=plan.ends)
+        arrays = dict(sums=sums, live_counts=partials["live_counts"],
+                      blow_t=blow_t, gauge_max=partials["gauge_max"],
+                      ends=plan.ends)
         for name in ("sub_dt", "sub_g", "sub_t_end"):
             arrays[name] = np.ascontiguousarray(getattr(plan, name),
                                                 dtype=float)

@@ -14,6 +14,7 @@ chi_b and g are all plain real numbers.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -31,18 +32,17 @@ __all__ = [
     "EnsembleConfig",
     "EnsembleResult",
     "validate_config",
-    "config_violations",
 ]
 
-METHOD_NAMES = ("hybrid", "hybrid_truncated", "positive_p", "wigner")
-
-# (r_a, r_b) forced by each method.
+# (r_a, r_b) forced by each method, in the order of _kernel.c's method enum.
 METHOD_TAGS = {
     "hybrid": (2, 1),
     "hybrid_truncated": (2, 1),
     "positive_p": (1, 1),
     "wigner": (2, 2),
 }
+
+METHOD_NAMES = tuple(METHOD_TAGS)
 
 # Raw monomials accumulated per batch at every sample time, in storage order.
 MONOMIALS = (
@@ -58,6 +58,15 @@ MONOMIALS = (
     "alpha_plus_alpha_beta",
     "alpha_plus_alpha_beta_plus",
 )
+
+
+def _real(value) -> bool:
+    """A real number, but not a bool: a bool is no physical value."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _finite(value) -> bool:
+    return _real(value) and math.isfinite(value)
 
 
 class ConfigError(ValueError):
@@ -95,7 +104,9 @@ class CouplingSchedule:
     segments: tuple
 
     def __post_init__(self):
-        norm = tuple((float(t_end), float(g)) for t_end, g in self.segments)
+        # Reals become floats; anything else is kept for violations().
+        norm = tuple(tuple(float(v) if _real(v) else v for v in (t_end, g))
+                     for t_end, g in self.segments)
         object.__setattr__(self, "segments", norm)
 
     @classmethod
@@ -116,7 +127,7 @@ class CouplingSchedule:
 
     def breakpoints(self) -> tuple:
         """Finite segment boundaries, ascending."""
-        return tuple(t for t, _ in self.segments if math.isfinite(t))
+        return tuple(t for t, _ in self.segments if _finite(t))
 
     def violations(self) -> list:
         out = []
@@ -124,15 +135,18 @@ class CouplingSchedule:
             out.append("coupling must have at least one segment")
             return out
         ends = [seg[0] for seg in self.segments]
-        if any(b <= a for a, b in zip(ends, ends[1:])):
-            out.append("coupling t_end values must be strictly increasing")
-        if not all(math.isfinite(t) and t > 0 for t in ends[:-1]):
-            out.append("coupling t_end values before the last segment must "
-                       "be finite and positive")
-        if not math.isinf(ends[-1]):
-            out.append("coupling final segment must have t_end = +inf")
-        if any(not math.isfinite(g) for _, g in self.segments):
-            out.append("coupling g values must be finite")
+        if not all(_real(t) for t in ends):
+            out.append("coupling t_end values must be reals")
+        else:
+            if any(b <= a for a, b in zip(ends, ends[1:])):
+                out.append("coupling t_end values must be strictly increasing")
+            if not all(math.isfinite(t) and t > 0 for t in ends[:-1]):
+                out.append("coupling t_end values before the last segment "
+                           "must be finite and positive")
+            if not math.isinf(ends[-1]):
+                out.append("coupling final segment must have t_end = +inf")
+        if any(not _finite(g) for _, g in self.segments):
+            out.append("coupling g values must be finite reals")
         return out
 
 
@@ -149,7 +163,7 @@ class SystemParams:
     def violations(self) -> list:
         out = []
         for name in ("omega_a", "omega_b", "chi_a", "chi_b"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(getattr(self, name)):
                 out.append(f"{name} must be a finite real")
         out.extend(self.coupling.violations())
         return out
@@ -202,7 +216,8 @@ class EnsembleConfig:
     blowup_threshold: float = 1e6
 
     def violations(self) -> list:
-        # type(...) is int: a bool is an int, but not a count or a seed.
+        # type(...) is int: a bool is an int, but not a count or a seed;
+        # _finite likewise keeps a bool out of the real fields.
         out = []
         if not (type(self.n_trajectories) is int and self.n_trajectories >= 1):
             out.append("n_trajectories must be a positive integer")
@@ -211,9 +226,9 @@ class EnsembleConfig:
         elif type(self.n_trajectories) is int and self.n_trajectories >= 1 \
                 and self.n_trajectories % self.n_batches != 0:
             out.append("n_batches must divide n_trajectories")
-        if not (math.isfinite(self.dt) and self.dt > 0):
+        if not (_finite(self.dt) and self.dt > 0):
             out.append("dt must be a positive real")
-        if not (math.isfinite(self.t_final) and self.t_final >= 0):
+        if not (_finite(self.t_final) and self.t_final >= 0):
             out.append("t_final must be a non-negative real")
         if not (type(self.sample_interval) is int and self.sample_interval >= 1):
             out.append("sample_interval must be a positive integer")
@@ -221,23 +236,24 @@ class EnsembleConfig:
             out.append("master_seed must be a 64-bit unsigned integer")
         for name in ("N_a0", "N_b0"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0):
+            if not (_finite(v) and v >= 0):
                 out.append(f"{name} must be a non-negative finite real")
-        if not (math.isfinite(self.blowup_threshold) and self.blowup_threshold > 0):
+        if not (_finite(self.blowup_threshold) and self.blowup_threshold > 0):
             out.append("blowup_threshold must be a positive real")
         return out
 
 
-def config_violations(config: EnsembleConfig, method: MethodSpec,
-                      params: SystemParams) -> list:
-    """Collect every violated invariant, naming the offending field."""
-    out = []
-    out.extend(config.violations())
-    out.extend(params.violations())
+def validate_config(config: EnsembleConfig, method: MethodSpec,
+                    params: SystemParams) -> None:
+    """Raise ConfigError listing every violation by field, if there is any.
+
+    Values are never repaired silently; the caller must fix the config.
+    """
+    out = config.violations() + params.violations()
     if not isinstance(method, MethodSpec):
         out.append("method must be a MethodSpec")
     # A step must never be longer than the coupling segment it runs in.
-    if math.isfinite(config.dt) and config.dt > 0:
+    if _finite(config.dt) and config.dt > 0:
         prev = 0.0
         for t_end in params.coupling.breakpoints():
             if t_end - prev < config.dt - 1e-12 * max(1.0, config.dt):
@@ -246,18 +262,8 @@ def config_violations(config: EnsembleConfig, method: MethodSpec,
                     f"(segment ending at t={t_end:g} is shorter than dt)"
                 )
             prev = t_end
-    return out
-
-
-def validate_config(config: EnsembleConfig, method: MethodSpec,
-                    params: SystemParams) -> None:
-    """Raise ConfigError listing every violation, if there is any.
-
-    Values are never repaired silently; the caller must fix the config.
-    """
-    violations = config_violations(config, method, params)
-    if violations:
-        raise ConfigError(violations)
+    if out:
+        raise ConfigError(out)
 
 
 @dataclass

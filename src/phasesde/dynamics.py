@@ -49,7 +49,6 @@ __all__ = [
     "hybrid_frequencies",
     "positive_p_frequencies",
     "wigner_frequencies",
-    "hybrid_noise_coefficients",
 ]
 
 
@@ -100,21 +99,15 @@ FREQUENCIES = {
 }
 
 
-def hybrid_noise_coefficients(params: SystemParams, g):
-    """(q, s): interface and Kerr noise amplitudes for the mixed method.
-
-    q scales the four-variable interface noise, s the b-mode Kerr noise.
-    ``g`` may be an array (one coupling per substep); q then has its shape.
-    """
-    q = 0.5 * np.sqrt(-1j * g + 0j)
-    s = np.sqrt(2j * params.chi_b + 0j)
-    return q, s
-
-
 def noise_coefficients(method: str, params: SystemParams, sub_g) -> dict:
-    """The scalars ``NOISE[method]`` reads, for substep couplings ``sub_g``."""
+    """The scalars ``NOISE[method]`` reads, for substep couplings ``sub_g``.
+
+    q scales the four-variable interface noise, s the b-mode Kerr noise;
+    q has the shape of ``sub_g``.
+    """
     if method in ("hybrid", "hybrid_truncated"):
-        q, s = hybrid_noise_coefficients(params, sub_g)
+        q = 0.5 * np.sqrt(-1j * sub_g + 0j)
+        s = np.sqrt(2j * params.chi_b + 0j)
         return {"q": q, "s": complex(s)}
     if method == "positive_p":
         # One factor per distinct g, made from its first substep's value.

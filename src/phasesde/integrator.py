@@ -210,7 +210,7 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
         # Streams, initial sampling, substeps and records in one call.
         if native.run_chunk(method, noise is not None, record_gauge, init,
                             config.master_seed, first, plan, coeffs, params,
-                            threshold, sums, live_counts, blow_t, gauge_max):
+                            threshold, partials):
             return partials
         # A recorded lane was huge or not finite; numpy sets the nan bits.
         return _simulate_chunk(first, m, method, params, config, plan,

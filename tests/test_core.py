@@ -1,4 +1,5 @@
 """Value types, the coupling schedule, and config validation."""
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,13 @@ class TestCouplingSchedule:
                                    N_a0=100.0, N_b0=0.01)
         with pytest.raises(ps.ConfigError, match="finite and positive"):
             ps.validate_config(config, ps.MethodSpec.of("hybrid"), params)
+
+    def test_violations_name_a_non_real_value(self):
+        """A non-real value is kept as given, for violations() to name."""
+        schedule = ps.CouplingSchedule(((math.inf, "x"),))
+        assert schedule.segments == ((math.inf, "x"),)
+        assert schedule.violations() == ["coupling g values must be finite "
+                                         "reals"]
 
     def test_valid_schedules_have_no_violations(self):
         for schedule in (ps.CouplingSchedule.switched(1.0, 0.1),
@@ -121,6 +129,37 @@ def test_config_integer_fields_reject_a_bool(field):
                              else "positive") + " integer"], violations
 
 
+@pytest.mark.parametrize("value", [True, "0.1", None],
+                         ids=["bool", "str", "none"])
+@pytest.mark.parametrize("field", ["dt", "t_final", "N_a0", "N_b0",
+                                   "blowup_threshold", "omega_a", "omega_b",
+                                   "chi_a", "chi_b", "t_end", "g"])
+def test_config_real_fields_reject_a_bool_or_a_non_real(kerr_params, field,
+                                                        value):
+    """A bool is a real to isinstance, but no physical value, and a string
+    or None is no real: each is one ConfigError line naming its field,
+    never a repaired value or a TypeError."""
+    config, params = _good_config(), kerr_params
+    if field in ("t_end", "g"):
+        segment = {"t_end": 0.05, "g": 1.0, field: value}
+        params = dataclasses.replace(params, coupling=ps.CouplingSchedule(
+            ((segment["t_end"], segment["g"]), (math.inf, 0.0))))
+    elif field in ("omega_a", "omega_b", "chi_a", "chi_b"):
+        params = dataclasses.replace(params, **{field: value})
+    else:
+        config = _good_config(**{field: value})
+    with pytest.raises(ps.ConfigError) as excinfo:
+        ps.validate_config(config, ps.MethodSpec.of("hybrid"), params)
+    [violation] = excinfo.value.violations
+    assert field in violation, violation
+
+
+@pytest.mark.parametrize("field,value", [("dt", "0.1"), ("N_a0", None)])
+def test_run_ensemble_reports_a_non_real_field(kerr_params, field, value):
+    with pytest.raises(ps.ConfigError, match=field):
+        ps.run_ensemble("hybrid", kerr_params, _good_config(**{field: value}))
+
+
 def test_good_config_has_no_violations():
     assert _good_config().violations() == []
 
@@ -129,12 +168,12 @@ def test_step_must_fit_into_coupling_segments(kerr_params):
     params = ps.SystemParams(0.0, 0.0, 1.0, 1.0,
                              ps.CouplingSchedule.switched(1.0, t_off=0.1))
     config = _good_config(dt=0.2, sample_interval=1)
-    violations = ps.config_violations(config, ps.MethodSpec.of("hybrid"), params)
-    assert any("segment" in v for v in violations)
+    with pytest.raises(ps.ConfigError) as excinfo:
+        ps.validate_config(config, ps.MethodSpec.of("hybrid"), params)
+    assert any("segment" in v for v in excinfo.value.violations)
     # the same dt is fine on an unswitched schedule
-    ok = ps.config_violations(_good_config(dt=0.05), ps.MethodSpec.of("hybrid"),
-                              kerr_params)
-    assert ok == []
+    ps.validate_config(_good_config(dt=0.05), ps.MethodSpec.of("hybrid"),
+                       kerr_params)
 
 
 def test_validate_config_reports_everything_at_once(kerr_params):

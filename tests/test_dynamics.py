@@ -11,8 +11,8 @@ from phasesde.dynamics import (
     hybrid_diffusion,
     hybrid_drift,
     hybrid_frequencies,
-    hybrid_noise_coefficients,
     hybrid_noise_factor,
+    noise_coefficients,
     positive_p_diffusion,
     positive_p_drift,
     positive_p_mode_factor,
@@ -167,10 +167,16 @@ def test_frequency_table_follows_the_documented_formulas(name):
 # ---------------------------------------------------------------------------
 
 
+def hybrid_q_s(params, g):
+    """The mixed method's (q, s) at coupling g, as the engine gets them."""
+    coeffs = noise_coefficients("hybrid", params, np.array([g]))
+    return coeffs["q"][0], coeffs["s"]
+
+
 def test_noise_coefficients_square_to_the_diffusion_scales():
     for g in (1.0, 0.3, 2.5):
         for chi_b in (1.0, 0.2):
-            q, s = hybrid_noise_coefficients(make_params(chi_b=chi_b, g=g), g)
+            q, s = hybrid_q_s(make_params(chi_b=chi_b, g=g), g)
             assert q ** 2 == pytest.approx(-1j * g / 4.0, rel=1e-14)
             assert s ** 2 == pytest.approx(2j * chi_b, rel=1e-14)
             # principal branches have non-negative real part
@@ -180,7 +186,7 @@ def test_noise_coefficients_square_to_the_diffusion_scales():
 
 def test_hybrid_noise_factor_entries():
     params = make_params(chi_b=0.7, g=1.3)
-    q, s = hybrid_noise_coefficients(params, 1.3)
+    q, s = hybrid_q_s(params, 1.3)
     a, ap, b, bp = 1.1 - 0.2j, 0.9 + 0.4j, -0.3 + 2.0j, 0.5j
     B = hybrid_noise_factor(PhasePoint(a, ap, b, bp), params, 1.3)
     expected = np.array([

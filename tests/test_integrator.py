@@ -548,12 +548,60 @@ def test_native_non_finite_amplitude_dies_like_numpy(native, name, gamma):
             out["blowup_times"][:] = np.nan
             assert not native.run_chunk(
                 method, name != "wigner", False, init, cfg.master_seed, 3,
-                plan, coeffs, kerr(), threshold, out["sums"],
-                out["live_counts"], out["blowup_times"], out["gauge_max"])
+                plan, coeffs, kerr(), threshold, out)
             for k in ("live_counts", "blowup_times", "gauge_max"):
                 assert out[k].tobytes() == ref[k].tobytes(), k
             assert out["sums"][1:].tobytes() == ref["sums"][1:].tobytes()
     assert [str(c.message) for c in caught] == []
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_native_keeps_a_chunk_whose_lanes_die(native, name):
+    """A lane that blows up is dead and recorded as zeros, so a chunk
+    that loses lanes stays on the kernel: ``run_chunk`` returns True and
+    gives the numpy bytes.  Lanes die at the probe's threshold of 1.2."""
+    params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
+    cfg = EnsembleConfig(n_trajectories=48, dt=1e-3, t_final=0.0305,
+                         N_a0=4.0, N_b0=0.25, n_batches=3, sample_interval=7,
+                         master_seed=2, blowup_threshold=1.2)
+    plan = build_step_plan(cfg, params)
+    method = MethodSpec.of(name)
+    ref = integrator._simulate_chunk(0, 48, method, params, cfg, plan,
+                                     record_gauge=True, native=False)
+    out = {k: np.zeros_like(v) for k, v in ref.items()}
+    out["blowup_times"][:] = np.nan
+    threshold = 1.2 * 2.0  # the engine's, as sqrt(N_a0) = 2
+    assert native.run_chunk(
+        method, name != "wigner", True,
+        CoherentInit.from_occupations(cfg.N_a0, cfg.N_b0), cfg.master_seed,
+        0, plan, dynamics.noise_coefficients(name, params, plan.sub_g),
+        params, threshold, out)
+    assert 0 < np.isfinite(out["blowup_times"]).sum() < 48
+    for k in ref:
+        assert out[k].tobytes() == ref[k].tobytes(), k
+
+
+def test_chunk_mirrors_the_c_struct():
+    """``Chunk._fields_`` lists ``chunk_t``'s members in order, each with
+    the ctypes type of its C type, and the pointer members are the arrays
+    of ``_LAYOUT``.  Read from the C source: no compiler is needed."""
+    body = re.search(r"typedef struct \{([^}]*)\} chunk_t;",
+                     _kernel.SOURCE.read_text())[1]
+    members = []
+    for decl in re.sub(r"/\*.*?\*/", "", body, flags=re.S).split(";"):
+        if decl.strip():
+            ctype, names = re.fullmatch(r"\s*(?:const\s+)?(\w+)\s+(.*?)\s*",
+                                        decl, re.S).groups()
+            members += [(n.strip().lstrip("*"),
+                         "pointer" if n.strip().startswith("*") else ctype)
+                        for n in names.split(",")]
+    ctypes_of = {"int32_t": ctypes.c_int32, "int64_t": ctypes.c_int64,
+                 "uint64_t": ctypes.c_uint64, "double": ctypes.c_double,
+                 "cplx": ctypes.c_double * 2, "pointer": ctypes.c_void_p}
+    assert _kernel.Chunk._fields_ == [(name, ctypes_of[ctype])
+                                      for name, ctype in members]
+    assert [name for name, ctype in members
+            if ctype == "pointer"] == list(_kernel._LAYOUT)
 
 
 # Substeps of normals the kernel draws per lane at a time.
@@ -651,8 +699,8 @@ def test_native_refuses_segment_ends_it_cannot_follow(native, ends):
     plan = build_step_plan(cfg, kerr())
     assert plan.ends.tolist() == [20, 40, 50]
     bad = dataclasses.replace(plan, ends=np.array(ends, dtype=np.int64))
-    # Output arrays of the right layout: sums, live_counts, blow-up times
-    # and gauge maxima, in run_chunk's order.
+    # Partials of the right layout: sums, live_counts, blow-up times and
+    # gauge maxima.
     out = integrator._simulate_chunk(0, 4, MethodSpec.of("hybrid"), kerr(),
                                      cfg, plan, native=False)
     with pytest.raises(ValueError, match="ends must rise"):
@@ -660,7 +708,7 @@ def test_native_refuses_segment_ends_it_cannot_follow(native, ends):
             MethodSpec.of("hybrid"), True, False, CoherentInit(1.0, 0.5),
             cfg.master_seed, 0, bad,
             dynamics.noise_coefficients("hybrid", kerr(), plan.sub_g), kerr(),
-            cfg.blowup_threshold, *out.values())
+            cfg.blowup_threshold, out)
 
 
 class Corrupted:
@@ -671,8 +719,8 @@ class Corrupted:
 
     def run_chunk(self, *args):
         done = self.kernel.run_chunk(*args)
-        sums = args[-4]
-        sums.flat[0] *= 1.0 + 2.0 ** -52
+        partials = args[-1]
+        partials["sums"].flat[0] *= 1.0 + 2.0 ** -52
         return done
 
 
