@@ -66,7 +66,7 @@ typedef struct {
     int64_t n_batches, off; /* lane k belongs to batch (off + k) % n_batches */
     int64_t n_samples;
     uint64_t master_seed, first;
-    cplx gamma_a, gamma_b;
+    double gamma_a, gamma_b; /* coherent start, sqrt(N_a0) and sqrt(N_b0) */
     cplx *sums;           /* (n_samples, n_batches, N_MONOMIALS) */
     int64_t *live_counts; /* (n_samples, n_batches) */
     double *blow_t, *gauge_max;
@@ -462,11 +462,12 @@ static void advance(const chunk_t *c, lane_t *L, int64_t k, int64_t j0, int64_t 
 /* (alpha, alpha_plus) of one mode; representations.sample_wigner_coherent
  * for r = 2, in the order of its Python and numpy scalar arithmetic:
  * complex(gamma) + 0.5 * (n1 + 1j * n2), then the conjugate.  For r = 1
- * the delta (gamma, conj gamma) of sample_positive_p_coherent. */
-static void sample(philox_t *rng, int r, cplx gamma, cplx *alpha,
+ * the delta (gamma, conj gamma) of sample_positive_p_coherent.  A real
+ * gamma is promoted to (gamma, 0.0), as complex() promotes it. */
+static void sample(philox_t *rng, int r, double re, cplx *alpha,
                    cplx *alpha_plus)
 {
-    cplx x = gamma;
+    cplx gamma = real(re), x = gamma;
     if (r == 2) {
         double n[2];
         normals(rng, n, 2);
@@ -502,9 +503,10 @@ static inline int small(cplx x)
  * sample s; a dead lane adds +0.0.  Each cell starts at zero and takes its
  * lanes in ascending order, which gives the bytes of the numpy loop's
  * reduce, signed zeros included.  Returns 1 for a live lane that is not
- * small (say, one with a non-finite initial amplitude): its monomials may
- * be nan, and which nan numpy gives depends on where the lane falls in
- * numpy's vector loop. */
+ * small.  A live lane is finite, and it reaches 2^200 only under a
+ * blow-up threshold above about 1e60: its monomials may then overflow to
+ * inf and nan, and which nan numpy gives depends on where the lane falls
+ * in numpy's vector loop. */
 static int record(const chunk_t *c, const lane_t *L, int64_t s, int64_t batch)
 {
     cplx *cell = c->sums + (s * c->n_batches + batch) * N_MONOMIALS;

@@ -56,7 +56,7 @@ class Chunk(ctypes.Structure):
         ("n_batches", ctypes.c_int64), ("off", ctypes.c_int64),
         ("n_samples", ctypes.c_int64),
         ("master_seed", ctypes.c_uint64), ("first", ctypes.c_uint64),
-        ("gamma_a", _dbl * 2), ("gamma_b", _dbl * 2),
+        ("gamma_a", _dbl), ("gamma_b", _dbl),
         *((name, ctypes.c_void_p) for name in _LAYOUT),
         ("s", _dbl * 2), ("cs", _dbl * 2),
         ("omega_a", _dbl), ("omega_b", _dbl), ("c2a", _dbl), ("c2b", _dbl),
@@ -137,17 +137,18 @@ class Kernel:
         self._chunk.argtypes = [ctypes.POINTER(Chunk)]
         self._chunk.restype = ctypes.c_int
 
-    def run_chunk(self, method, noisy, record_gauge, init, master_seed, first,
-                  plan, coeffs, params, threshold, partials):
+    def run_chunk(self, method, noisy, record_gauge, config, first, plan,
+                  coeffs, params, threshold, partials):
         """Run the chunk of trajectories ``first``, ``first + 1``, ...
 
-        ``method`` is a MethodSpec and ``init`` a CoherentInit.  Lane k
+        ``method`` is a MethodSpec; ``config`` an EnsembleConfig, which
+        gives the streams' master seed and the coherent start.  Lane k
         belongs to batch ``(first + k) % n_batches``.  In ``partials``,
         ``sums`` and ``live_counts`` are added to, and ``blowup_times``
         and ``gauge_max`` updated, in place; each must be a contiguous
         array of its engine dtype.  Returns False if a recorded lane
-        reached 2**200 or was not finite: the sums may then differ from
-        the numpy loop's in their nan bits, and the chunk must run on it.
+        reached 2**200: the sums may then differ from the numpy loop's in
+        their nan bits, and the chunk must run on it.
         """
         sums, blow_t = partials["sums"], partials["blowup_times"]
         m = len(blow_t)
@@ -160,13 +161,12 @@ class Kernel:
                                 "lanes are not all uint64")
         s = complex(coeffs.get("s", 0j))
         cs = 1j * s
-        gamma_a, gamma_b = complex(init.gamma_a), complex(init.gamma_b)
+        gamma_a, gamma_b = config.coherent_start
         c = Chunk(method=METHOD_NAMES.index(method.method), noisy=noisy,
                   record_gauge=record_gauge, r_a=method.r_a, r_b=method.r_b,
                   m=m, n_batches=nb, off=first % nb,
-                  n_samples=plan.n_samples, master_seed=master_seed,
-                  first=first, gamma_a=(gamma_a.real, gamma_a.imag),
-                  gamma_b=(gamma_b.real, gamma_b.imag),
+                  n_samples=plan.n_samples, master_seed=config.master_seed,
+                  first=first, gamma_a=gamma_a, gamma_b=gamma_b,
                   s=(s.real, s.imag), cs=(cs.real, cs.imag),
                   omega_a=params.omega_a, omega_b=params.omega_b,
                   c2a=2.0 * params.chi_a, c2b=2.0 * params.chi_b,

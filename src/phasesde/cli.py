@@ -60,7 +60,6 @@ __all__ = [
     "PRESET_NAMES",
     "load_preset",
     "resolve_config",
-    "run_preset",
     "run_config",
     "oracle_table",
     "main",
@@ -93,7 +92,7 @@ def load_config_file(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError([f"config file not found: {path}"])
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or over 4300 digits
         raise ConfigError([f"config file {path} is not valid JSON: {exc}"])
     except RecursionError:
         raise ConfigError([f"config file {path} nests too deeply to read"])
@@ -102,14 +101,18 @@ def load_config_file(path: str) -> dict:
 def _number(value, where: str, integer: bool = False):
     """A JSON number as float (or int); never coerced from anything else.
 
-    Raises ConfigError for null, a bool, a string, any other type, and
-    (with ``integer``) a number with a fractional part.
+    Raises ConfigError for null, a bool, a string, any other type, an
+    integer beyond the float range (without ``integer``), and (with
+    ``integer``) a number with a fractional part.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         got = json.dumps(value, default=repr)
         raise ConfigError([f"{where} must be a number, got {got}"])
     if not integer:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError([f"{where} must be within the float range"])
     if isinstance(value, float) and not value.is_integer():
         raise ConfigError([f"{where} must be an integer, got {value!r}"])
     return int(value)
@@ -360,11 +363,6 @@ def _execute(resolved: dict) -> dict:
 
     return {"outputs": outputs, "series": all_series,
             "breakdown_times": breakdowns}
-
-
-def run_preset(name: str, overrides: dict | None = None) -> dict:
-    """Execute a shipped preset end to end, writing its output files."""
-    return _execute(resolve_config(load_preset(name), overrides))
 
 
 def run_config(path: str, overrides: dict | None = None) -> dict:

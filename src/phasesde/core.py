@@ -66,7 +66,14 @@ def _real(value) -> bool:
 
 
 def _finite(value) -> bool:
-    return _real(value) and math.isfinite(value)
+    try:
+        return _real(value) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _pair(segment) -> bool:
+    return isinstance(segment, (tuple, list)) and len(segment) == 2
 
 
 class ConfigError(ValueError):
@@ -104,9 +111,10 @@ class CouplingSchedule:
     segments: tuple
 
     def __post_init__(self):
-        # Reals become floats; anything else is kept for violations().
-        norm = tuple(tuple(float(v) if _real(v) else v for v in (t_end, g))
-                     for t_end, g in self.segments)
+        # Finite reals become floats; anything else, and a segment that is
+        # not a pair, is kept for violations().
+        norm = tuple(tuple(float(v) if _finite(v) else v for v in seg)
+                     if _pair(seg) else seg for seg in self.segments)
         object.__setattr__(self, "segments", norm)
 
     @classmethod
@@ -127,12 +135,16 @@ class CouplingSchedule:
 
     def breakpoints(self) -> tuple:
         """Finite segment boundaries, ascending."""
-        return tuple(t for t, _ in self.segments if _finite(t))
+        return tuple(seg[0] for seg in self.segments
+                     if _pair(seg) and _finite(seg[0]))
 
     def violations(self) -> list:
         out = []
         if not self.segments:
             out.append("coupling must have at least one segment")
+            return out
+        if not all(_pair(seg) for seg in self.segments):
+            out.append("coupling segments must be (t_end, g) pairs")
             return out
         ends = [seg[0] for seg in self.segments]
         if not all(_real(t) for t in ends):
@@ -140,10 +152,10 @@ class CouplingSchedule:
         else:
             if any(b <= a for a, b in zip(ends, ends[1:])):
                 out.append("coupling t_end values must be strictly increasing")
-            if not all(math.isfinite(t) and t > 0 for t in ends[:-1]):
+            if not all(_finite(t) and t > 0 for t in ends[:-1]):
                 out.append("coupling t_end values before the last segment "
                            "must be finite and positive")
-            if not math.isinf(ends[-1]):
+            if ends[-1] != math.inf:
                 out.append("coupling final segment must have t_end = +inf")
         if any(not _finite(g) for _, g in self.segments):
             out.append("coupling g values must be finite reals")
@@ -214,6 +226,11 @@ class EnsembleConfig:
     sample_interval: int = 1
     master_seed: int = 0
     blowup_threshold: float = 1e6
+
+    @property
+    def coherent_start(self) -> tuple:
+        """(sqrt(N_a0), sqrt(N_b0)), where both engines start each lane."""
+        return math.sqrt(self.N_a0), math.sqrt(self.N_b0)
 
     def violations(self) -> list:
         # type(...) is int: a bool is an int, but not a count or a seed;

@@ -48,7 +48,6 @@ from .core import (
     validate_config,
 )
 from .representations import (
-    CoherentInit,
     draw_standard_normals,
     sample_positive_p_coherent,
     sample_wigner_coherent,
@@ -156,44 +155,42 @@ def build_step_plan(config: EnsembleConfig, params: SystemParams) -> StepPlan:
 
 
 def _initial_arrays(first: int, m: int, method: MethodSpec,
-                    init: CoherentInit, master_seed: int):
+                    config: EnsembleConfig):
     """Initial phase-space arrays of trajectories ``first`` to
     ``first + m - 1``, plus their streams.
 
     Consumption order within each stream: mode a draws first, then mode b;
     delta-sampled modes consume nothing.
     """
+    gamma_a, gamma_b = config.coherent_start
     a, ap, b, bp = np.empty((4, m), dtype=complex)
-    gens = [make_stream(master_seed, first + k) for k in range(m)]
+    gens = [make_stream(config.master_seed, first + k) for k in range(m)]
     for j, gen in enumerate(gens):
         if method.r_a == 2:
-            a[j], ap[j] = sample_wigner_coherent(init.gamma_a, gen)
+            a[j], ap[j] = sample_wigner_coherent(gamma_a, gen)
         else:
-            a[j], ap[j] = sample_positive_p_coherent(init.gamma_a)
+            a[j], ap[j] = sample_positive_p_coherent(gamma_a)
         if method.r_b == 2:
-            b[j], bp[j] = sample_wigner_coherent(init.gamma_b, gen)
+            b[j], bp[j] = sample_wigner_coherent(gamma_b, gen)
         else:
-            b[j], bp[j] = sample_positive_p_coherent(init.gamma_b)
+            b[j], bp[j] = sample_positive_p_coherent(gamma_b)
     return a, ap, b, bp, gens
 
 
 def _simulate_chunk(first: int, m: int, method: MethodSpec,
                     params: SystemParams, config: EnsembleConfig,
                     plan: StepPlan, noise_free: bool = False,
-                    record_gauge: bool = False,
-                    init: CoherentInit | None = None, native=None):
+                    record_gauge: bool = False, native=None):
     """Integrate trajectories ``first`` to ``first + m - 1``; returns the
     chunk's partials.
 
-    The noise coefficients, the blow-up threshold and, unless ``init`` is
-    given, the coherent start are worked out from the arguments.
+    The noise coefficients and the blow-up threshold are worked out from
+    the arguments, and both engines start from ``config.coherent_start``.
     ``native`` is a loaded kernel, False for the numpy loop, or None for
     the engine ``run_ensemble`` uses.
     """
     if native is None:
         native = _load_native()
-    if init is None:
-        init = CoherentInit.from_occupations(config.N_a0, config.N_b0)
     coeffs = dynamics.noise_coefficients(method.method, params, plan.sub_g)
     threshold = config.blowup_threshold * max(1.0, math.sqrt(config.N_a0))
     n_batches = config.n_batches
@@ -208,16 +205,14 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
     noise = None if noise_free else dynamics.NOISE.get(method.method)
     if native:
         # Streams, initial sampling, substeps and records in one call.
-        if native.run_chunk(method, noise is not None, record_gauge, init,
-                            config.master_seed, first, plan, coeffs, params,
-                            threshold, partials):
+        if native.run_chunk(method, noise is not None, record_gauge, config,
+                            first, plan, coeffs, params, threshold, partials):
             return partials
-        # A recorded lane was huge or not finite; numpy sets the nan bits.
+        # A recorded lane reached 2**200; numpy sets the nan bits.
         return _simulate_chunk(first, m, method, params, config, plan,
-                               noise_free, record_gauge, init, native=False)
+                               noise_free, record_gauge, native=False)
 
-    a, ap, b, bp, gens = _initial_arrays(first, m, method, init,
-                                         config.master_seed)
+    a, ap, b, bp, gens = _initial_arrays(first, m, method, config)
     live = np.ones(m, dtype=bool)
 
     # Lane k belongs to batch (first + k) % n_batches.  It sits at row
@@ -353,9 +348,9 @@ def _probe_matches(kernel) -> bool:
 
     Every method runs three times: with noise, gauge drift and a threshold
     low enough to kill some lanes at different substeps; noise-free; and
-    noisy again from complex amplitudes on a chunk whose first lane is not
-    in batch 0.  The coupling switches off the dt grid, and the tail step
-    is shortened.
+    noisy again at other occupations on a chunk whose first lane is not in
+    batch 0.  The coupling switches off the dt grid, and the tail step is
+    shortened.
     """
     params = SystemParams(0.3, -0.7, 1.1, 0.9, CouplingSchedule(
         ((0.0123, 1.0), (math.inf, 0.6))))
@@ -365,14 +360,13 @@ def _probe_matches(kernel) -> bool:
     # A threshold of 1.2 * sqrt(N_a0) = 2.4.
     lossy = replace(plain, blowup_threshold=1.2)
     plan = build_step_plan(plain, params)
-    runs = ((0, lossy, False, True, None), (0, plain, True, False, None),
-            (5, lossy, False, True, CoherentInit(2 + 0.5j, 0.5 - 0.1j)))
+    runs = ((0, lossy, False, True), (0, plain, True, False),
+            (5, replace(lossy, N_a0=4.25, N_b0=0.26), False, True))
     for name in METHOD_NAMES:
         method = MethodSpec.of(name)
-        for first, config, noise_free, gauge, init in runs:
+        for first, config, noise_free, gauge in runs:
             fast, ref = (_simulate_chunk(first, 8, method, params, config,
-                                         plan, noise_free, gauge, init,
-                                         native)
+                                         plan, noise_free, gauge, native)
                          for native in (kernel, False))
             if any(fast[k].tobytes() != ref[k].tobytes() for k in ref):
                 return False

@@ -11,16 +11,12 @@ one is pinned against the Fock evaluator in the test suite.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtri
 
 from .core import MethodSpec
 
 __all__ = [
-    "CoherentInit",
     "draw_standard_normals",
     "sample_wigner_coherent",
     "sample_positive_p_coherent",
@@ -32,18 +28,6 @@ __all__ = [
     "OBSERVABLE_NAMES",
     "observable_estimate_complex",
 ]
-
-
-@dataclass(frozen=True)
-class CoherentInit:
-    """Initial coherent amplitudes; occupations are |gamma|^2."""
-
-    gamma_a: complex
-    gamma_b: complex
-
-    @classmethod
-    def from_occupations(cls, N_a0: float, N_b0: float) -> "CoherentInit":
-        return cls(math.sqrt(N_a0), math.sqrt(N_b0))
 
 
 def draw_standard_normals(rng, shape):
@@ -163,7 +147,7 @@ def estimate_number_variance(moments, mode, r):
     return np.real(_number_variance(moments, mode, r))
 
 
-def estimate_Yb_variance(moments, r_b=1):
+def estimate_Yb_variance(moments, r_b):
     """V(Y_b) from mode-b first and second moments.
 
     The normal-ordering (r_b=1) form carries a -1 from one commutator:
@@ -173,7 +157,7 @@ def estimate_Yb_variance(moments, r_b=1):
     return np.real(_Yb_variance(moments, r_b))
 
 
-def estimate_NaYb(moments, r_a=2):
+def estimate_NaYb(moments, r_a):
     """<N_a Y_b> under mixed ordering.
 
     With a symmetric-ordered a mode (r_a=2) the half quantum of alpha+alpha

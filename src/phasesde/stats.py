@@ -60,8 +60,7 @@ def _exact_curve(name: str, result: EnsembleResult) -> np.ndarray | None:
     return np.asarray(oracle.exact_series(name, result.times, params), dtype=float)
 
 
-def observable_series(result: EnsembleResult,
-                      name: str = "X_a") -> ObservableSeries:
+def observable_series(result: EnsembleResult, name: str) -> ObservableSeries:
     """Estimate one observable at every sample time of an ensemble run.
 
     The ordering corrections are those of ``result.method``: the method
@@ -142,14 +141,17 @@ def correlation_series(result: EnsembleResult) -> ObservableSeries:
     return observable_series(result, "C_Na_Yb")
 
 
-def detect_blowup(series: ObservableSeries, window: int = 20,
-                  factor: float = 10.0) -> float | None:
+BLOWUP_WINDOW = 20
+BLOWUP_FACTOR = 10.0
+
+
+def detect_blowup(series: ObservableSeries) -> float | None:
     """Earliest sampling-breakdown time of a series, or None.
 
     Breakdown is flagged at the earlier of (a) the live fraction dipping
     below 0.999 and (b) the standard error exceeding
-    ``factor`` times the median standard error over the preceding
-    ``window`` samples.  The error rule needs at least three finite
+    ``BLOWUP_FACTOR`` times the median standard error over the preceding
+    ``BLOWUP_WINDOW`` samples.  The error rule needs at least three finite
     preceding values and a positive median, so a quiet start can never
     trigger it.
     """
@@ -160,19 +162,18 @@ def detect_blowup(series: ObservableSeries, window: int = 20,
         candidates.append(float(series.times[below[0]]))
 
     se = np.asarray(series.stderr, dtype=float)
-    # A window shorter than 3 never holds three predecessors.
-    if window >= 3 and se.size:
-        # Row i holds se[i - window:i], NaN-padded before the start, with
-        # non-finite values as NaN.
-        prev = np.concatenate(
-            [np.full(window, np.nan), np.where(np.isfinite(se), se, np.nan)])
-        rows = sliding_window_view(prev[:-1], window)
+    if se.size:
+        # Row i holds se[i - BLOWUP_WINDOW:i], NaN-padded before the start,
+        # with non-finite values as NaN.
+        prev = np.concatenate([np.full(BLOWUP_WINDOW, np.nan),
+                               np.where(np.isfinite(se), se, np.nan)])
+        rows = sliding_window_view(prev[:-1], BLOWUP_WINDOW)
         enough = np.count_nonzero(~np.isnan(rows), axis=1) >= 3
         med = np.full(se.size, np.nan)
         if enough.any():
             med[enough] = np.nanmedian(rows[enough], axis=1)
         hits = np.nonzero(enough & (med > 0.0) & np.isfinite(se)
-                          & (se > factor * med))[0]
+                          & (se > BLOWUP_FACTOR * med))[0]
         if hits.size:
             candidates.append(float(series.times[hits[0]]))
 

@@ -25,7 +25,6 @@ from phasesde.cli import (
     oracle_table,
     resolve_config,
     run_config,
-    run_preset,
 )
 from phasesde.oracle import OracleParams, exact_series
 
@@ -33,6 +32,13 @@ from phasesde.oracle import OracleParams, exact_series
 def read_csv(path):
     raw = np.genfromtxt(path, delimiter=",", names=True, dtype=float)
     return raw
+
+
+def preset_file(tmp_path, name):
+    """A config file holding the shipped preset ``name``."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(load_preset(name)))
+    return str(path)
 
 
 # ---------------------------------------------------------------------------
@@ -106,22 +112,21 @@ def test_resolve_rejects_malformed_configs(mangle, fragment):
 
 
 def test_config_file_run_matches_preset_run(tmp_path):
-    cfg_path = tmp_path / "fig2_copy.json"
-    cfg_path.write_text(json.dumps(load_preset("fig2")))
-    from_file = run_config(str(cfg_path), {"trajectories": 50,
-                                           "out": str(tmp_path / "a")})
-    from_preset = run_preset("fig2", {"trajectories": 50,
-                                      "out": str(tmp_path / "b")})
-    a = (tmp_path / "a" / "fig2_hybrid_X_a.csv").read_bytes()
-    b = (tmp_path / "b" / "fig2_hybrid_X_a.csv").read_bytes()
-    assert a == b
-    series = from_file["series"][("hybrid", "X_a")]
-    other = from_preset["series"][("hybrid", "X_a")]
-    np.testing.assert_array_equal(series.mean, other.mean)
+    run_config(preset_file(tmp_path, "fig2"),
+               {"trajectories": 50, "out": str(tmp_path / "a")})
+    assert main(["run", "--preset", "fig2", "--trajectories", "50",
+                 "--out", str(tmp_path / "b")]) == 0
+    series = sorted(p.name for p in (tmp_path / "a").glob("*.csv"))
+    assert series == sorted(p.name for p in (tmp_path / "b").glob("*.csv"))
+    assert "fig2_hybrid_X_a.csv" in series
+    for name in series:
+        a = (tmp_path / "a" / name).read_bytes()
+        assert a == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_csv_columns_round_trip_floats_exactly(tmp_path):
-    outcome = run_preset("fig2", {"trajectories": 50, "out": str(tmp_path)})
+    outcome = run_config(preset_file(tmp_path, "fig2"),
+                         {"trajectories": 50, "out": str(tmp_path)})
     series = outcome["series"][("hybrid", "X_a")]
     table = read_csv(tmp_path / "fig2_hybrid_X_a.csv")
     assert table.dtype.names == ("t", "mean", "stderr", "exact",
@@ -132,21 +137,21 @@ def test_csv_columns_round_trip_floats_exactly(tmp_path):
 
 
 def test_same_seed_same_bytes_different_seed_different(tmp_path):
-    kw = {"trajectories": 30}
-    run_preset("fig1", {**kw, "out": str(tmp_path / "r1")})
-    run_preset("fig1", {**kw, "out": str(tmp_path / "r2")})
-    run_preset("fig1", {**kw, "seed": 999, "out": str(tmp_path / "r3")})
+    kw = ["run", "--preset", "fig1", "--trajectories", "30"]
+    assert main([*kw, "--out", str(tmp_path / "r1")]) == 0
+    assert main([*kw, "--out", str(tmp_path / "r2")]) == 0
+    assert main([*kw, "--seed", "999", "--out", str(tmp_path / "r3")]) == 0
     base = (tmp_path / "r1" / "fig1_positive_p_X_a.csv").read_bytes()
     assert (tmp_path / "r2" / "fig1_positive_p_X_a.csv").read_bytes() == base
     assert (tmp_path / "r3" / "fig1_positive_p_X_a.csv").read_bytes() != base
 
 
-def test_method_override_selects_one_method(tmp_path):
-    outcome = run_preset("fig4", {"trajectories": 40, "method": "wigner",
-                                  "out": str(tmp_path)})
-    assert set(outcome["series"]) == {("wigner", "X_a")}
-    names = [p.rsplit("/", 1)[-1] for p in outcome["outputs"]]
+def test_method_override_selects_one_method(tmp_path, capsys):
+    assert main(["run", "--preset", "fig4", "--trajectories", "40",
+                 "--method", "wigner", "--out", str(tmp_path)]) == 0
+    names = [p.rsplit("/", 1)[-1] for p in capsys.readouterr().out.split()]
     assert sorted(names) == ["fig4_wigner.meta.json", "fig4_wigner_X_a.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
 def test_breakdown_is_annotated_in_the_sidecar(tmp_path, capsys):
@@ -172,8 +177,8 @@ def test_breakdown_is_annotated_in_the_sidecar(tmp_path, capsys):
 
 
 def test_json_format_carries_metadata(tmp_path):
-    run_preset("fig1", {"trajectories": 30, "format": "json",
-                        "out": str(tmp_path)})
+    assert main(["run", "--preset", "fig1", "--trajectories", "30",
+                 "--format", "json", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "fig1_positive_p_X_a.json").read_text())
     assert doc["metadata"]["version"] == __version__
     assert doc["metadata"]["config"]["output"]["format"] == "json"
@@ -280,7 +285,8 @@ def test_main_reports_config_errors(tmp_path, capsys):
 @pytest.mark.parametrize("content,needle", [
     (b'{"method": "hybrid\xff"}', "not valid JSON"),
     (b"[" * 100_000 + b"]" * 100_000, "nests too deeply"),
-], ids=["invalid_utf8", "deep_nesting"])
+    (b"[" + b"1" * 5000 + b"]", "4300 digits"),
+], ids=["invalid_utf8", "deep_nesting", "integer_of_5000_digits"])
 def test_main_rejects_an_unreadable_config_file(tmp_path, capsys, content,
                                                 needle):
     path = tmp_path / "unreadable.json"
@@ -304,12 +310,18 @@ def test_main_rejects_an_unreadable_config_file(tmp_path, capsys, content,
     lambda c: c["output"].__setitem__("path", ["a"]),
     lambda c: c.__setitem__("observables", ["X_a", "X_a"]),
     lambda c: c.__setitem__("method", []),
+    lambda c: c["ensemble"].__setitem__("dt", 10 ** 400),
+    lambda c: c["params"]["coupling"][0].__setitem__("t_end", 10 ** 400),
 ], ids=["chi_a_string", "g_null", "dt_null", "params_list",
         "n_trajectories_fraction", "n_batches_string", "master_seed_fraction",
         "observables_int", "output_path_null", "output_path_list",
-        "observables_duplicate", "method_empty"])
+        "observables_duplicate", "method_empty", "dt_beyond_float",
+        "t_end_beyond_float"])
 def test_main_rejects_malformed_values(tmp_path, capsys, mangle):
-    """Exit 2 with an error line; never a traceback or a silent coercion."""
+    """Exit 2 with an error line; never a traceback or a silent coercion.
+
+    An integer beyond the float range is written out in full, 401 digits.
+    """
     raw = load_preset("fig1")
     mangle(raw)
     path = tmp_path / "bad.json"
@@ -364,13 +376,14 @@ def test_run_and_oracle_reject_the_same_configs(tmp_path, capsys, mangle,
 
 
 # A leaf becomes one of these: null, a bool, a string, a list, an object,
-# NaN, a negative number or a fraction.
+# NaN, a negative number, a fraction or an integer beyond the float range.
 FUZZ_VALUES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=6),
     st.lists(st.integers(-3, 3), max_size=2),
     st.dictionaries(st.text(max_size=3), st.integers(-3, 3), max_size=2),
     st.just(math.nan), st.integers(-10 ** 6, -1), st.floats(-1e6, -1e-6),
     st.floats(1e-3, 100.0).filter(lambda x: not x.is_integer()),
+    st.integers(2 ** 1024, 10 ** 400),
 )
 
 

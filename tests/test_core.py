@@ -52,6 +52,18 @@ class TestCouplingSchedule:
         assert schedule.violations() == ["coupling g values must be finite "
                                          "reals"]
 
+    def test_violations_name_a_segment_that_is_not_a_pair(self):
+        """A segment of three values is kept as given, for violations()
+        to name; it is never unpacked into a bare ValueError."""
+        schedule = ps.CouplingSchedule(((0.1, 1.0, 2.0), (math.inf, 0.0)))
+        assert schedule.segments[0] == (0.1, 1.0, 2.0)
+        assert schedule.violations() == ["coupling segments must be "
+                                         "(t_end, g) pairs"]
+        params = ps.SystemParams(0.0, 0.0, 1.0, 1.0, schedule)
+        with pytest.raises(ps.ConfigError, match="pairs"):
+            ps.validate_config(_good_config(), ps.MethodSpec.of("hybrid"),
+                               params)
+
     def test_valid_schedules_have_no_violations(self):
         for schedule in (ps.CouplingSchedule.switched(1.0, 0.1),
                          ps.CouplingSchedule(((1e-4, 1.0), (math.inf, 0.5))),
@@ -129,16 +141,17 @@ def test_config_integer_fields_reject_a_bool(field):
                              else "positive") + " integer"], violations
 
 
-@pytest.mark.parametrize("value", [True, "0.1", None],
-                         ids=["bool", "str", "none"])
+@pytest.mark.parametrize("value", [True, "0.1", None, 10 ** 400],
+                         ids=["bool", "str", "none", "beyond_float"])
 @pytest.mark.parametrize("field", ["dt", "t_final", "N_a0", "N_b0",
                                    "blowup_threshold", "omega_a", "omega_b",
                                    "chi_a", "chi_b", "t_end", "g"])
 def test_config_real_fields_reject_a_bool_or_a_non_real(kerr_params, field,
                                                         value):
-    """A bool is a real to isinstance, but no physical value, and a string
-    or None is no real: each is one ConfigError line naming its field,
-    never a repaired value or a TypeError."""
+    """A bool is a real to isinstance, but no physical value; a string or
+    None is no real; and an integer beyond the float range has no float:
+    each is one ConfigError line naming its field, never a repaired value,
+    a TypeError or an OverflowError."""
     config, params = _good_config(), kerr_params
     if field in ("t_end", "g"):
         segment = {"t_end": 0.05, "g": 1.0, field: value}

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from phasesde import (
-    CoherentInit,
     ConfigError,
     CouplingSchedule,
     EnsembleConfig,
@@ -40,8 +39,7 @@ def config(**kw):
     return EnsembleConfig(**base)
 
 
-def trajectory(name, params, cfg, index=0, init=None, noise_free=False,
-               native=None):
+def trajectory(name, params, cfg, index=0, noise_free=False, native=None):
     """Trajectory ``index`` run alone, as a one-lane chunk.
 
     Returns its monomials at each sample (NaN once it is dead), its live
@@ -50,7 +48,7 @@ def trajectory(name, params, cfg, index=0, init=None, noise_free=False,
     """
     part = integrator._simulate_chunk(
         index, 1, MethodSpec.of(name), params, cfg,
-        build_step_plan(cfg, params), noise_free, init=init, native=native)
+        build_step_plan(cfg, params), noise_free, native=native)
     batch = index % cfg.n_batches
     live = part["live_counts"][:, batch] > 0
     monomials = np.where(live[:, None], part["sums"][:, batch], np.nan + 0j)
@@ -125,10 +123,11 @@ def test_engine_step_matches_drift_and_noise_factor(name):
 
     At random phase points, -i F x from the frequency table the engine
     reads must equal the drift of dynamics.py.  Then one substep of the
-    numpy loop runs from sampled points, and its exact rotation is
-    undone: the kick's linear term (for hybrid_truncated, the log of its
-    exponential a pair) must equal B(p) xi sqrt(dt), with xi the normals
-    each lane's stream gives for that substep.
+    numpy loop runs, and its exact rotation is undone: the kick's linear
+    term (for hybrid_truncated, the log of its exponential a pair) must
+    equal B(p) xi sqrt(dt), with xi the normals each lane's stream gives
+    for that substep.  It is the second substep, from sample 1 to sample
+    2, so that b is not real.
     """
     g = 0.6
     params = SystemParams(0.3, -0.7, 1.1, 0.9, CouplingSchedule.constant(g))
@@ -155,17 +154,17 @@ def test_engine_step_matches_drift_and_noise_factor(name):
     if name == "wigner":
         assert name not in dynamics.NOISE  # the noise factor is zero
         return
-    cfg = config(n_trajectories=6, n_batches=6, t_final=1e-3,
+    cfg = config(n_trajectories=6, n_batches=6, t_final=2e-3,
                  sample_interval=1)
-    method, init = MethodSpec.of(name), CoherentInit(2 + 0.5j, 0.5 - 0.1j)
+    method = MethodSpec.of(name)
     plan = build_step_plan(cfg, params)
     part = integrator._simulate_chunk(0, 6, method, params, cfg, plan,
-                                      init=init, native=False)
+                                      native=False)
     # One lane per batch, so each batch's sums are that lane's monomials.
-    before, after = part["sums"][0, :, :4].T, part["sums"][1, :, :4].T
-    gens = integrator._initial_arrays(0, 6, method, init,
-                                      cfg.master_seed)[-1]
-    xi = [draw_standard_normals(gen, 4) for gen in gens]
+    before, after = part["sums"][1, :, :4].T, part["sums"][2, :, :4].T
+    assert (before[2].imag != 0).all()
+    gens = integrator._initial_arrays(0, 6, method, cfg)[-1]
+    xi = [draw_standard_normals(gen, 8)[4:] for gen in gens]
     f_a, f_b = dynamics.FREQUENCIES[name](*before, params, g)
     rot_a, rot_b = np.exp(-1j * f_a * cfg.dt), np.exp(-1j * f_b * cfg.dt)
     mid = np.array([after[0] / rot_a, after[1] * rot_a,
@@ -187,8 +186,8 @@ def test_engine_step_matches_drift_and_noise_factor(name):
 
 def test_noise_free_hybrid_conserves_occupation():
     monomials, live, _ = trajectory(
-        "hybrid", kerr(), config(n_trajectories=1, n_batches=1, t_final=0.5),
-        init=CoherentInit.from_occupations(4.0, 0.25), noise_free=True)
+        "hybrid", kerr(), config(n_trajectories=1, n_batches=1, t_final=0.5,
+                                 N_a0=4.0), noise_free=True)
     apa = monomials[:, APA].real
     assert np.all(live)
     np.testing.assert_allclose(apa, apa[0], rtol=1e-12)
@@ -197,9 +196,8 @@ def test_noise_free_hybrid_conserves_occupation():
 
 def test_noise_free_hybrid_equals_further_truncated():
     """Without noise both b occupations stay real, so the flows coincide."""
-    init = CoherentInit.from_occupations(2.0, 1.0)
-    full, trunc = (trajectory(name, kerr(), config(t_final=0.2), index=3,
-                              init=init, noise_free=True)[0]
+    cfg = config(t_final=0.2, N_a0=2.0, N_b0=1.0)
+    full, trunc = (trajectory(name, kerr(), cfg, index=3, noise_free=True)[0]
                    for name in ("hybrid", "hybrid_truncated"))
     np.testing.assert_allclose(full, trunc, rtol=1e-12, atol=1e-13)
 
@@ -322,8 +320,7 @@ def test_live_fraction_is_monotone_under_breakdown():
 def test_wigner_flow_conserves_sampled_occupation():
     monomials, _, _ = trajectory(
         "wigner", kerr(), config(n_trajectories=1, n_batches=1, dt=1e-3,
-                                 t_final=2.0, sample_interval=100),
-        init=CoherentInit.from_occupations(4.0, 0.25))
+                                 t_final=2.0, sample_interval=100, N_a0=4.0))
     apa = monomials[:, APA].real
     assert np.abs(apa / apa[0] - 1.0).max() < 1e-9
 
@@ -500,58 +497,63 @@ def test_native_streams_match_numpy_at_extreme_keys(native, name, seed):
 
 @pytest.mark.parametrize("name", METHOD_NAMES)
 def test_native_samples_complex_amplitudes_like_numpy(native, name):
-    """Complex gammas, in one trajectory and in a chunk off batch 0."""
+    """Wigner samples are complex; here they lie around occupations whose
+    square roots are inexact, in one trajectory and in a chunk off batch 0."""
     cfg = config(n_batches=4, t_final=0.03, sample_interval=7,
-                 master_seed=31)
-    init = CoherentInit(2 + 0.5j, 0.5 - 0.1j)
-    fast, ref = (trajectory_bytes(name, kerr(), cfg, index=5, init=init,
-                                  native=kernel)
+                 master_seed=31, N_a0=4.25, N_b0=0.26)
+    fast, ref = (trajectory_bytes(name, kerr(), cfg, index=5, native=kernel)
                  for kernel in (native, False))
     assert fast == ref
 
-    cfg = config(n_batches=4, t_final=0.03, sample_interval=7,
-                 master_seed=31, blowup_threshold=2.6)  # N_a0 = 1
+    # About 2.58, near the 2.06 of sqrt(N_a0).
+    cfg = dataclasses.replace(cfg, blowup_threshold=1.25)
     plan = build_step_plan(cfg, kerr())
     fast, ref = ({k: v.tobytes() for k, v in integrator._simulate_chunk(
         7, 20, MethodSpec.of(name), kerr(), cfg, plan, record_gauge=True,
-        init=init, native=kernel).items()} for kernel in (native, False))
+        native=kernel).items()} for kernel in (native, False))
     assert fast == ref
 
 
-@pytest.mark.parametrize("gamma", [complex(math.nan, 1.0),
-                                   complex(1.0, math.nan),
-                                   complex(math.inf, 1.0)],
-                         ids=["nan_re", "nan_im", "inf_re"])
-@pytest.mark.parametrize("name", METHOD_NAMES)
-def test_native_non_finite_amplitude_dies_like_numpy(native, name, gamma):
-    """A non-finite initial amplitude kills the lane at the first substep.
+def test_native_reruns_a_chunk_with_a_huge_lane_on_numpy(native,
+                                                         monkeypatch):
+    """A live lane recorded at 2**200 or more sends its chunk to the numpy
+    loop, which alone knows the nan bits of its monomials' overflow.
 
-    The kernel kills it itself, and hands the chunk to the numpy loop,
-    which alone knows the nan bits of its record 0.  Neither engine warns.
+    Under a blow-up threshold of 1e100, positive-P lanes outgrow 2**200 and
+    live on: ``run_chunk`` returns False, with the numpy loop's live
+    counts, blow-up times and gauge maxima, and ``_simulate_chunk`` runs
+    the chunk again on the numpy loop.  Neither engine warns.
     """
-    cfg = config(n_batches=1, t_final=0.02)
+    cfg = EnsembleConfig(n_trajectories=16, dt=1e-3, t_final=1.0,
+                         N_a0=100.0, N_b0=0.01, n_batches=4,
+                         sample_interval=10, master_seed=3,
+                         blowup_threshold=1e100)
     plan = build_step_plan(cfg, kerr())
-    method = MethodSpec.of(name)
-    coeffs = dynamics.noise_coefficients(name, kerr(), plan.sub_g)
-    threshold = cfg.blowup_threshold  # the engine's, as N_a0 = 1
+    method = MethodSpec.of("positive_p")
+    engines, simulate = [], integrator._simulate_chunk
+
+    def spy(*args, native, **kwargs):
+        engines.append(native)
+        return simulate(*args, native=native, **kwargs)
+
+    monkeypatch.setattr(integrator, "_simulate_chunk", spy)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for init in (CoherentInit(gamma, 0.5), CoherentInit(2.0, gamma)):
-            fast, ref = (integrator._simulate_chunk(
-                3, 1, method, kerr(), cfg, plan, init=init, native=kernel)
-                for kernel in (native, False))
-            for k in ref:
-                assert fast[k].tobytes() == ref[k].tobytes(), (init, k)
-            assert ref["blowup_times"][0] == plan.sub_t_end[0]
+        fast, ref = (integrator._simulate_chunk(
+            0, 16, method, kerr(), cfg, plan, record_gauge=True,
+            native=kernel) for kernel in (native, False))
+        for k in ref:
+            assert fast[k].tobytes() == ref[k].tobytes(), k
+        assert engines == [native, False, False]
 
-            out = {k: np.zeros_like(v) for k, v in ref.items()}
-            out["blowup_times"][:] = np.nan
-            assert not native.run_chunk(
-                method, name != "wigner", False, init, cfg.master_seed, 3,
-                plan, coeffs, kerr(), threshold, out)
-            for k in ("live_counts", "blowup_times", "gauge_max"):
-                assert out[k].tobytes() == ref[k].tobytes(), k
-            assert out["sums"][1:].tobytes() == ref["sums"][1:].tobytes()
+        out = {k: np.zeros_like(v) for k, v in ref.items()}
+        out["blowup_times"][:] = np.nan
+        assert not native.run_chunk(
+            method, True, True, cfg, 0, plan,
+            dynamics.noise_coefficients("positive_p", kerr(), plan.sub_g),
+            kerr(), cfg.blowup_threshold * 10.0, out)  # sqrt(N_a0) = 10
+        for k in ("live_counts", "blowup_times", "gauge_max"):
+            assert out[k].tobytes() == ref[k].tobytes(), k
     assert [str(c.message) for c in caught] == []
 
 
@@ -572,10 +574,9 @@ def test_native_keeps_a_chunk_whose_lanes_die(native, name):
     out["blowup_times"][:] = np.nan
     threshold = 1.2 * 2.0  # the engine's, as sqrt(N_a0) = 2
     assert native.run_chunk(
-        method, name != "wigner", True,
-        CoherentInit.from_occupations(cfg.N_a0, cfg.N_b0), cfg.master_seed,
-        0, plan, dynamics.noise_coefficients(name, params, plan.sub_g),
-        params, threshold, out)
+        method, name != "wigner", True, cfg, 0, plan,
+        dynamics.noise_coefficients(name, params, plan.sub_g), params,
+        threshold, out)
     assert 0 < np.isfinite(out["blowup_times"]).sum() < 48
     for k in ref:
         assert out[k].tobytes() == ref[k].tobytes(), k
@@ -705,8 +706,7 @@ def test_native_refuses_segment_ends_it_cannot_follow(native, ends):
                                      cfg, plan, native=False)
     with pytest.raises(ValueError, match="ends must rise"):
         native.run_chunk(
-            MethodSpec.of("hybrid"), True, False, CoherentInit(1.0, 0.5),
-            cfg.master_seed, 0, bad,
+            MethodSpec.of("hybrid"), True, False, cfg, 0, bad,
             dynamics.noise_coefficients("hybrid", kerr(), plan.sub_g), kerr(),
             cfg.blowup_threshold, out)
 

@@ -6,7 +6,6 @@ from pathlib import Path
 import pytest
 
 from phasesde import cli, core, dynamics, integrator, oracle, stats
-from phasesde.representations import CoherentInit
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -87,9 +86,8 @@ def test_noise_table_feeds_the_noise_factors_and_the_engine(monkeypatch):
     plan = integrator.build_step_plan(config, params)
     for name in dynamics.NOISE:
         calls.clear()
-        integrator._simulate_chunk(
-            0, 2, core.MethodSpec.of(name), params, config, plan,
-            init=CoherentInit(1.0, 0.5), native=False)
+        integrator._simulate_chunk(0, 2, core.MethodSpec.of(name), params,
+                                   config, plan, native=False)
         assert calls == [(name, j) for j in range(plan.n_substeps)]
 
 
