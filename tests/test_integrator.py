@@ -557,6 +557,46 @@ def test_native_reruns_a_chunk_with_a_huge_lane_on_numpy(native,
     assert [str(c.message) for c in caught] == []
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf],
+                         ids=["nan_re", "inf_re"])
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_native_non_finite_amplitude_dies_like_numpy(native, monkeypatch,
+                                                      name, gamma):
+    """A non-finite coherent start kills the lane at the first substep.
+
+    No validated config gives one, so the start is patched in where both
+    engines read it.  The kernel kills the lane itself, and hands the
+    chunk to the numpy loop, which alone knows the nan bits of its
+    record 0.  Neither engine warns.
+    """
+    cfg = config(n_batches=1, t_final=0.02)
+    plan = build_step_plan(cfg, kerr())
+    method = MethodSpec.of(name)
+    coeffs = dynamics.noise_coefficients(name, kerr(), plan.sub_g)
+    threshold = cfg.blowup_threshold  # the engine's, as N_a0 = 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for start in ((gamma, 0.5), (2.0, gamma)):
+            monkeypatch.setattr(EnsembleConfig, "coherent_start",
+                                property(lambda self: start))
+            fast, ref = (integrator._simulate_chunk(
+                3, 1, method, kerr(), cfg, plan, native=kernel)
+                for kernel in (native, False))
+            for k in ref:
+                assert fast[k].tobytes() == ref[k].tobytes(), (start, k)
+            assert ref["blowup_times"][0] == plan.sub_t_end[0]
+
+            out = {k: np.zeros_like(v) for k, v in ref.items()}
+            out["blowup_times"][:] = np.nan
+            assert not native.run_chunk(
+                method, name != "wigner", False, cfg, 3, plan, coeffs,
+                kerr(), threshold, out)
+            for k in ("live_counts", "blowup_times", "gauge_max"):
+                assert out[k].tobytes() == ref[k].tobytes(), k
+            assert out["sums"][1:].tobytes() == ref["sums"][1:].tobytes()
+    assert [str(c.message) for c in caught] == []
+
+
 @pytest.mark.parametrize("name", METHOD_NAMES)
 def test_native_keeps_a_chunk_whose_lanes_die(native, name):
     """A lane that blows up is dead and recorded as zeros, so a chunk
