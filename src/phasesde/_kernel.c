@@ -14,7 +14,8 @@
  *   - complex exp: libm cexp;
  *   - complex abs: larger * sqrt(fma(r, r, 1)), r = smaller / larger,
  *     with numpy's handling of zero, inf and nan;
- *   - normals: scipy's ndtri, ported below.
+ *   - normals: Cephes ndtri, ported below as representations.ndtri
+ *     ports it; both give scipy.special.ndtri's bits.
  *
  * Build with -ffp-contract=off and without -ffast-math, so the compiler
  * neither fuses nor reorders anything; fma() is spelt out where numpy

@@ -165,15 +165,14 @@ def _initial_arrays(first: int, m: int, method: MethodSpec,
     gamma_a, gamma_b = config.coherent_start
     a, ap, b, bp = np.empty((4, m), dtype=complex)
     gens = [make_stream(config.master_seed, first + k) for k in range(m)]
-    for j, gen in enumerate(gens):
-        if method.r_a == 2:
-            a[j], ap[j] = sample_wigner_coherent(gamma_a, gen)
-        else:
-            a[j], ap[j] = sample_positive_p_coherent(gamma_a)
-        if method.r_b == 2:
-            b[j], bp[j] = sample_wigner_coherent(gamma_b, gen)
-        else:
-            b[j], bp[j] = sample_positive_p_coherent(gamma_b)
+    if method.r_a == 2:
+        a[:], ap[:] = sample_wigner_coherent(gamma_a, gens)
+    else:
+        a[:], ap[:] = sample_positive_p_coherent(gamma_a)
+    if method.r_b == 2:
+        b[:], bp[:] = sample_wigner_coherent(gamma_b, gens)
+    else:
+        b[:], bp[:] = sample_positive_p_coherent(gamma_b)
     return a, ap, b, bp, gens
 
 
@@ -256,10 +255,8 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
         for j in range(j0, j1):
             if noise is not None and j % NOISE_BLOCK == 0:
                 block_len = min(NOISE_BLOCK, plan.n_substeps - j)
-                xi = np.empty((m, block_len, 4))
-                for k, gen in enumerate(gens):
-                    xi[k] = draw_standard_normals(
-                        gen, block_len * 4).reshape(block_len, 4)
+                xi = draw_standard_normals(gens, block_len * 4).reshape(
+                    m, block_len, 4)
             dt_s = plan.sub_dt[j]
             f_a, f_b = frequencies(a, ap, b, bp, params, plan.sub_g[j])
             if noise is not None:

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.special import gammaln
+
+from .core import _finite
 
 __all__ = [
     "OracleParams",
@@ -66,10 +67,10 @@ class OracleParams:
     def __post_init__(self):
         values = (self.omega_a, self.omega_b, self.chi_a, self.chi_b, self.g,
                   self.N_a0, self.N_b0)
-        if not all(math.isfinite(v) for v in values):
+        if not all(_finite(v) for v in values):
             raise ValueError("frequencies, coupling and occupations must be "
                              "finite")
-        if self.tau is not None and not (math.isfinite(self.tau)
+        if self.tau is not None and not (_finite(self.tau)
                                          and self.tau >= 0):
             raise ValueError("tau must be a finite number >= 0 when present")
         if self.N_a0 < 0 or self.N_b0 < 0:
@@ -230,7 +231,8 @@ def _coherent_coefficients(occupation: float, cutoff: int) -> np.ndarray:
         c = np.zeros(cutoff + 1)
         c[0] = 1.0
         return c
-    log_c = -0.5 * occupation + 0.5 * n * np.log(occupation) - 0.5 * gammaln(n + 1)
+    log_factorial = np.array([math.lgamma(k + 1) for k in range(cutoff + 1)])
+    log_c = -0.5 * occupation + 0.5 * n * np.log(occupation) - 0.5 * log_factorial
     return np.exp(log_c)
 
 

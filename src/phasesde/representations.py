@@ -11,8 +11,9 @@ one is pinned against the Fock evaluator in the test suite.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import ndtri
 
 from .core import MethodSpec
 
@@ -30,26 +31,97 @@ __all__ = [
 ]
 
 
-def draw_standard_normals(rng, shape):
-    """Standard normals via the inverse CDF of the stream's uniforms.
+# Cephes ndtri's coefficients as _kernel.c has them: |y - 0.5| <=
+# 0.5 - exp(-2), then z = sqrt(-2 log y) in [2, 8) and in [8, 64), for
+# y = min(u, 1 - u).  The leading 1 of each Q is implicit.
+_EXPM2 = 0.13533528323661269189  # exp(-2)
+_P0 = (-59.96335010141079, 98.00107541859997, -56.67628574690703,
+       13.931260938727968, -1.2391658386738125)
+_Q0 = (1.9544885833814176, 4.676279128988815, 86.36024213908905,
+       -225.46268785411937, 200.26021238006066, -82.03722561683334,
+       15.90562251262117, -1.1833162112133)
+_P1 = (4.0554489230596245, 31.525109459989388, 57.16281922464213,
+       44.08050738932008, 14.684956192885803, 2.1866330685079025,
+       -0.1402560791713545, -0.03504246268278482, -0.0008574567851546854)
+_Q1 = (15.779988325646675, 45.39076351288792, 41.3172038254672,
+       15.04253856929075, 2.504649462083094, -0.14218292285478779,
+       -0.03808064076915783, -0.0009332594808954574)
+_P2 = (3.2377489177694603, 6.915228890689842, 3.9388102529247444,
+       1.3330346081580755, 0.20148538954917908, 0.012371663481782003,
+       0.00030158155350823543, 2.6580697468673755e-06, 6.239745391849833e-09)
+_Q2 = (6.02427039364742, 3.6798356385616087, 1.3770209948908132,
+       0.21623699359449663, 0.013420400608854318, 0.00032801446468212774,
+       2.8924786474538068e-06, 6.790194080099813e-09)
+
+# Values per step of ``ndtri``: a piece's temporaries stay in cache.
+_PIECE = 1 << 15
+
+
+def _log(v):
+    """libm's log of each value: numpy's log may differ in the last bit."""
+    return np.fromiter(map(math.log, memoryview(v)), float, v.size)
+
+
+def _ratio(x, p, q):
+    """x * polevl(x, p) / p1evl(x, q), rounded as Cephes rounds it:
+    Horner's rule, with p1evl's leading 1 added, not multiplied."""
+    num, den = x * p[0] + p[1], x + q[0]
+    for c in p[2:]:
+        num *= x
+        num += c
+    for c in q[1:]:
+        den *= x
+        den += c
+    return x * num / den
+
+
+def ndtri(u):
+    """The inverse standard normal CDF of each u in (0, 1), with the bits
+    of ``scipy.special.ndtri``: Cephes ndtri (Moshier 1989) in the order of
+    _kernel.c's port.  ``math.log`` raises ValueError at 0, 1 and beyond.
+    """
+    u = np.asarray(u, dtype=float)
+    flat, x = u.reshape(-1), np.empty(u.size)
+    for i in range(0, u.size, _PIECE):
+        v, out = flat[i:i + _PIECE], x[i:i + _PIECE]
+        y = v - 0.5
+        out[:] = (y + y * _ratio(y * y, _P0, _Q0)) * 2.50662827463100050242E0
+        # The tails, where y = min(v, 1 - v) is not above exp(-2): each v
+        # above 1 - exp(-2) is in the upper one.
+        upper = v > 1.0 - _EXPM2
+        tail = np.flatnonzero(~(v > _EXPM2) | upper)
+        upper, y = upper[tail], v[tail]
+        t = np.sqrt(-2.0 * _log(np.where(upper, 1.0 - y, y)))
+        z = 1.0 / t
+        t = t - _log(t) / t - np.where(t < 8.0, _ratio(z, _P1, _Q1),
+                                       _ratio(z, _P2, _Q2))
+        out[tail] = np.where(upper, t, -t)
+    return x.reshape(u.shape)
+
+
+def draw_standard_normals(rngs, n):
+    """``n`` standard normals from each stream in ``rngs``, one row per
+    stream: ``ndtri`` of the streams' uniforms, in one call.
 
     Inverse-CDF keeps the number of consumed uniforms equal to the number
     of returned normals, so per-trajectory streams advance by a fixed,
     platform-independent amount.  A zero uniform (possible since the
     generator yields [0, 1)) is nudged to the smallest normal double.
     """
-    u = rng.random(shape)
-    u = np.where(u == 0.0, 2.2250738585072014e-308, u)
+    u = np.empty((len(rngs), n))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    u[u == 0.0] = 2.2250738585072014e-308
     return ndtri(u)
 
 
-def sample_wigner_coherent(gamma: complex, rng):
+def sample_wigner_coherent(gamma: complex, rngs):
     """Draw (alpha, alpha_plus) for a coherent state, symmetric ordering.
 
     alpha = gamma + (n1 + i n2)/2 with unit normals n1, n2 drawn in that
-    order from the given stream; alpha_plus is exactly conj(alpha).
+    order from each stream of ``rngs``; alpha_plus is exactly conj(alpha).
     """
-    n1, n2 = draw_standard_normals(rng, 2)
+    n1, n2 = draw_standard_normals(rngs, 2).T
     alpha = complex(gamma) + 0.5 * (n1 + 1j * n2)
     return alpha, alpha.conjugate()
 

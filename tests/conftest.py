@@ -1,4 +1,5 @@
 """Shared fixtures plus a one-line-per-criterion acceptance summary."""
+import math
 import re
 
 import numpy as np
@@ -39,3 +40,29 @@ def kerr_params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def ndtri_grid():
+    """Uniforms that reach each branch and edge of Cephes ndtri: ulps near 0
+    and 1, a logspace sweep, 64 ulps on each side of exp(-2), 1 - exp(-2),
+    exp(-32) and 1 - exp(-32), the smallest normal double (the zero
+    uniform's stand-in) and above, and 1M seeded values."""
+    ulps = np.arange(1, 4097, dtype=float) * 2.0 ** -53
+    steps = np.arange(-64, 65)
+
+    def around(v):
+        """v and its 64 neighbours on each side."""
+        return (np.float64(v).view(np.int64) + steps).view(np.float64)
+
+    tiny = np.finfo(float).tiny
+    u = np.concatenate([
+        ulps, 1.0 - ulps,
+        np.logspace(-308, math.log10(0.5), 20001),
+        around(math.exp(-2)), around(1.0 - math.exp(-2)),
+        around(math.exp(-32)), around(1.0 - math.exp(-32)),
+        around(tiny)[64:],  # the zero uniform's stand-in and above
+        np.random.default_rng(20261019).random(1_000_000),
+    ])
+    assert (u < math.exp(-32)).sum() > 1000
+    return u

@@ -525,12 +525,23 @@ def check_cli_process(command, tmp_path):
     assert str(tmp_path / "fig1_positive_p_X_a.csv") in listed
 
 
-def test_cli_import_leaves_out_scipy_stats(tmp_path):
-    """Importing the CLI stays cheap: scipy.stats alone costs about 0.7 s."""
-    probe = run_cli([sys.executable, "-c", "import sys, phasesde.cli; "
-                     "print('scipy.stats' in sys.modules)"], [], tmp_path)
+def test_kernel_path_run_loads_no_scipy(tmp_path):
+    """A run on the native kernel, its probe of the numpy loop included,
+    loads no scipy module: importing scipy.special costs about 0.25 s and
+    16 MB of every process."""
+    script = (
+        "import sys\n"
+        "from phasesde import cli, integrator\n"
+        f"cli.run_config({preset_file(tmp_path, 'fig2')!r}, "
+        f"{{'trajectories': 20, 'dt': 1e-3, 'out': {str(tmp_path)!r}}})\n"
+        "print(bool(integrator._native))\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))\n")
+    probe = run_cli([sys.executable, "-c", script], [], tmp_path)
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "False"
+    native, scipy_loaded = probe.stdout.split()
+    if native != "True":
+        pytest.skip("the native kernel does not load; runs use the numpy loop")
+    assert scipy_loaded == "False"
 
 
 def test_console_script(tmp_path):

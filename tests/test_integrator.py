@@ -164,7 +164,7 @@ def test_engine_step_matches_drift_and_noise_factor(name):
     before, after = part["sums"][1, :, :4].T, part["sums"][2, :, :4].T
     assert (before[2].imag != 0).all()
     gens = integrator._initial_arrays(0, 6, method, cfg)[-1]
-    xi = [draw_standard_normals(gen, 8)[4:] for gen in gens]
+    xi = draw_standard_normals(gens, 8)[:, 4:]
     f_a, f_b = dynamics.FREQUENCIES[name](*before, params, g)
     rot_a, rot_b = np.exp(-1j * f_a * cfg.dt), np.exp(-1j * f_b * cfg.dt)
     mid = np.array([after[0] / rot_a, after[1] * rot_a,
@@ -692,7 +692,7 @@ def test_native_normal_fills_give_the_numpy_bytes(native, name, case):
         assert not np.isfinite(blow_t).any()
 
 
-def test_native_ndtri_is_scipys_bit_for_bit():
+def test_native_ndtri_is_scipys_bit_for_bit(ndtri_grid):
     """``phasesde_ndtri``, the kernel's inverse normal CDF, gives
     ``scipy.special.ndtri``'s bits in each branch and at each edge.
 
@@ -705,23 +705,7 @@ def test_native_ndtri_is_scipys_bit_for_bit():
     if kernel is None:
         pytest.skip("the native kernel does not load (no gcc or a failed "
                     "build); runs use the numpy loop")
-    ulps = np.arange(1, 4097, dtype=float) * 2.0 ** -53
-    steps = np.arange(-64, 65)
-
-    def around(v):
-        """v and its 64 neighbours on each side."""
-        return (np.float64(v).view(np.int64) + steps).view(np.float64)
-
-    tiny = np.finfo(float).tiny
-    u = np.concatenate([
-        ulps, 1.0 - ulps,
-        np.logspace(-308, math.log10(0.5), 20001),
-        around(math.exp(-2)), around(1.0 - math.exp(-2)),
-        around(math.exp(-32)), around(1.0 - math.exp(-32)),
-        around(tiny)[64:],  # the zero uniform's stand-in and above
-        np.random.default_rng(20261019).random(1_000_000),
-    ])
-    assert (u < math.exp(-32)).sum() > 1000
+    u = ndtri_grid
     out = np.full_like(u, 7.0)
     kernel.lib.phasesde_ndtri(ctypes.c_void_p(u.ctypes.data),
                               ctypes.c_void_p(out.ctypes.data),

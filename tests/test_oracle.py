@@ -91,9 +91,12 @@ def test_oracle_params_validate():
 @pytest.mark.parametrize("field, value", [
     ("omega_a", math.nan), ("omega_b", math.inf), ("chi_a", -math.inf),
     ("chi_b", math.nan), ("g", math.nan), ("N_a0", math.inf),
-    ("N_b0", math.nan), ("tau", math.nan), ("tau", math.inf)])
+    ("N_b0", math.nan), ("tau", math.nan), ("tau", math.inf),
+    pytest.param("g", 10 ** 400, id="g-beyond_float"),
+    pytest.param("tau", 10 ** 400, id="tau-beyond_float")])
 def test_oracle_params_reject_non_finite_values(field, value):
-    """A NaN or infinite input used to give NaN curves without an error."""
+    """A NaN or infinite input used to give NaN curves without an error,
+    and an int beyond the float range an OverflowError."""
     good = dict(omega_a=0.0, omega_b=0.0, chi_a=1.0, chi_b=1.0, g=1.0,
                 N_a0=1.0, N_b0=0.25, tau=0.5)
     with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import phasesde as ps
 from phasesde.integrator import make_stream
 from phasesde.oracle import OracleParams, fock_expect, fock_symmetrized, fock_word_expect
-from phasesde.representations import draw_standard_normals
+from phasesde.representations import draw_standard_normals, ndtri
 
 
 # ---------------------------------------------------------------------------
@@ -21,8 +21,8 @@ from phasesde.representations import draw_standard_normals
 @given(re=st.floats(-5, 5), im=st.floats(-5, 5), seed=st.integers(0, 2 ** 32))
 def test_wigner_sample_is_exactly_conjugate(re, im, seed):
     gen = make_stream(seed, 0)
-    alpha, alpha_plus = ps.sample_wigner_coherent(complex(re, im), gen)
-    assert alpha_plus == np.conj(alpha)
+    alpha, alpha_plus = ps.sample_wigner_coherent(complex(re, im), [gen])
+    assert np.array_equal(alpha_plus, np.conj(alpha))
 
 
 def test_positive_p_sample_is_deterministic():
@@ -44,10 +44,8 @@ def test_wigner_cloud_moments():
     gamma = math.sqrt(n0)
     m = 20000
     gen = make_stream(5150, 0)
-    draws = np.empty(m, dtype=complex)
-    for i in range(m):
-        a, apl = ps.sample_wigner_coherent(gamma, gen)
-        draws[i] = apl * a
+    a, apl = ps.sample_wigner_coherent(gamma, [gen] * m)
+    draws = np.array([complex(x) * complex(y) for x, y in zip(apl, a)])
     values = draws.real
     sd_exact = math.sqrt(n0 + 0.25)
     assert abs(values.mean() - (n0 + 0.5)) < 4 * sd_exact / math.sqrt(m)
@@ -59,7 +57,7 @@ def test_wigner_cloud_moments():
 def test_wigner_quadrature_covariance():
     gen = make_stream(77, 3)
     m = 40000
-    pts = np.array([ps.sample_wigner_coherent(2.0 + 1.0j, gen)[0] for _ in range(m)])
+    pts = ps.sample_wigner_coherent(2.0 + 1.0j, [gen] * m)[0]
     x, y = pts.real, pts.imag
     assert x.mean() == pytest.approx(2.0, abs=4 * 0.5 / math.sqrt(m))
     assert y.mean() == pytest.approx(1.0, abs=4 * 0.5 / math.sqrt(m))
@@ -70,18 +68,37 @@ def test_wigner_quadrature_covariance():
 
 
 def test_normal_draws_are_reproducible_and_unit_variance():
-    a = draw_standard_normals(make_stream(9, 4), 1000)
-    b = draw_standard_normals(make_stream(9, 4), 1000)
+    a = draw_standard_normals([make_stream(9, 4)], 1000)
+    b = draw_standard_normals([make_stream(9, 4)], 1000)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, draw_standard_normals(make_stream(9, 5), 1000))
+    assert not np.array_equal(a, draw_standard_normals([make_stream(9, 5)], 1000))
 
 
 def test_wiener_increment_second_moment():
     """<dw^2> = dt within 0.5% over one million inverse-CDF draws."""
     dt = 1e-4
-    xi = draw_standard_normals(make_stream(123, 0), 1_000_000)
+    xi = draw_standard_normals([make_stream(123, 0)], 1_000_000)
     dw = xi * math.sqrt(dt)
     assert abs((dw ** 2).mean() - dt) < 0.005 * dt
+
+
+def test_ndtri_is_scipys_bit_for_bit(ndtri_grid):
+    """The numpy loop's ``ndtri`` port gives ``scipy.special.ndtri``'s bits
+    in each branch and at each edge, so it needs no scipy at run time."""
+    from scipy.special import ndtri as scipy_ndtri
+
+    u = ndtri_grid
+    out, ref = ndtri(u), scipy_ndtri(u)
+    bad = np.flatnonzero(out.view(np.uint64) != ref.view(np.uint64))
+    assert bad.size == 0, [(u[i], out[i], ref[i]) for i in bad[:5]]
+
+
+def test_draws_from_many_streams_are_rows():
+    """Row k of a many-stream draw is what stream k alone would give."""
+    many = draw_standard_normals([make_stream(9, k) for k in range(3)], 50)
+    for k in range(3):
+        assert np.array_equal(many[k],
+                              draw_standard_normals([make_stream(9, k)], 50)[0])
 
 
 # ---------------------------------------------------------------------------
