@@ -1,26 +1,25 @@
 """Exact reference values for two coupled Kerr oscillators.
 
-Everything here is independent of the stochastic engine.  Two routes are
-provided and cross-checked against each other in the test suite:
+Nothing here depends on the stochastic engine: within the package only
+``core`` and ``representations`` are read.  The Hamiltonian
 
-* Closed-form expressions for coherent-product initial states.  The
-  Hamiltonian
+    H = omega_a n_a + chi_a n_a(n_a-1) + omega_b n_b + chi_b n_b(n_b-1)
+        + g n_a n_b
 
-      H = omega_a n_a + chi_a n_a(n_a-1) + omega_b n_b + chi_b n_b(n_b-1)
-          + g n_a n_b
+is diagonal in the two-mode number basis, and two routes use that:
 
-  is diagonal in the two-mode number basis, which makes quadratures,
-  selected second moments, and the number/quadrature cross moment
-  expressible through elementary functions.  A piecewise coupling that is
-  g until time tau and zero afterwards enters every formula only through
-  the accumulated phase theta(t) = g*min(t, tau); the omega and chi phases
-  keep running.
+* Closed forms.  For a coherent-product start every normally ordered
+  monomial moment <a+^j_a a^k_a b+^j_b b^k_b>(t) has one.  ``exact_series``
+  turns them into observables with the positive-P conversions of
+  ``representations``, the one place that forms observables from moments.
+  A coupling that is g until tau and zero afterwards enters only through
+  theta(t) = g*min(t, tau); the omega and chi phases keep running.
 
 * A numerically exact Fock-basis evaluator (``fock_expect``) that sums the
-  same diagonal evolution over number states up to the cutoff
-  ``default_cutoff``, ceil(N + 10 sqrt(N) + 30) for occupation N.  It
-  knows nothing about the closed forms, so agreement between the two is a
-  genuine two-sided check.
+  same evolution over number states up to the cutoff ``default_cutoff``,
+  ceil(N + 10 sqrt(N) + 30) for occupation N.  It shares no code with the
+  closed forms or the conversions: acceptance criterion 1 checks
+  ``exact_series`` against it, and criterion 11 the conversions.
 
 Quadrature conventions: X = (a + a^dag)/2 and Y = (a - a^dag)/(2i), so a
 coherent state gamma has X + iY = gamma and quadrature variance 1/4.
@@ -29,11 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import groupby, permutations
 
 import numpy as np
 
-from .core import _finite
+from .core import MethodSpec, _finite
+from .representations import observable_estimate_complex
 
 __all__ = [
     "OracleParams",
@@ -90,102 +90,62 @@ def accumulated_coupling_phase(t, p: OracleParams):
     return p.g * np.minimum(t, p.tau)
 
 
-def _mean(mode: str, t, p: OracleParams):
-    """<a>(t) or <b>(t), by ``mode``, for the coherent-product state."""
-    t = np.asarray(t, dtype=float)
-    th = accumulated_coupling_phase(t, p)
-    if mode == "a":
-        n, omega, chi, n_other = p.N_a0, p.omega_a, p.chi_a, p.N_b0
-    else:
-        n, omega, chi, n_other = p.N_b0, p.omega_b, p.chi_b, p.N_a0
-    return (
-        math.sqrt(n)
-        * np.exp(-1j * omega * t)
-        * np.exp(n * (np.exp(-2j * chi * t) - 1.0))
-        * np.exp(n_other * (np.exp(-1j * th) - 1.0))
-    )
-
-
-def _mean_nab(t, p: OracleParams):
-    """<n_a b>(t) (complex); its imaginary part is <N_a Y_b>."""
-    t = np.asarray(t, dtype=float)
-    th = accumulated_coupling_phase(t, p)
-    return (
-        p.N_a0
-        * math.sqrt(p.N_b0)
-        * np.exp(-1j * th)
-        * np.exp(-1j * p.omega_b * t)
-        * np.exp(
-            p.N_a0 * (np.exp(-1j * th) - 1.0)
-            + p.N_b0 * (np.exp(-2j * p.chi_b * t) - 1.0)
-        )
-    )
-
-
-def _mean_b_sq(t, p: OracleParams):
-    """<b^2>(t) (complex), needed for the Y_b variance."""
-    t = np.asarray(t, dtype=float)
-    th = accumulated_coupling_phase(t, p)
-    return (
-        p.N_b0
-        * np.exp(-2j * p.omega_b * t - 2j * p.chi_b * t)
-        * np.exp(
-            p.N_b0 * (np.exp(-4j * p.chi_b * t) - 1.0)
-            + p.N_a0 * (np.exp(-2j * th) - 1.0)
-        )
-    )
-
-
-def _var_Yb(t, p: OracleParams):
-    """V(Y_b)(t) = <Y_b^2> - <Y_b>^2."""
-    mb = _mean("b", t, p)
-    mb2 = _mean_b_sq(t, p)
-    return 0.25 + 0.5 * p.N_b0 - 0.5 * np.real(mb2) - np.imag(mb) ** 2
-
-
-def _correlation(t, p: OracleParams):
-    """Number/quadrature correlation C(N_a, Y_b).
-
-    C = (<N_a Y_b> - <N_a><Y_b>) / sqrt(V(N_a) V(Y_b)) with the conserved
-    values <N_a> = N_a0 and V(N_a) = N_a0.  NaN wherever the variance
-    product is not positive, as at N_a0 = 0.
-    """
-    num = np.imag(_mean_nab(t, p)) - p.N_a0 * np.imag(_mean("b", t, p))
-    denom = p.N_a0 * _var_Yb(t, p)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denom > 0, num / np.sqrt(denom), np.nan)
-
-
-# Each observable's closed form on a float time array.
-_EXACT = {
-    "X_a": lambda t, p: np.real(_mean("a", t, p)),
-    "Y_a": lambda t, p: np.imag(_mean("a", t, p)),
-    "X_b": lambda t, p: np.real(_mean("b", t, p)),
-    "Y_b": lambda t, p: np.imag(_mean("b", t, p)),
-    "N_a": lambda t, p: np.full_like(t, p.N_a0),
-    "N_b": lambda t, p: np.full_like(t, p.N_b0),
-    "var_N_a": lambda t, p: np.full_like(t, p.N_a0),
-    "var_Y_b": _var_Yb,
-    "N_a_Y_b": lambda t, p: np.imag(_mean_nab(t, p)),
-    "C_Na_Yb": _correlation,
+# Each monomial of core.MONOMIALS as (j_a, k_a, j_b, k_b): under r=1 its
+# mean is that of the normally ordered word a+^j_a a^k_a b+^j_b b^k_b.
+_WORDS = {
+    "alpha": (0, 1, 0, 0), "alpha_plus": (1, 0, 0, 0),
+    "beta": (0, 0, 0, 1), "beta_plus": (0, 0, 1, 0),
+    "alpha_plus_alpha": (1, 1, 0, 0), "beta_plus_beta": (0, 0, 1, 1),
+    "alpha_plus_alpha_sq": (2, 2, 0, 0),
+    "beta_sq": (0, 0, 0, 2), "beta_plus_sq": (0, 0, 2, 0),
+    "alpha_plus_alpha_beta": (1, 1, 0, 1),
+    "alpha_plus_alpha_beta_plus": (1, 1, 1, 0),
 }
 
 
+def _word_mean(word, t, p: OracleParams):
+    """<a+^j_a a^k_a b+^j_b b^k_b>(t) for word = (j_a, k_a, j_b, k_b).
+
+    A level shift d = j - k gives each mode a phase phi per quantum, so its
+    Poisson sum closes to exp(N0 (e^{i phi} - 1)); Phi is the rest.
+    """
+    j_a, k_a, j_b, k_b = word
+    d_a, d_b = j_a - k_a, j_b - k_b
+    th = accumulated_coupling_phase(t, p)
+    phi_a = 2.0 * p.chi_a * d_a * t + d_b * th
+    phi_b = 2.0 * p.chi_b * d_b * t + d_a * th
+    Phi = ((p.omega_a * d_a + p.chi_a * (d_a * d_a - d_a)
+            + p.omega_b * d_b + p.chi_b * (d_b * d_b - d_b)) * t
+           + d_a * d_b * th + k_a * phi_a + k_b * phi_b)
+    return (p.N_a0 ** ((j_a + k_a) / 2) * p.N_b0 ** ((j_b + k_b) / 2)
+            * np.exp(1j * Phi + p.N_a0 * (np.exp(1j * phi_a) - 1.0)
+                     + p.N_b0 * (np.exp(1j * phi_b) - 1.0)))
+
+
 def exact_series(name: str, t, p: OracleParams):
-    """Exact value(s) of a named observable at time(s) t."""
-    if name not in _EXACT:
-        raise KeyError(f"no exact formula for observable {name!r}")
-    return _EXACT[name](np.asarray(t, dtype=float), p)
+    """Exact value(s) of a named observable at time(s) t: the normally
+    ordered moments through the positive-P conversion."""
+    t = np.asarray(t, dtype=float)
+
+    class Moments(dict):  # each monomial worked out when first read
+        def __missing__(self, key):
+            value = self[key] = _word_mean(_WORDS[key], t, p)
+            return value
+
+    return observable_estimate_complex(name, Moments(),
+                                       MethodSpec("positive_p")).real
 
 
 def match_schedule(params, N_a0: float, N_b0: float) -> OracleParams | None:
     """Map SystemParams onto OracleParams when the schedule allows it.
 
-    Supported shapes: a single constant segment, or exactly two segments
-    with the second g equal to zero (coupling switched off at tau).  Any
-    other schedule returns None and callers must do without exact curves.
+    Adjacent segments with equal g are merged first.  Supported shapes are
+    then a single constant segment, or exactly two segments with the second
+    g equal to zero (coupling switched off at tau).  Any other schedule
+    returns None and callers must do without exact curves.
     """
-    segs = params.coupling.segments
+    segs = [tuple(run)[-1] for _, run in
+            groupby(params.coupling.segments, key=lambda seg: seg[1])]
     if len(segs) == 1:
         g, tau = segs[0][1], None
     elif len(segs) == 2 and segs[1][1] == 0.0:

@@ -222,6 +222,26 @@ def test_oracle_command_rejects_malformed_times(tmp_path, capsys, times):
     assert not list(tmp_path.iterdir())
 
 
+def test_oracle_command_merges_equal_coupling_segments(tmp_path):
+    """fig6's switch-off written as three segments, two of them g = 0, has
+    fig6's closed form, so ``oracle`` writes fig6's table."""
+    raw = load_preset("fig6")
+    raw["params"]["coupling"] = [{"t_end": 0.1, "g": 1.0},
+                                 {"t_end": 0.2, "g": 0.0},
+                                 {"t_end": None, "g": 0.0}]
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps(raw))
+    times = "--times=0,0.05,0.1,0.15,0.3"
+    assert main(["oracle", "--config", str(path), "--out",
+                 str(tmp_path / "split"), times]) == 0
+    assert main(["oracle", "--preset", "fig6", "--out",
+                 str(tmp_path / "preset"), times]) == 0
+    split = read_csv(tmp_path / "split" / "fig6_exact.csv")
+    preset = read_csv(tmp_path / "preset" / "fig6_exact.csv")
+    np.testing.assert_array_equal(split["C_Na_Yb"], preset["C_Na_Yb"])
+    assert np.isfinite(split["C_Na_Yb"]).all()
+
+
 def test_oracle_table_correlation_vanishes_without_coupling():
     p = OracleParams(0.0, 0.0, 1.0, 1.0, 0.0, 4.0, 0.25)
     table = oracle_table(p, np.linspace(0.0, 1.0, 9), ["C_Na_Yb"])

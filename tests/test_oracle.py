@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 from scipy.special import pdtrc
 
-from phasesde import OBSERVABLE_NAMES, CouplingSchedule, SystemParams
+from phasesde import (
+    MONOMIALS,
+    OBSERVABLE_NAMES,
+    CouplingSchedule,
+    SystemParams,
+    oracle,
+)
 from phasesde.oracle import (
     OracleParams,
     accumulated_coupling_phase,
@@ -117,6 +123,55 @@ def test_match_schedule_shapes():
     assert match_schedule(params((0.1, 1.0), (math.inf, 0.5)), 1.0, 0.25) is None
     assert match_schedule(
         params((0.1, 1.0), (0.2, 0.0), (math.inf, 1.0)), 1.0, 0.25) is None
+
+    # adjacent segments with equal g are merged before matching
+    merged = match_schedule(params((0.1, 1.0), (math.inf, 1.0)), 1.0, 0.25)
+    assert merged == OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.25)
+    merged = match_schedule(
+        params((0.1, 1.0), (0.2, 0.0), (math.inf, 0.0)), 1.0, 0.25)
+    assert merged == switched
+    merged = match_schedule(
+        params((0.05, 1.0), (0.1, 1.0), (math.inf, 0.0)), 1.0, 0.25)
+    assert merged == switched
+
+
+# Each monomial's normally ordered word as ladder words on modes a and b.
+NORMAL_WORDS = {
+    "alpha": ("-", ""),
+    "alpha_plus": ("+", ""),
+    "beta": ("", "-"),
+    "beta_plus": ("", "+"),
+    "alpha_plus_alpha": ("+-", ""),
+    "beta_plus_beta": ("", "+-"),
+    "alpha_plus_alpha_sq": ("++--", ""),
+    "beta_sq": ("", "--"),
+    "beta_plus_sq": ("", "++"),
+    "alpha_plus_alpha_beta": ("+-", "-"),
+    "alpha_plus_alpha_beta_plus": ("+-", "+"),
+}
+
+
+def test_word_table_follows_the_monomials():
+    assert tuple(oracle._WORDS) == MONOMIALS
+    assert tuple(NORMAL_WORDS) == MONOMIALS
+
+
+@pytest.mark.parametrize("n_a0", [0.0, 1.0, 100.0])
+def test_monomial_closed_forms_match_fock_words(n_a0):
+    """Each monomial's closed form is the Fock sum of its normally ordered
+    word, with both frame frequencies, unequal Kerr terms, and times before
+    and after the switch-off."""
+    p = OracleParams(omega_a=0.7, omega_b=-3.0, chi_a=1.0, chi_b=0.6,
+                     g=0.8, N_a0=n_a0, N_b0=0.25, tau=0.3)
+    for t in (0.0, 0.1, 0.3, 0.45, 1.7):
+        for name in MONOMIALS:
+            word = oracle._WORDS[name]
+            got = complex(oracle._word_mean(word, t, p))
+            want = fock_word_expect(*NORMAL_WORDS[name], t, p)
+            # |<word>| <= N_a0^((j_a+k_a)/2) N_b0^((j_b+k_b)/2)
+            scale = n_a0 ** ((word[0] + word[1]) / 2) * 0.25 ** (
+                (word[2] + word[3]) / 2)
+            assert abs(got - want) <= 1e-10 * max(1.0, scale), (name, t)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 """The package names the benchmark in ``perfbench/`` wraps or calls."""
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from phasesde import cli, core, dynamics, integrator, oracle, stats
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phasesde"
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
@@ -101,3 +103,38 @@ def test_demo_imports(monkeypatch, path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert callable(module.main)
+
+
+def package_imports(name):
+    """The package modules that ``phasesde/<name>.py`` imports, by name."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "phasesde":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[1] for alias in node.names
+                         if alias.name.startswith("phasesde."))
+    return {module for module in found if (PACKAGE / f"{module}.py").is_file()}
+
+
+def test_oracle_stays_independent_of_the_engine():
+    """The exact references read only ``core`` and ``representations``,
+    and neither reaches the engine, so checking the engine against them
+    checks it against something it does not share."""
+    assert package_imports("oracle") <= {"core", "representations"}
+    reached = {"oracle"}
+    todo = ["oracle"]
+    while todo:
+        for name in package_imports(todo.pop()) - reached:
+            reached.add(name)
+            todo.append(name)
+    assert not reached & {"integrator", "dynamics", "_kernel", "stats"}
