@@ -21,6 +21,20 @@
  * neither fuses nor reorders anything; fma() is spelt out where numpy
  * fuses.
  *
+ * Lanes step four at a time.  For each segment, the live lanes are
+ * grouped in ascending order, four to a group, and a group holds each of
+ * alpha, alpha_plus, beta and beta_plus as two vectors of four doubles,
+ * real and imaginary parts.  The frequencies, the kick, the rotation's
+ * products and quotients and the blow-up check's fast path run on the
+ * whole group, element by element in the scalar IEEE order above, so
+ * each lane rounds as it would alone: the products fuse with
+ * _mm256_fmadd_pd under __FMA__ and with fma() per element without it.
+ * The Philox stream, the normals (ndtri's log calls included), libm cexp,
+ * the exact blow-up test and the gauge drift's abs stay per lane.  A
+ * short last group is padded with dead slots, which step zeros (a fixed
+ * point of every update), draw no normals and are never written back; a
+ * lane that dies becomes one.  Records follow all groups, lane by lane.
+ *
  * Streams: lane k is trajectory first+k and owns numpy's Philox4x64-10
  * stream keyed [master_seed, first+k], counter 0 (Salmon et al., SC'11):
  * the counter is incremented before each block of four words, and a
@@ -101,30 +115,9 @@ static inline cplx real(double x) { return (cplx){x, 0.0}; }
 
 static inline cplx add(cplx x, cplx y) { return (cplx){x.re + y.re, x.im + y.im}; }
 
-static inline cplx sub(cplx x, cplx y) { return (cplx){x.re - y.re, x.im - y.im}; }
-
 static inline cplx mul(cplx x, cplx y)
 {
     return (cplx){fma(x.re, y.re, -(x.im * y.im)), fma(x.re, y.im, x.im * y.re)};
-}
-
-static inline cplx divide(cplx x, cplx y)
-{
-    double yr = fabs(y.re), yi = fabs(y.im);
-    if (yr >= yi) {
-        if (yr == 0 && yi == 0)
-            return (cplx){x.re / yr, x.im / yr};
-        double rat = y.im / y.re, scl = 1.0 / (y.re + y.im * rat);
-        return (cplx){(x.re + x.im * rat) * scl, (x.im - x.re * rat) * scl};
-    }
-    double rat = y.re / y.im, scl = 1.0 / (y.im + y.re * rat);
-    return (cplx){(x.re * rat + x.im) * scl, (x.im * rat - x.re) * scl};
-}
-
-static inline cplx cexp_(cplx x)
-{
-    double complex r = cexp(CMPLX(x.re, x.im));
-    return (cplx){creal(r), cimag(r)};
 }
 
 static inline double absolute(cplx x)
@@ -141,15 +134,130 @@ static inline double absolute(cplx x)
     return sqrt(fma(ratio, ratio, 1.0)) * larger;
 }
 
-/* ~isfinite(x) | (abs(x) > threshold).  A value whose components are both
- * at most threshold/1.5 in magnitude needs no square root: abs(x) <=
- * sqrt(2) * (1 + 2^-52) * max(|re|, |im|) < 1.5 * max(|re|, |im|).  Both
- * comparisons are false for nan and inf, which take the exact path. */
+/* ~isfinite(x) | (abs(x) > threshold), the exact test behind inside4. */
 static inline int bad(cplx x, double threshold)
 {
-    if (fabs(x.re) * 1.5 <= threshold && fabs(x.im) * 1.5 <= threshold)
-        return 0;
     return !(isfinite(x.re) && isfinite(x.im)) || absolute(x) > threshold;
+}
+
+typedef double v4d __attribute__((vector_size(32)));
+typedef int64_t v4i __attribute__((vector_size(32)));
+
+static inline v4d load4(const double *p)
+{
+    v4d v;
+    __builtin_memcpy(&v, p, sizeof v);
+    return v;
+}
+
+static inline void store4(double *p, v4d v) { __builtin_memcpy(p, &v, sizeof v); }
+
+static inline v4d splat(double a) { return (v4d){a, a, a, a}; }
+
+static inline v4d fabs4(v4d x) { return (v4d)((v4i)x & 0x7fffffffffffffff); }
+
+/* a where mask m is set, else b. */
+static inline v4d blend(v4i m, v4d a, v4d b)
+{
+    return (v4d)(((v4i)a & m) | ((v4i)b & ~m));
+}
+
+/* Bit i set where element i of mask m is. */
+static inline int bits(v4i m)
+{
+#ifdef __AVX__
+    return _mm256_movemask_pd((__m256d)m);
+#else
+    return (int)((m[0] & 1) | (m[1] & 2) | (m[2] & 4) | (m[3] & 8));
+#endif
+}
+
+/* fma in each element: one rounding, as the scalar fma. */
+static inline v4d fma4(v4d a, v4d b, v4d c)
+{
+#ifdef __FMA__
+    return _mm256_fmadd_pd(a, b, c);
+#else
+    return (v4d){fma(a[0], b[0], c[0]), fma(a[1], b[1], c[1]),
+                 fma(a[2], b[2], c[2]), fma(a[3], b[3], c[3])};
+#endif
+}
+
+/* Four complex numbers, element i of each part belonging to slot i of a
+ * group of lanes.  Each operation below is the scalar one of numpy's
+ * complex loops, element by element, so every slot rounds as a lane
+ * stepped alone would. */
+typedef struct {
+    v4d re, im;
+} c4;
+
+static inline c4 real4(v4d x) { return (c4){x, splat(0.0)}; }
+
+static inline c4 bcast(cplx x) { return (c4){splat(x.re), splat(x.im)}; }
+
+static inline cplx slot(c4 x, int i) { return (cplx){x.re[i], x.im[i]}; }
+
+static inline void put(c4 *x, int i, cplx v)
+{
+    x->re[i] = v.re;
+    x->im[i] = v.im;
+}
+
+static inline c4 add4(c4 x, c4 y) { return (c4){x.re + y.re, x.im + y.im}; }
+
+static inline c4 sub4(c4 x, c4 y) { return (c4){x.re - y.re, x.im - y.im}; }
+
+/* (fma(ar, br, -(ai*bi)), fma(ar, bi, ai*br)) */
+static inline c4 mul4(c4 x, c4 y)
+{
+    return (c4){fma4(x.re, y.re, -(x.im * y.im)), fma4(x.re, y.im, x.im * y.re)};
+}
+
+/* numpy's Smith division.  Where |y.re| >= |y.im| it is
+ *   rat = y.im / y.re, scl = 1 / (y.re + y.im * rat),
+ *   ((x.re + x.im * rat) * scl, (x.im - x.re * rat) * scl),
+ * elsewhere the same with the parts of y swapped,
+ *   rat = y.re / y.im, scl = 1 / (y.im + y.re * rat),
+ *   ((x.re * rat + x.im) * scl, (x.im * rat - x.re) * scl),
+ * and (x.re / |y.re|, x.im / |y.re|) where y is zero.  Both branches share
+ * their two divisions: the divisor's parts are picked per slot first, and
+ * both sums of each part are formed, each in its own branch's operand
+ * order, then picked. */
+static inline c4 divide4(c4 x, c4 y)
+{
+    v4d yr = fabs4(y.re), yi = fabs4(y.im);
+    v4i wide = yr >= yi;
+    v4d p = blend(wide, y.im, y.re), q = blend(wide, y.re, y.im);
+    v4d rat = p / q, scl = 1.0 / (q + p * rat);
+    c4 r = {blend(wide, x.re + x.im * rat, x.re * rat + x.im) * scl,
+            blend(wide, x.im - x.re * rat, x.im * rat - x.re) * scl};
+    v4i zero = (yr == 0.0) & (yi == 0.0);
+    if (bits(zero)) {
+        r.re = blend(zero, x.re / yr, r.re);
+        r.im = blend(zero, x.im / yr, r.im);
+    }
+    return r;
+}
+
+/* libm cexp, one slot at a time. */
+static inline c4 cexp4(c4 x)
+{
+    c4 r;
+    for (int i = 0; i < 4; i++) {
+        double complex e = cexp(CMPLX(x.re[i], x.im[i]));
+        r.re[i] = creal(e);
+        r.im[i] = cimag(e);
+    }
+    return r;
+}
+
+/* Slots where both components of x are at most lim/1.5 in magnitude, and
+ * so not bad: abs(x) <= sqrt(2) * (1 + 2^-52) * max(|re|, |im|) < 1.5 *
+ * max(|re|, |im|).  Both comparisons are false for nan and inf, which
+ * must take the exact test. */
+static inline v4i inside4(c4 x, v4d lim)
+{
+    return (fabs4(x.re) * 1.5 <= lim) & (fabs4(x.im) * 1.5 <= lim);
 }
 
 static inline uint64_t mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
@@ -231,20 +339,6 @@ static const double Q2[8] = {
     2.89247864745380683936E-6, 6.79019408009981274425E-9,
 };
 
-typedef double v4d __attribute__((vector_size(32)));
-typedef int64_t v4i __attribute__((vector_size(32)));
-
-static inline v4d load4(const double *p)
-{
-    v4d v;
-    __builtin_memcpy(&v, p, sizeof v);
-    return v;
-}
-
-static inline void store4(double *p, v4d v) { __builtin_memcpy(p, &v, sizeof v); }
-
-static inline v4d splat(double a) { return (v4d){a, a, a, a}; }
-
 static inline v4d sqrt4(v4d x)
 {
 #ifdef __AVX__
@@ -257,7 +351,7 @@ static inline v4d sqrt4(v4d x)
 /* a where mask m is set, else b. */
 static inline v4d pick(v4i m, double a, double b)
 {
-    return (v4d)(((v4i)splat(a) & m) | ((v4i)splat(b) & ~m));
+    return blend(m, splat(a), splat(b));
 }
 
 /* ndtri(y) for y in the central interval. */
@@ -350,114 +444,172 @@ static void normals(philox_t *p, double *x, int n)
 }
 
 /* (F_a, F_b) at the pre-step point; dynamics.*_frequencies. */
-static inline void frequencies(const chunk_t *c, double g, cplx A, cplx AP,
-                               cplx B, cplx BP, cplx *fa, cplx *fb)
+static inline void frequencies(const chunk_t *c, double g, c4 A, c4 AP, c4 B,
+                               c4 BP, c4 *fa, c4 *fb)
 {
-    cplx apa = mul(AP, A), bpb = mul(BP, B);
+    c4 apa = mul4(AP, A), bpb = mul4(BP, B);
+    c4 one = bcast(real(1.0)), half = bcast(real(0.5)), gg = bcast(real(g));
+    c4 oa = bcast(real(c->omega_a)), ob = bcast(real(c->omega_b));
+    c4 c2a = bcast(real(c->c2a)), c2b = bcast(real(c->c2b));
     switch (c->method) {
     case HYBRID:
-        *fa = add(add(real(c->omega_a), mul(real(c->c2a), sub(apa, real(1.0)))),
-                  mul(real(g), bpb));
-        *fb = add(add(real(c->omega_b), mul(real(c->c2b), bpb)),
-                  mul(real(g), sub(apa, real(0.5))));
+        *fa = add4(add4(oa, mul4(c2a, sub4(apa, one))), mul4(gg, bpb));
+        *fb = add4(add4(ob, mul4(c2b, bpb)), mul4(gg, sub4(apa, half)));
         break;
     case HYBRID_TRUNCATED: {
-        double nb = bpb.re;
-        *fa = add(add(real(c->omega_a), mul(real(c->c2a), sub(apa, real(1.0)))),
-                  real(g * nb));
-        *fb = add(real(c->omega_b + c->c2b * nb), mul(real(g), sub(apa, real(0.5))));
+        v4d nb = bpb.re;
+        *fa = add4(add4(oa, mul4(c2a, sub4(apa, one))), real4(g * nb));
+        *fb = add4(real4(c->omega_b + c->c2b * nb), mul4(gg, sub4(apa, half)));
         break;
     }
     case POSITIVE_P:
-        *fa = add(add(real(c->omega_a), mul(real(c->c2a), apa)), mul(real(g), bpb));
-        *fb = add(add(real(c->omega_b), mul(real(c->c2b), bpb)), mul(real(g), apa));
+        *fa = add4(add4(oa, mul4(c2a, apa)), mul4(gg, bpb));
+        *fb = add4(add4(ob, mul4(c2b, bpb)), mul4(gg, apa));
         break;
     default: {
-        double na = apa.re, nb = bpb.re;
-        *fa = real(c->omega_a + c->c2a * (na - 1.0) + g * (nb - 0.5));
-        *fb = real(c->omega_b + c->c2b * (nb - 1.0) + g * (na - 0.5));
+        v4d na = apa.re, nb = bpb.re;
+        *fa = real4(c->omega_a + c->c2a * (na - 1.0) + g * (nb - 0.5));
+        *fb = real4(c->omega_b + c->c2b * (nb - 1.0) + g * (na - 0.5));
     }
     }
 }
 
-/* Substeps j0..j1-1 of live lane k. */
-static void advance(const chunk_t *c, lane_t *L, int64_t k, int64_t j0, int64_t j1)
+/* Lanes stepped together. */
+enum { GROUP = 4 };
+
+/* The normals of a dead slot. */
+static const double NO_NOISE[4];
+
+/* Substeps j0..j1-1 of the live lanes idx[0..n-1], n <= GROUP, each in a
+ * slot of its own.  The other slots are dead: they hold zeros, which every
+ * update here keeps at zero, read NO_NOISE, draw nothing and are never
+ * written back.  A lane that dies is written back zeroed and becomes a
+ * dead slot; the group stops once all its lanes are dead. */
+static void advance(const chunk_t *c, lane_t *lanes, const int64_t *idx,
+                    int n, int64_t j0, int64_t j1)
 {
-    cplx A = L->a, AP = L->ap, B = L->b, BP = L->bp;
-    double xs[NDTRI_BLOCK];
-    const double *x = xs;
+    c4 A, AP, B, BP, APA0;
+    A = AP = B = BP = APA0 = bcast(real(0.0));
+    double scale[GROUP] = {1.0, 1.0, 1.0, 1.0};
+    const double *x[GROUP] = {NO_NOISE, NO_NOISE, NO_NOISE, NO_NOISE};
+    double xs[GROUP][NDTRI_BLOCK];
+    for (int i = 0; i < n; i++) {
+        const lane_t *L = &lanes[idx[i]];
+        put(&A, i, L->a);
+        put(&AP, i, L->ap);
+        put(&B, i, L->b);
+        put(&BP, i, L->bp);
+        put(&APA0, i, L->apa0);
+        scale[i] = L->apa0_scale;
+    }
+    int live = (1 << n) - 1;
+    const v4d lim = splat(c->threshold);
+    const c4 one = bcast(real(1.0));
     for (int64_t j = j0; j < j1; j++) {
         double dt = c->sub_dt[j];
-        cplx fa, fb;
+        c4 fa, fb;
         frequencies(c, c->sub_g[j], A, AP, B, BP, &fa, &fb);
 
-        cplx Am = A, APm = AP, Bm = B, BPm = BP;
+        c4 Am = A, APm = AP, Bm = B, BPm = BP;
         if (c->noisy) {
             if ((j - j0) % FILL == 0) {
-                normals(&L->rng, xs, 4 * (int)(j1 - j < FILL ? j1 - j : FILL));
-                x = xs;
+                int len = 4 * (int)(j1 - j < FILL ? j1 - j : FILL);
+                for (int i = 0; i < GROUP; i++)
+                    if (live >> i & 1) {
+                        normals(&lanes[idx[i]].rng, xs[i], len);
+                        x[i] = xs[i];
+                    }
             }
-            double x0 = x[0], x1 = x[1], x2 = x[2], x3 = x[3];
-            x += 4;
-            cplx sdt = real(sqrt(dt));
+            c4 x0 = real4((v4d){x[0][0], x[1][0], x[2][0], x[3][0]});
+            c4 x1 = real4((v4d){x[0][1], x[1][1], x[2][1], x[3][1]});
+            c4 x2 = real4((v4d){x[0][2], x[1][2], x[2][2], x[3][2]});
+            c4 x3 = real4((v4d){x[0][3], x[1][3], x[2][3], x[3][3]});
+            for (int i = 0; i < GROUP; i++)
+                x[i] += 4 * (live >> i & 1);
+            c4 sdt = real4(splat(sqrt(dt)));
             if (c->method == POSITIVE_P) {
                 const cplx *F = c->F + 4 * j;
-                cplx ma = mul(add(mul(F[0], real(x0)), mul(F[1], real(x1))), sdt);
-                cplx mb = mul(add(mul(F[2], real(x0)), mul(F[3], real(x1))), sdt);
-                cplx map = mul(mul(I_, add(mul(F[0], real(x2)), mul(F[1], real(x3)))), sdt);
-                cplx mbp = mul(mul(I_, add(mul(F[2], real(x2)), mul(F[3], real(x3)))), sdt);
-                Am = mul(A, add(real(1.0), ma));
-                APm = mul(AP, add(real(1.0), map));
-                Bm = mul(B, add(real(1.0), mb));
-                BPm = mul(BP, add(real(1.0), mbp));
+                c4 F0 = bcast(F[0]), F1 = bcast(F[1]);
+                c4 F2 = bcast(F[2]), F3 = bcast(F[3]), i_ = bcast(I_);
+                c4 ma = mul4(add4(mul4(F0, x0), mul4(F1, x1)), sdt);
+                c4 mb = mul4(add4(mul4(F2, x0), mul4(F3, x1)), sdt);
+                c4 map = mul4(mul4(i_, add4(mul4(F0, x2), mul4(F1, x3))), sdt);
+                c4 mbp = mul4(mul4(i_, add4(mul4(F2, x2), mul4(F3, x3))), sdt);
+                Am = mul4(A, add4(one, ma));
+                APm = mul4(AP, add4(one, map));
+                Bm = mul4(B, add4(one, mb));
+                BPm = mul4(BP, add4(one, mbp));
             } else {
-                cplx q = c->q[j];
-                cplx ix3 = mul(I_, real(x3));
-                cplx e3 = add(real(x2), ix3), em = sub(real(x2), ix3);
-                cplx kick = mul(mul(q, e3), sdt);
+                c4 q = bcast(c->q[j]);
+                c4 ix3 = mul4(bcast(I_), x3);
+                c4 e3 = add4(x2, ix3), em = sub4(x2, ix3);
+                c4 kick = mul4(mul4(q, e3), sdt);
                 if (c->method == HYBRID_TRUNCATED) {
-                    cplx ee = cexp_(kick);
-                    Am = mul(A, ee);
-                    APm = divide(AP, ee);
+                    c4 ee = cexp4(kick);
+                    Am = mul4(A, ee);
+                    APm = divide4(AP, ee);
                 } else {
-                    Am = mul(A, add(real(1.0), kick));
-                    APm = mul(AP, sub(real(1.0), kick));
+                    Am = mul4(A, add4(one, kick));
+                    APm = mul4(AP, sub4(one, kick));
                 }
-                cplx qem = mul(q, em);
-                Bm = mul(B, add(real(1.0), mul(add(mul(c->cs, real(x0)), qem), sdt)));
-                BPm = mul(BP, add(real(1.0), mul(add(mul(c->s, real(x1)), qem), sdt)));
+                c4 qem = mul4(q, em);
+                Bm = mul4(B, add4(one, mul4(add4(mul4(bcast(c->cs), x0), qem), sdt)));
+                BPm = mul4(BP, add4(one, mul4(add4(mul4(bcast(c->s), x1), qem), sdt)));
             }
         }
 
-        cplx rot_a = cexp_(mul(mul(MINUS_I, fa), real(dt)));
-        cplx rot_b = cexp_(mul(mul(MINUS_I, fb), real(dt)));
-        A = mul(Am, rot_a);
-        B = mul(Bm, rot_b);
+        c4 dtv = real4(splat(dt)), minus_i = bcast(MINUS_I);
+        c4 rot_a = cexp4(mul4(mul4(minus_i, fa), dtv));
+        c4 rot_b = cexp4(mul4(mul4(minus_i, fb), dtv));
+        A = mul4(Am, rot_a);
+        B = mul4(Bm, rot_b);
         if (c->method == WIGNER) {
-            AP = (cplx){A.re, -A.im};
-            BP = (cplx){B.re, -B.im};
+            AP = (c4){A.re, -A.im};
+            BP = (c4){B.re, -B.im};
         } else {
-            AP = divide(APm, rot_a);
-            BP = divide(BPm, rot_b);
+            AP = divide4(APm, rot_a);
+            BP = divide4(BPm, rot_b);
         }
 
-        if (bad(A, c->threshold) | bad(AP, c->threshold)
-            | bad(B, c->threshold) | bad(BP, c->threshold)) {
-            c->blow_t[k] = c->sub_t_end[j];
+        int suspect = live & ~bits(inside4(A, lim) & inside4(AP, lim)
+                                   & inside4(B, lim) & inside4(BP, lim));
+        for (int i = 0; suspect; i++, suspect >>= 1) {
+            double t = c->threshold;
+            if (!(suspect & 1) || !(bad(slot(A, i), t) | bad(slot(AP, i), t)
+                                    | bad(slot(B, i), t) | bad(slot(BP, i), t)))
+                continue;
+            lane_t *L = &lanes[idx[i]];
+            c->blow_t[idx[i]] = c->sub_t_end[j];
             L->live = 0;
-            A = AP = B = BP = real(0.0);
-            break;
+            L->a = L->ap = L->b = L->bp = real(0.0);
+            put(&A, i, real(0.0));
+            put(&AP, i, real(0.0));
+            put(&B, i, real(0.0));
+            put(&BP, i, real(0.0));
+            x[i] = NO_NOISE;
+            live &= ~(1 << i);
         }
+        if (!live)
+            return;
         if (c->record_gauge) {
-            double drift = absolute(sub(mul(AP, A), L->apa0)) / L->apa0_scale;
-            if (drift > c->gauge_max[k])
-                c->gauge_max[k] = drift;
+            c4 d = sub4(mul4(AP, A), APA0);
+            for (int i = 0; i < GROUP; i++) {
+                if (!(live >> i & 1))
+                    continue;
+                double drift = absolute(slot(d, i)) / scale[i];
+                if (drift > c->gauge_max[idx[i]])
+                    c->gauge_max[idx[i]] = drift;
+            }
         }
     }
-    L->a = A;
-    L->ap = AP;
-    L->b = B;
-    L->bp = BP;
+    for (int i = 0; i < GROUP; i++)
+        if (live >> i & 1) {
+            lane_t *L = &lanes[idx[i]];
+            L->a = slot(A, i);
+            L->ap = slot(AP, i);
+            L->b = slot(B, i);
+            L->bp = slot(BP, i);
+        }
 }
 
 /* (alpha, alpha_plus) of one mode; representations.sample_wigner_coherent
@@ -544,9 +696,19 @@ int phasesde_chunk(const chunk_t *c)
             batch = 0;
     }
     for (int64_t s = 1, j0 = 0; s < c->n_samples; j0 = c->ends[s - 1], s++) {
+        int64_t idx[GROUP];
+        int n = 0;
+        for (int64_t k = 0; k < c->m; k++)
+            if (lanes[k].live) {
+                idx[n++] = k;
+                if (n == GROUP) {
+                    advance(c, lanes, idx, n, j0, c->ends[s - 1]);
+                    n = 0;
+                }
+            }
+        if (n)
+            advance(c, lanes, idx, n, j0, c->ends[s - 1]);
         for (int64_t k = 0, batch = c->off; k < c->m; k++) {
-            if (lanes[k].live)
-                advance(c, &lanes[k], k, j0, c->ends[s - 1]);
             status |= record(c, &lanes[k], s, batch);
             if (++batch == c->n_batches)
                 batch = 0;

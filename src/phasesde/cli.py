@@ -307,11 +307,14 @@ def _write_table(path: str, columns: dict, metadata: dict):
     written empty (CSV) or null (JSON), as is a non-finite value in JSON.
     """
     if path.endswith(".csv"):
+        # One row template, applied once to the values in row order.
         n = len(next(iter(columns.values())))
-        cells = [[""] * n if col is None else [f"{x:.17g}" for x in col]
-                 for col in columns.values()]
-        text = "\n".join([",".join(columns), *map(",".join, zip(*cells))])
-        _write_text(path, text + "\n")
+        row = ",".join("" if col is None else "%.17g"
+                       for col in columns.values())
+        values = np.column_stack([col for col in columns.values()
+                                  if col is not None]).ravel().tolist()
+        _write_text(path, ",".join(columns) + "\n"
+                    + (row + "\n") * n % tuple(values))
         return
     _write_text(path, json.dumps({"metadata": metadata, "columns": {
         k: None if col is None

@@ -17,6 +17,7 @@ import math
 import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -316,11 +317,16 @@ class EnsembleResult:
     def moment_means(self) -> dict:
         """Per-batch live means of every monomial at every sample time.
 
-        Each value is a (samples, batches) array.  Batches with no live
-        trajectories yield NaN means.
+        Each value is a read-only (samples, batches) array, computed once
+        per result.  Batches with no live trajectories yield NaN means.
         """
+        return dict(self._means)
+
+    @cached_property
+    def _means(self) -> dict:
         counts = self.live_counts.astype(float)[:, :, None]
         with np.errstate(invalid="ignore", divide="ignore"):
             means = self.sums / counts
         means = np.where(counts > 0, means, np.nan + 0j)
+        means.flags.writeable = False
         return {name: means[..., i] for i, name in enumerate(MONOMIALS)}

@@ -136,6 +136,25 @@ def test_csv_columns_round_trip_floats_exactly(tmp_path):
     np.testing.assert_array_equal(table["exact"], series.exact)
 
 
+@pytest.mark.parametrize("rows", [0, 1, 9])
+def test_csv_table_gives_the_bytes_of_a_per_cell_formatter(tmp_path, rows):
+    """The one-pass writer formats each value as f"{x:.17g}" does, and
+    writes a None column empty."""
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1,
+               -2.5e-310, 1.0]
+    columns = {"t": np.arange(rows) * 0.1,
+               "mean": np.array(special[:rows]),
+               "stderr": np.array(special[::-1][:rows]),
+               "exact": None,
+               "live_fraction": np.linspace(0.0, 1.0, rows)}
+    path = tmp_path / "table.csv"
+    cli._write_table(str(path), columns, {})
+    cells = [[""] * rows if col is None else [f"{x:.17g}" for x in col]
+             for col in columns.values()]
+    expected = "\n".join([",".join(columns), *map(",".join, zip(*cells))])
+    assert path.read_text(encoding="utf-8") == expected + "\n"
+
+
 def test_same_seed_same_bytes_different_seed_different(tmp_path):
     kw = ["run", "--preset", "fig1", "--trajectories", "30"]
     assert main([*kw, "--out", str(tmp_path / "r1")]) == 0

@@ -692,6 +692,92 @@ def test_native_normal_fills_give_the_numpy_bytes(native, name, case):
         assert not np.isfinite(blow_t).any()
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 9])
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_native_lane_groups_give_the_numpy_bytes(native, name, m):
+    """The kernel steps a segment's live lanes four at a time and pads the
+    last group with dead slots.  Chunks of every remainder, whose first
+    lane is off batch 0, give the numpy bytes plain, with gauge drift,
+    noise-free and losing lanes."""
+    params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
+    cfg = EnsembleConfig(n_trajectories=48, dt=1e-3, t_final=0.0305,
+                         N_a0=4.0, N_b0=0.25, n_batches=3, sample_interval=7,
+                         master_seed=2)
+    lossy = dataclasses.replace(cfg, blowup_threshold=1.2)  # the probe's
+    plan = build_step_plan(cfg, params)
+    runs = {"plain": (cfg, False, False), "gauge": (cfg, False, True),
+            "noise_free": (cfg, True, True), "lossy": (lossy, False, True)}
+    for variant, (c, noise_free, gauge) in runs.items():
+        fast, ref = (integrator._simulate_chunk(
+            7, m, MethodSpec.of(name), params, c, plan, noise_free, gauge,
+            native=kernel) for kernel in (native, False))
+        for k in ref:
+            assert fast[k].tobytes() == ref[k].tobytes(), (variant, k)
+        if variant == "lossy" and m == 9:
+            assert 0 < np.isfinite(ref["blowup_times"]).sum() < m
+
+
+@pytest.mark.parametrize("name, first", [("hybrid", 0),
+                                         ("hybrid_truncated", 0),
+                                         ("positive_p", 16)])
+def test_native_group_lanes_that_die_apart_give_the_numpy_bytes(native, name,
+                                                                 first):
+    """Four lanes, stepped as one group, die at different substeps: one
+    inside the first fill of a segment longer than FILL, while another
+    lives on into that segment's next fill.  (Wigner lanes keep |alpha|,
+    so they die at the first substep or not at all.)"""
+    params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
+    cfg = EnsembleConfig(n_trajectories=48, dt=1e-4, t_final=0.0605,
+                         N_a0=4.0, N_b0=0.25, n_batches=3,
+                         sample_interval=300, master_seed=2,
+                         blowup_threshold=1.2)
+    plan = build_step_plan(cfg, params)
+    fast, ref = (integrator._simulate_chunk(
+        first, 4, MethodSpec.of(name), params, cfg, plan, record_gauge=True,
+        native=kernel) for kernel in (native, False))
+    for k in ref:
+        assert fast[k].tobytes() == ref[k].tobytes(), k
+    # Each lane's last substep, and where its segment starts.
+    blow_t = ref["blowup_times"]
+    dead = np.isfinite(blow_t)
+    j = np.where(dead, np.searchsorted(plan.sub_t_end, blow_t),
+                 plan.n_substeps)
+    starts = np.concatenate([[0], plan.ends])
+    assert len(set(j[dead])) >= 2
+    assert any(plan.ends[s] - starts[s] > FILL
+               and 0 < j[i] - starts[s] < FILL - 1
+               and (j >= starts[s] + FILL).any()
+               for i in np.flatnonzero(dead)
+               for s in [np.searchsorted(plan.ends, j[i], side="right")])
+
+
+def test_native_build_without_fma_gives_the_same_bytes(native, monkeypatch,
+                                                       tmp_path):
+    """Built without -mfma, the kernel's vector complex products call
+    libm's fma one element at a time.  That build passes the probe and
+    gives the default build's bytes on a lossy chunk of each method."""
+    flags = [f for f in _kernel._flags() if f != "-mfma"]
+    monkeypatch.setattr(_kernel, "_flags", lambda: flags)
+    monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
+    path = _kernel.build()
+    assert path is not None
+    assert b"fma\0" in path.read_bytes()  # imported from libm
+    plain = _kernel.Kernel(path)
+    assert integrator._probe_matches(plain)
+    params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
+    cfg = EnsembleConfig(n_trajectories=48, dt=1e-3, t_final=0.0305,
+                         N_a0=4.0, N_b0=0.25, n_batches=3, sample_interval=7,
+                         master_seed=4, blowup_threshold=1.2)
+    plan = build_step_plan(cfg, params)
+    for name in METHOD_NAMES:
+        fast, ref = (integrator._simulate_chunk(
+            5, 30, MethodSpec.of(name), params, cfg, plan, record_gauge=True,
+            native=kernel) for kernel in (native, plain))
+        for k in ref:
+            assert fast[k].tobytes() == ref[k].tobytes(), (name, k)
+        assert np.isfinite(ref["blowup_times"]).any(), name
+
+
 def test_native_ndtri_is_scipys_bit_for_bit(ndtri_grid):
     """``phasesde_ndtri``, the kernel's inverse normal CDF, gives
     ``scipy.special.ndtri``'s bits in each branch and at each edge.

@@ -1,4 +1,6 @@
 """Batch statistics, series estimation, and breakdown detection."""
+import dataclasses
+import functools
 import math
 import warnings
 
@@ -192,6 +194,44 @@ def test_series_match_a_per_sample_reference():
         assert {0, 1, n_batches}.issubset(counts), n_batches
         if n_batches == 16:
             assert counts & set(range(8, 16)), counts
+
+
+def test_series_of_one_result_share_one_means_computation(monkeypatch):
+    """Every series of one result reads the moment means computed once,
+    and gives the bytes of a series computed from its own fresh means."""
+    params = SystemParams(0.0, 0.0, 1.0, 1.0, CouplingSchedule.constant(1.0))
+    cfg = EnsembleConfig(n_trajectories=48, dt=1e-3, t_final=0.1,
+                         N_a0=100.0, N_b0=0.01, n_batches=6,
+                         sample_interval=5, master_seed=12,
+                         blowup_threshold=3.0)
+    res = run_ensemble("positive_p", params, cfg)
+    assert 0 < np.isfinite(res.blowup_times).sum() < 48
+
+    calls = []
+    means = EnsembleResult._means.func
+
+    def counted(self):
+        calls.append(self)
+        return means(self)
+
+    spy = functools.cached_property(counted)
+    spy.__set_name__(EnsembleResult, "_means")
+    monkeypatch.setattr(EnsembleResult, "_means", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        shared = [observable_series(res, name) for name in OBSERVABLE_NAMES]
+        assert calls == [res]
+        fresh = [observable_series(dataclasses.replace(res), name)
+                 for name in OBSERVABLE_NAMES]
+    assert len(calls) == 1 + len(OBSERVABLE_NAMES)
+    for a, b in zip(shared, fresh):
+        for field in ("mean", "stderr", "live_fraction", "n_batches_used"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
+    first, again = res.moment_means(), res.moment_means()
+    assert first is not again
+    assert all(first[k] is again[k] for k in MONOMIALS)
+    with pytest.raises(ValueError):
+        first["alpha"][0, 0] = 0.0  # shared, so read-only
 
 
 def test_stderr_scales_with_ensemble_size():
