@@ -11,7 +11,8 @@
  *   - complex product a*b: (fma(ar, br, -(ai*bi)), fma(ar, bi, ai*br)),
  *     with a real operand promoted to (x, 0.0) as numpy promotes it;
  *   - complex quotient: numpy's Smith division, without fma;
- *   - complex exp: libm cexp;
+ *   - complex exp: libm cexp, whose glibc 2.36 code is ported below for
+ *     the small arguments of a step, bit for bit;
  *   - complex abs: larger * sqrt(fma(r, r, 1)), r = smaller / larger,
  *     with numpy's handling of zero, inf and nan;
  *   - normals: Cephes ndtri, ported below as representations.ndtri
@@ -29,11 +30,13 @@
  * whole group, element by element in the scalar IEEE order above, so
  * each lane rounds as it would alone: the products fuse with
  * _mm256_fmadd_pd under __FMA__ and with fma() per element without it.
- * The Philox stream, the normals (ndtri's log calls included), libm cexp,
- * the exact blow-up test and the gauge drift's abs stay per lane.  A
- * short last group is padded with dead slots, which step zeros (a fixed
- * point of every update), draw no normals and are never written back; a
- * lane that dies becomes one.  Records follow all groups, lane by lane.
+ * So does cexp, through the port, but for a slot outside the port's
+ * range, which calls libm.  The Philox stream, the normals (ndtri's log
+ * calls included), the exact blow-up test and the gauge drift's abs stay
+ * per lane.  A short last group is padded with dead slots, which step
+ * zeros (a fixed point of every update), draw no normals and are never
+ * written back; a lane that dies becomes one.  Records follow all groups,
+ * lane by lane.
  *
  * Streams: lane k is trajectory first+k and owns numpy's Philox4x64-10
  * stream keyed [master_seed, first+k], counter 0 (Salmon et al., SC'11):
@@ -77,6 +80,7 @@ typedef struct {
     int32_t noisy;        /* draw noise and kick */
     int32_t record_gauge; /* track the drift of alpha_plus*alpha */
     int32_t r_a, r_b;     /* 2: Wigner-sampled mode, 1: delta */
+    int32_t cexp_port;    /* cexp4 may use the port: phasesde_cexp_check */
     int64_t m;            /* lanes */
     int64_t n_batches, off; /* lane k belongs to batch (off + k) % n_batches */
     int64_t n_samples;
@@ -239,16 +243,250 @@ static inline c4 divide4(c4 x, c4 y)
     return r;
 }
 
-/* libm cexp, one slot at a time. */
-static inline c4 cexp4(c4 x)
+/* glibc 2.36's cexp, as x86_64 libm computes it with the FMA variants of
+ * sincos and exp that it picks on a CPU with FMA, ported four slots at a
+ * time for |Re z| < 512 and |Im z| < 0.126.  For z = x + iy, cexp gives
+ * (exp(x) * cos y, exp(x) * sin y):
+ *
+ *   - sin y (s_sin.c, do_sin): y for |y| < 2^-27, else TAYLOR_SIN,
+ *     y + y * yy * p(yy) for yy = y * y;
+ *   - cos y (do_cos): 1 for |y| < 2^-27, else the row of __sincostab for
+ *     i/128 nearest to |y|, found as the low word of 0x1.8p45 + |y|, and
+ *     polynomials of the rest x = |y| - i/128;
+ *   - exp x (e_exp.c): 1.0 + x for |x| < 2^-54, else 2^(k/128) * exp(r),
+ *     the power from a 128-entry table and r = x - k ln2/128.
+ *
+ * Where libm's machine code fuses a multiply and an add, the port calls
+ * fma; every other operation is the C source's, in its order.  The tables
+ * and coefficients are glibc's, copied from libm.  A libm built otherwise
+ * (say, the SSE2 variants on a CPU without FMA) rounds differently, so the
+ * kernel checks the port against libm once at load, phasesde_cexp_check,
+ * and where they differ every slot calls libm. */
+
+/* __sincostab's rows for i/128, i = 0..16: sin and a correction, then cos
+ * and a correction. */
+static const double SINCOS[17][4] = {
+    {0.0, 0.0,
+     0x1.0000000000000p0, 0.0},
+    {0x1.fffeaaaaeeeefp-8, -0x1.e45e2ec67b77cp-62,
+     0x1.fffc000155552p-1, 0x1.f4a01a0196daep-55},
+    {0x1.fffaaaaeeeed5p-7, -0x1.2ab639a9f0777p-63,
+     0x1.fff000155549fp-1, 0x1.28a28a03a5ef3p-55},
+    {0x1.7ff7001033255p-6, 0x1.efe2b51527336p-64,
+     0x1.ffdc006bff7e6p-1, 0x1.ae6dae86977bdp-55},
+    {0x1.ffeaaaeeee86fp-6, -0x1.cd406fb224ae2p-60,
+     0x1.ffc00155527d3p-1, -0x1.3b54492d89b5bp-55},
+    {0x1.3feb2b12d45d5p-5, 0x1.4ec54203d1c11p-60,
+     0x1.ff9c03414a7bap-1, 0x1.991f4be6c59bfp-57},
+    {0x1.7fdc01032fba9p-5, -0x1.599bdf46e997ap-59,
+     0x1.ff7006bfdf99fp-1, -0x1.8b3b560648d5fp-56},
+    {0x1.bfc6d78586dacp-5, 0x1.8e4fd03dbf236p-62,
+     0x1.ff3c0c8103a31p-1, 0x1.4856dbddc0e66p-56},
+    {0x1.ffaaaeeed4edbp-5, -0x1.2d16d32684b69p-59,
+     0x1.ff0015549f4d3p-1, 0x1.328387b99426fp-55},
+    {0x1.1fc343d808befp-4, -0x1.f3d32e6f3be4fp-58,
+     0x1.febc222a8ef9fp-1, 0x1.7934934f54c77p-58},
+    {0x1.3facb12d1755bp-4, -0x1.921915299468cp-58,
+     0x1.fe7034129ef6fp-1, -0x1.cbf4337c96f97p-57},
+    {0x1.5f911fd10b737p-4, -0x1.0184f02be9102p-58,
+     0x1.fe1c4c3c873ebp-1, -0x1.5a9c9057c4a02p-60},
+    {0x1.7f701032550e4p-4, 0x1.afc2d1800501ap-60,
+     0x1.fdc06bf7e6b9bp-1, 0x1.31902b535f8dbp-55},
+    {0x1.9f4902d55d1f9p-4, 0x1.2696d7eac1dc1p-58,
+     0x1.fd5c94b43e000p-1, -0x1.2e768cb4f92f9p-57},
+    {0x1.bf1b78568391dp-4, 0x1.e91841dea4cc8p-58,
+     0x1.fcf0c800e99b1p-1, 0x1.ea3d786d186acp-57},
+    {0x1.dee6f16c1cce6p-4, -0x1.50f8e2fb71673p-59,
+     0x1.fc7d078d1bc88p-1, 0x1.075d2447db685p-55},
+    {0x1.feaaeee86ee36p-4, -0x1.afcb2bcc6f03bp-59,
+     0x1.fc015527d5bd3p-1, 0x1.b68f35094efb8p-55},
+};
+
+static const double S1 = -0x1.5555555555555p-3, S2 = 0x1.1111111110ecep-7,
+                    S3 = -0x1.a01a019db08b8p-13, S4 = 0x1.71de27b9a7ed9p-19,
+                    S5 = -0x1.addffc2fcdf59p-26;        /* TAYLOR_SIN */
+static const double SN3 = -0x1.5555555555515p-3, SN5 = 0x1.11110e829872fp-7,
+                    CS2 = 0x1p-1, CS4 = -0x1.5555555555535p-5,
+                    CS6 = 0x1.6c16bedd9e239p-10;        /* do_cos */
+#define SINCOS_SHIFT 0x1.8p45
+
+/* __exp_data: 128 / ln2, -ln2 / 128 in two parts, the polynomial's C2 to
+ * C5 and the rounding shift; then 2^(i/128) for i = 0..127, as the bits
+ * of a correction and the bits of the power less i << 45. */
+static const double INVLN2N = 0x1.71547652b82fep7,
+                    NEGLN2HIN = -0x1.62e42fefa0000p-8,
+                    NEGLN2LON = -0x1.cf79abc9e3b3ap-47,
+                    C2 = 0x1.ffffffffffdbdp-2, C3 = 0x1.555555555543cp-3,
+                    C4 = 0x1.55555cf172b91p-5, C5 = 0x1.1111167a4d017p-7;
+#define EXP_SHIFT 0x1.8p52
+static const uint64_t EXP_TAB[256] = {
+    0x0000000000000000, 0x3ff0000000000000, 0x3c9b3b4f1a88bf6e, 0x3feff63da9fb3335,
+    0xbc7160139cd8dc5d, 0x3fefec9a3e778061, 0xbc905e7a108766d1, 0x3fefe315e86e7f85,
+    0x3c8cd2523567f613, 0x3fefd9b0d3158574, 0xbc8bce8023f98efa, 0x3fefd06b29ddf6de,
+    0x3c60f74e61e6c861, 0x3fefc74518759bc8, 0x3c90a3e45b33d399, 0x3fefbe3ecac6f383,
+    0x3c979aa65d837b6d, 0x3fefb5586cf9890f, 0x3c8eb51a92fdeffc, 0x3fefac922b7247f7,
+    0x3c3ebe3d702f9cd1, 0x3fefa3ec32d3d1a2, 0xbc6a033489906e0b, 0x3fef9b66affed31b,
+    0xbc9556522a2fbd0e, 0x3fef9301d0125b51, 0xbc5080ef8c4eea55, 0x3fef8abdc06c31cc,
+    0xbc91c923b9d5f416, 0x3fef829aaea92de0, 0x3c80d3e3e95c55af, 0x3fef7a98c8a58e51,
+    0xbc801b15eaa59348, 0x3fef72b83c7d517b, 0xbc8f1ff055de323d, 0x3fef6af9388c8dea,
+    0x3c8b898c3f1353bf, 0x3fef635beb6fcb75, 0xbc96d99c7611eb26, 0x3fef5be084045cd4,
+    0x3c9aecf73e3a2f60, 0x3fef54873168b9aa, 0xbc8fe782cb86389d, 0x3fef4d5022fcd91d,
+    0x3c8a6f4144a6c38d, 0x3fef463b88628cd6, 0x3c807a05b0e4047d, 0x3fef3f49917ddc96,
+    0x3c968efde3a8a894, 0x3fef387a6e756238, 0x3c875e18f274487d, 0x3fef31ce4fb2a63f,
+    0x3c80472b981fe7f2, 0x3fef2b4565e27cdd, 0xbc96b87b3f71085e, 0x3fef24dfe1f56381,
+    0x3c82f7e16d09ab31, 0x3fef1e9df51fdee1, 0xbc3d219b1a6fbffa, 0x3fef187fd0dad990,
+    0x3c8b3782720c0ab4, 0x3fef1285a6e4030b, 0x3c6e149289cecb8f, 0x3fef0cafa93e2f56,
+    0x3c834d754db0abb6, 0x3fef06fe0a31b715, 0x3c864201e2ac744c, 0x3fef0170fc4cd831,
+    0x3c8fdd395dd3f84a, 0x3feefc08b26416ff, 0xbc86a3803b8e5b04, 0x3feef6c55f929ff1,
+    0xbc924aedcc4b5068, 0x3feef1a7373aa9cb, 0xbc9907f81b512d8e, 0x3feeecae6d05d866,
+    0xbc71d1e83e9436d2, 0x3feee7db34e59ff7, 0xbc991919b3ce1b15, 0x3feee32dc313a8e5,
+    0x3c859f48a72a4c6d, 0x3feedea64c123422, 0xbc9312607a28698a, 0x3feeda4504ac801c,
+    0xbc58a78f4817895b, 0x3feed60a21f72e2a, 0xbc7c2c9b67499a1b, 0x3feed1f5d950a897,
+    0x3c4363ed60c2ac11, 0x3feece086061892d, 0x3c9666093b0664ef, 0x3feeca41ed1d0057,
+    0x3c6ecce1daa10379, 0x3feec6a2b5c13cd0, 0x3c93ff8e3f0f1230, 0x3feec32af0d7d3de,
+    0x3c7690cebb7aafb0, 0x3feebfdad5362a27, 0x3c931dbdeb54e077, 0x3feebcb299fddd0d,
+    0xbc8f94340071a38e, 0x3feeb9b2769d2ca7, 0xbc87deccdc93a349, 0x3feeb6daa2cf6642,
+    0xbc78dec6bd0f385f, 0x3feeb42b569d4f82, 0xbc861246ec7b5cf6, 0x3feeb1a4ca5d920f,
+    0x3c93350518fdd78e, 0x3feeaf4736b527da, 0x3c7b98b72f8a9b05, 0x3feead12d497c7fd,
+    0x3c9063e1e21c5409, 0x3feeab07dd485429, 0x3c34c7855019c6ea, 0x3feea9268a5946b7,
+    0x3c9432e62b64c035, 0x3feea76f15ad2148, 0xbc8ce44a6199769f, 0x3feea5e1b976dc09,
+    0xbc8c33c53bef4da8, 0x3feea47eb03a5585, 0xbc845378892be9ae, 0x3feea34634ccc320,
+    0xbc93cedd78565858, 0x3feea23882552225, 0x3c5710aa807e1964, 0x3feea155d44ca973,
+    0xbc93b3efbf5e2228, 0x3feea09e667f3bcd, 0xbc6a12ad8734b982, 0x3feea012750bdabf,
+    0xbc6367efb86da9ee, 0x3fee9fb23c651a2f, 0xbc80dc3d54e08851, 0x3fee9f7df9519484,
+    0xbc781f647e5a3ecf, 0x3fee9f75e8ec5f74, 0xbc86ee4ac08b7db0, 0x3fee9f9a48a58174,
+    0xbc8619321e55e68a, 0x3fee9feb564267c9, 0x3c909ccb5e09d4d3, 0x3feea0694fde5d3f,
+    0xbc7b32dcb94da51d, 0x3feea11473eb0187, 0x3c94ecfd5467c06b, 0x3feea1ed0130c132,
+    0x3c65ebe1abd66c55, 0x3feea2f336cf4e62, 0xbc88a1c52fb3cf42, 0x3feea427543e1a12,
+    0xbc9369b6f13b3734, 0x3feea589994cce13, 0xbc805e843a19ff1e, 0x3feea71a4623c7ad,
+    0xbc94d450d872576e, 0x3feea8d99b4492ed, 0x3c90ad675b0e8a00, 0x3feeaac7d98a6699,
+    0x3c8db72fc1f0eab4, 0x3feeace5422aa0db, 0xbc65b6609cc5e7ff, 0x3feeaf3216b5448c,
+    0x3c7bf68359f35f44, 0x3feeb1ae99157736, 0xbc93091fa71e3d83, 0x3feeb45b0b91ffc6,
+    0xbc5da9b88b6c1e29, 0x3feeb737b0cdc5e5, 0xbc6c23f97c90b959, 0x3feeba44cbc8520f,
+    0xbc92434322f4f9aa, 0x3feebd829fde4e50, 0xbc85ca6cd7668e4b, 0x3feec0f170ca07ba,
+    0x3c71affc2b91ce27, 0x3feec49182a3f090, 0x3c6dd235e10a73bb, 0x3feec86319e32323,
+    0xbc87c50422622263, 0x3feecc667b5de565, 0x3c8b1c86e3e231d5, 0x3feed09bec4a2d33,
+    0xbc91bbd1d3bcbb15, 0x3feed503b23e255d, 0x3c90cc319cee31d2, 0x3feed99e1330b358,
+    0x3c8469846e735ab3, 0x3feede6b5579fdbf, 0xbc82dfcd978e9db4, 0x3feee36bbfd3f37a,
+    0x3c8c1a7792cb3387, 0x3feee89f995ad3ad, 0xbc907b8f4ad1d9fa, 0x3feeee07298db666,
+    0xbc55c3d956dcaeba, 0x3feef3a2b84f15fb, 0xbc90a40e3da6f640, 0x3feef9728de5593a,
+    0xbc68d6f438ad9334, 0x3feeff76f2fb5e47, 0xbc91eee26b588a35, 0x3fef05b030a1064a,
+    0x3c74ffd70a5fddcd, 0x3fef0c1e904bc1d2, 0xbc91bdfbfa9298ac, 0x3fef12c25bd71e09,
+    0x3c736eae30af0cb3, 0x3fef199bdd85529c, 0x3c8ee3325c9ffd94, 0x3fef20ab5fffd07a,
+    0x3c84e08fd10959ac, 0x3fef27f12e57d14b, 0x3c63cdaf384e1a67, 0x3fef2f6d9406e7b5,
+    0x3c676b2c6c921968, 0x3fef3720dcef9069, 0xbc808a1883ccb5d2, 0x3fef3f0b555dc3fa,
+    0xbc8fad5d3ffffa6f, 0x3fef472d4a07897c, 0xbc900dae3875a949, 0x3fef4f87080d89f2,
+    0x3c74a385a63d07a7, 0x3fef5818dcfba487, 0xbc82919e2040220f, 0x3fef60e316c98398,
+    0x3c8e5a50d5c192ac, 0x3fef69e603db3285, 0x3c843a59ac016b4b, 0x3fef7321f301b460,
+    0xbc82d52107b43e1f, 0x3fef7c97337b9b5f, 0xbc892ab93b470dc9, 0x3fef864614f5a129,
+    0x3c74b604603a88d3, 0x3fef902ee78b3ff6, 0x3c83c5ec519d7271, 0x3fef9a51fbc74c83,
+    0xbc8ff7128fd391f0, 0x3fefa4afa2a490da, 0xbc8dae98e223747d, 0x3fefaf482d8e67f1,
+    0x3c8ec3bc41aa2008, 0x3fefba1bee615a27, 0x3c842b94c3a9eb32, 0x3fefc52b376bba97,
+    0x3c8a64a931d185ee, 0x3fefd0765b6e4540, 0xbc8e37bae43be3ed, 0x3fefdbfdad9cbe14,
+    0x3c77893b4d91cd9d, 0x3fefe7c1819e90d8, 0x3c5305c14160cc89, 0x3feff3c22b8f71f1,
+};
+
+typedef uint64_t v4u __attribute__((vector_size(32)));
+
+/* The port, in every slot; each must be in its range.  Its argument and
+ * result go through memory, whole vectors at a time: passed by value, a
+ * c4 is split into halves, and reading a vector back from two stores
+ * stalls. */
+static void glibc_cexp4(const c4 *zp, c4 *out)
 {
-    c4 r;
-    for (int i = 0; i < 4; i++) {
-        double complex e = cexp(CMPLX(x.re[i], x.im[i]));
-        r.re[i] = creal(e);
-        r.im[i] = cimag(e);
+    c4 z = *zp;
+    v4d y = z.im, ay = fabs4(y), yy = y * y;
+    v4d p = fma4(fma4(fma4(fma4(splat(S5), yy, splat(S4)), yy, splat(S3)),
+                      yy, splat(S2)), yy, splat(S1));
+    v4d sin_y = y + fma4(p * y, yy, splat(0.0));
+
+    v4d u = SINCOS_SHIFT + ay, x = ay - (u - SINCOS_SHIFT), xx = x * x;
+    v4d s = fma4(x * xx, fma4(xx, splat(SN5), splat(SN3)), x);
+    v4d c = xx * fma4(xx, fma4(xx, splat(CS6), splat(CS4)), splat(CS2));
+    v4u k = (v4u)u & 0xffffffff;
+    const double *t0 = SINCOS[k[0]], *t1 = SINCOS[k[1]];
+    const double *t2 = SINCOS[k[2]], *t3 = SINCOS[k[3]];
+    v4d sn = {t0[0], t1[0], t2[0], t3[0]}, ssn = {t0[1], t1[1], t2[1], t3[1]};
+    v4d cs = {t0[2], t1[2], t2[2], t3[2]}, ccs = {t0[3], t1[3], t2[3], t3[3]};
+    v4d cos_y = cs + fma4(-sn, s, fma4(-cs, c, fma4(-s, ssn, ccs)));
+    v4i flat = ay < 0x1p-27;
+    sin_y = blend(flat, y, sin_y);
+    cos_y = blend(flat, splat(1.0), cos_y);
+
+    v4i tiny = fabs4(z.re) < 0x1p-54;
+    v4d e = 1.0 + z.re;
+    if (bits(tiny) != 15) { /* always so for wigner's rotations */
+        v4d kd = fma4(splat(INVLN2N), z.re, splat(EXP_SHIFT));
+        v4u ki = (v4u)kd, i = 2 * (ki % 128);
+        kd = kd - EXP_SHIFT;
+        v4d r = fma4(kd, splat(NEGLN2LON), fma4(kd, splat(NEGLN2HIN), z.re));
+        v4d tail = (v4d)(v4u){EXP_TAB[i[0]], EXP_TAB[i[1]], EXP_TAB[i[2]],
+                              EXP_TAB[i[3]]};
+        v4u sbits = (v4u){EXP_TAB[i[0] + 1], EXP_TAB[i[1] + 1],
+                          EXP_TAB[i[2] + 1], EXP_TAB[i[3] + 1]} + (ki << 45);
+        v4d r2 = r * r, scale = (v4d)sbits;
+        v4d tmp = fma4(r2 * r2, fma4(r, splat(C5), splat(C4)),
+                       fma4(r2, fma4(r, splat(C3), splat(C2)), tail + r));
+        e = blend(tiny, e, fma4(scale, tmp, scale));
     }
+    out->re = e * cos_y;
+    out->im = e * sin_y;
+}
+
+/* libm cexp in each slot: the port where port is 1 and the slot is in its
+ * range, else a call of libm. */
+static inline c4 cexp4(c4 z, int port)
+{
+    v4i fast = (fabs4(z.re) < 512.0) & (fabs4(z.im) < 0.126) & -(int64_t)port;
+    c4 r, in = {blend(fast, z.re, splat(0.0)), blend(fast, z.im, splat(0.0))};
+    glibc_cexp4(&in, &r);
+    for (int i = 0, slow = ~bits(fast) & 15; slow; i++, slow >>= 1)
+        if (slow & 1) {
+            double complex e = cexp(CMPLX(z.re[i], z.im[i]));
+            put(&r, i, (cplx){creal(e), cimag(e)});
+        }
     return r;
+}
+
+/* out[i] = cexp(z[i]) for i < n, four at a time through cexp4. */
+void phasesde_cexp(const cplx *z, cplx *out, int64_t n, int32_t port)
+{
+    for (int64_t i = 0; i < n; i += 4) {
+        int k = n - i < 4 ? (int)(n - i) : 4;
+        c4 x = bcast(real(0.0));
+        for (int j = 0; j < k; j++)
+            put(&x, j, z[i + j]);
+        c4 r = cexp4(x, port);
+        for (int j = 0; j < k; j++)
+            out[i + j] = slot(r, j);
+    }
+}
+
+/* 1 if the port gives libm's bits on 4096 seeded arguments, else 0.  Each
+ * part is a random sign times 2^-e times a uniform mantissa in [1, 2), e
+ * uniform in 0..63, scaled to the port's range: zeros aside, that reaches
+ * both branches of each stage and every row of both tables. */
+int phasesde_cexp_check(void)
+{
+    uint64_t w = 0x9E3779B97F4A7C15ULL; /* xorshift64 */
+    for (int g = 0; g < 1024; g++) {
+        c4 z;
+        for (int i = 0; i < 8; i++) {
+            w ^= w << 13;
+            w ^= w >> 7;
+            w ^= w << 17;
+            double v = ldexp(1.0 + (double)(w >> 12) * 0x1p-52,
+                             -(int)(w & 63)) * (w >> 6 & 1 ? -1.0 : 1.0);
+            if (i < 4)
+                z.re[i] = v * 255.0;
+            else
+                z.im[i - 4] = v * 0.0625;
+        }
+        c4 a = cexp4(z, 1), b = cexp4(z, 0);
+        if (bits(((v4i)a.re != (v4i)b.re) | ((v4i)a.im != (v4i)b.im)))
+            return 0;
+    }
+    return 1;
 }
 
 /* Slots where both components of x are at most lim/1.5 in magnitude, and
@@ -545,7 +783,7 @@ static void advance(const chunk_t *c, lane_t *lanes, const int64_t *idx,
                 c4 e3 = add4(x2, ix3), em = sub4(x2, ix3);
                 c4 kick = mul4(mul4(q, e3), sdt);
                 if (c->method == HYBRID_TRUNCATED) {
-                    c4 ee = cexp4(kick);
+                    c4 ee = cexp4(kick, c->cexp_port);
                     Am = mul4(A, ee);
                     APm = divide4(AP, ee);
                 } else {
@@ -559,8 +797,8 @@ static void advance(const chunk_t *c, lane_t *lanes, const int64_t *idx,
         }
 
         c4 dtv = real4(splat(dt)), minus_i = bcast(MINUS_I);
-        c4 rot_a = cexp4(mul4(mul4(minus_i, fa), dtv));
-        c4 rot_b = cexp4(mul4(mul4(minus_i, fb), dtv));
+        c4 rot_a = cexp4(mul4(mul4(minus_i, fa), dtv), c->cexp_port);
+        c4 rot_b = cexp4(mul4(mul4(minus_i, fb), dtv), c->cexp_port);
         A = mul4(Am, rot_a);
         B = mul4(Bm, rot_b);
         if (c->method == WIGNER) {

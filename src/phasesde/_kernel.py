@@ -3,11 +3,13 @@
 The C file is compiled at first use with ``gcc -O2 -ffp-contract=off``
 (plus ``-mfma`` where the CPU has FMA, as numpy's own loops use it) into
 the user cache directory, under a name made from the sha256 of the
-source and the flags, and loaded with ``ctypes``; a build removes the
-objects of other sources and flags from the cache.  ``load`` returns None
-when there is no compiler, the build fails, or the cache directory is
-not private to this user; the engine then keeps its numpy loop.  Whether
-the loaded kernel gives numpy's bytes is checked by the engine, not here.
+source and the flags, and loaded with ``ctypes``.  Objects of other
+sources and flags stay, so checkouts that share the cache do not rebuild
+each other's; a build keeps the ``CACHE_KEEP`` most recently used.
+``load`` returns None when there is no compiler, the build fails, or the
+cache directory is not private to this user; the engine then keeps its
+numpy loop.  Whether the loaded kernel gives numpy's bytes is checked by
+the engine, not here.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ log = logging.getLogger(__name__)
 SOURCE = Path(__file__).with_name("_kernel.c")
 COMPILER = "gcc"
 CACHE_DIR = Path(os.path.expanduser("~/.cache/phasesde"))  # relative: no home
+CACHE_KEEP = 8  # objects kept in the cache, by last use; one is about 37 KB
 
 # dtype and shape of each array chunk_t points at, in chunk_t's order; m
 # lanes, n substeps, s samples (so s - 1 segment ends), nb batches.
@@ -52,7 +55,8 @@ class Chunk(ctypes.Structure):
     _fields_ = [
         ("method", ctypes.c_int32), ("noisy", ctypes.c_int32),
         ("record_gauge", ctypes.c_int32), ("r_a", ctypes.c_int32),
-        ("r_b", ctypes.c_int32), ("m", ctypes.c_int64),
+        ("r_b", ctypes.c_int32), ("cexp_port", ctypes.c_int32),
+        ("m", ctypes.c_int64),
         ("n_batches", ctypes.c_int64), ("off", ctypes.c_int64),
         ("n_samples", ctypes.c_int64),
         ("master_seed", ctypes.c_uint64), ("first", ctypes.c_uint64),
@@ -95,6 +99,9 @@ def build() -> Path | None:
                      CACHE_DIR)
             return None
         if target.exists():
+            # Marks the object used, for the pruning below.
+            with contextlib.suppress(OSError):
+                os.utime(target)
             return target
         compiler = shutil.which(COMPILER)
         if compiler is None:
@@ -113,13 +120,13 @@ def build() -> Path | None:
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        # Objects of older sources or flags are never loaded again; a
-        # process that has one mapped keeps it.  Temporary files belong to
-        # concurrent builds.
-        for stale in CACHE_DIR.glob("kernel-*.so"):
-            if stale != target:
-                with contextlib.suppress(OSError):
-                    stale.unlink()
+        # The least recently used objects go; a process that has one
+        # mapped keeps it.  Temporary files belong to concurrent builds.
+        others = [p for p in CACHE_DIR.glob("kernel-*.so") if p != target]
+        with contextlib.suppress(OSError):  # say, a concurrent prune
+            others.sort(key=lambda p: p.stat().st_mtime, reverse=True)
+            for stale in others[CACHE_KEEP - 1:]:
+                stale.unlink()
     except (OSError, subprocess.SubprocessError) as exc:
         log.info("building the native kernel failed: %s", exc)
         return None
@@ -127,15 +134,25 @@ def build() -> Path | None:
 
 
 class Kernel:
-    """The loaded shared object: ``lib`` is its ``CDLL``, whose
-    ``phasesde_chunk`` runs a chunk and ``phasesde_ndtri`` is the inverse
-    normal CDF that the chunk draws its normals with."""
+    """The loaded shared object.  ``lib`` is its ``CDLL``, which exports
+    ``phasesde_chunk``, which runs a chunk; ``phasesde_ndtri``, the
+    inverse normal CDF that the chunk draws its normals with;
+    ``phasesde_cexp``, the chunk's complex exp over an array, with its
+    port of libm's ``cexp`` allowed or not; and
+    ``phasesde_cexp_check``, which compares that port with libm.
+
+    ``cexp_port`` is the check's verdict, taken once here: where it is
+    False (a libm that rounds otherwise), every chunk calls libm ``cexp``.
+    """
 
     def __init__(self, path: Path):
         self.lib = ctypes.CDLL(str(path))
         self._chunk = self.lib.phasesde_chunk
         self._chunk.argtypes = [ctypes.POINTER(Chunk)]
         self._chunk.restype = ctypes.c_int
+        self.cexp_port = bool(self.lib.phasesde_cexp_check())
+        if not self.cexp_port:
+            log.info("the kernel's cexp differs from libm's; it calls libm")
 
     def run_chunk(self, method, noisy, record_gauge, config, first, plan,
                   coeffs, params, threshold, partials):
@@ -164,6 +181,7 @@ class Kernel:
         gamma_a, gamma_b = config.coherent_start
         c = Chunk(method=METHOD_NAMES.index(method.method), noisy=noisy,
                   record_gauge=record_gauge, r_a=method.r_a, r_b=method.r_b,
+                  cexp_port=self.cexp_port,
                   m=m, n_batches=nb, off=first % nb,
                   n_samples=plan.n_samples, master_seed=config.master_seed,
                   first=first, gamma_a=gamma_a, gamma_b=gamma_b,

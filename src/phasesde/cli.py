@@ -25,9 +25,9 @@ an unknown or missing key, or a value of the wrong kind, is a ConfigError.
 ``validate_config`` for every method.  Presets are config files of exactly
 this shape.  One series file is written per (method, observable) as
 ``<path>_<method>_<observable>.<fmt>``; CSV runs also get a
-``<path>_<method>.meta.json`` sidecar carrying the resolved config and any
-detected breakdown times.  Identical config and seed give identical output
-bytes.
+``<path>_<method>.meta.json`` sidecar carrying the resolved config, any
+detected breakdown times and the engine that ran.  Identical config and
+seed give identical output bytes.
 """
 from __future__ import annotations
 
@@ -51,7 +51,7 @@ from .core import (
     SystemParams,
     validate_config,
 )
-from .integrator import build_step_plan, run_ensemble
+from .integrator import build_step_plan, engine_record, run_ensemble
 from .oracle import exact_series, match_schedule
 from .representations import OBSERVABLE_NAMES
 from .stats import detect_blowup, observable_series
@@ -338,6 +338,7 @@ def _execute(resolved: dict) -> dict:
     fmt = resolved["output"]["format"]
 
     outputs, all_series, breakdowns = [], {}, {}
+    engine = engine_record()
     for spec, config in runs:
         result = run_ensemble(spec, params, config)
         for obs in resolved["observables"]:
@@ -351,7 +352,8 @@ def _execute(resolved: dict) -> dict:
                 "stderr": series.stderr, "exact": series.exact,
                 "live_fraction": series.live_fraction,
             }, {"version": __version__, "method": spec.method, "observable": obs,
-                "breakdown_time": t_break, "config": resolved})
+                "breakdown_time": t_break, "engine": engine,
+                "config": resolved})
             outputs.append(path)
         if fmt == "csv":
             sidecar = f"{stem}_{spec.method}.meta.json"
@@ -360,6 +362,7 @@ def _execute(resolved: dict) -> dict:
                 "method": spec.method,
                 "breakdown_times": {obs: breakdowns[(spec.method, obs)]
                                     for obs in resolved["observables"]},
+                "engine": engine,
                 "config": resolved,
             }, indent=2) + "\n")
             outputs.append(sidecar)

@@ -340,6 +340,16 @@ def _load_native():
     return _native
 
 
+def engine_record() -> dict:
+    """The engine that runs chunks in this process: ``{"name": "numpy"}``,
+    or ``{"name": "native", "cexp": "port"}`` (``"libm"`` where the
+    kernel's cexp port failed its check at load)."""
+    kernel = _load_native()
+    if not kernel:
+        return {"name": "numpy"}
+    return {"name": "native", "cexp": "port" if kernel.cexp_port else "libm"}
+
+
 def _probe_matches(kernel) -> bool:
     """True if ``kernel`` gives the numpy loop's bytes on a small probe.
 

@@ -1,5 +1,6 @@
 """Config resolution, preset execution, output files, and the entry point."""
 import contextlib
+import copy
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phasesde
-from phasesde import ConfigError, EnsembleConfig, __version__, cli
+from phasesde import ConfigError, EnsembleConfig, __version__, cli, integrator
 from phasesde.cli import (
     PRESET_NAMES,
     load_preset,
@@ -193,6 +194,36 @@ def test_breakdown_is_annotated_in_the_sidecar(tmp_path, capsys):
     assert meta["version"] == __version__
     t_break = meta["breakdown_times"]["X_a"]
     assert t_break is not None and t_break <= 0.1
+
+
+def test_outputs_name_the_engine_that_ran(tmp_path, monkeypatch):
+    """The sidecar and the JSON metadata record the engine, and for the
+    native kernel whether its cexp is the port or libm; CSV bytes are the
+    same on every engine."""
+    monkeypatch.setattr(integrator, "_native", None)
+    kernel = integrator._load_native()
+    if not kernel:
+        pytest.skip("runs use the numpy loop here")
+    libm = copy.copy(kernel)
+    libm.cexp_port = False
+    records = {"numpy": (False, {"name": "numpy"}),
+               "port": (kernel, {"name": "native", "cexp": "port"}),
+               "libm": (libm, {"name": "native", "cexp": "libm"})}
+    csv = set()
+    for name, (engine, record) in records.items():
+        monkeypatch.setattr(integrator, "_native", engine)
+        for fmt in ("csv", "json"):
+            assert main(["run", "--preset", "fig1", "--trajectories", "30",
+                         "--format", fmt, "--out",
+                         str(tmp_path / name / fmt)]) == 0
+        out = tmp_path / name
+        meta = json.loads((out / "csv" / "fig1_positive_p.meta.json")
+                          .read_text())
+        doc = json.loads((out / "json" / "fig1_positive_p_X_a.json")
+                         .read_text())
+        assert meta["engine"] == doc["metadata"]["engine"] == record
+        csv.add((out / "csv" / "fig1_positive_p_X_a.csv").read_bytes())
+    assert len(csv) == 1
 
 
 def test_json_format_carries_metadata(tmp_path):

@@ -1,11 +1,14 @@
 """Step plans, the single-step map, and ensemble integration."""
+import copy
 import ctypes
 import dataclasses
 import logging
 import math
+import os
 import re
 import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -801,6 +804,153 @@ def test_native_ndtri_is_scipys_bit_for_bit(ndtri_grid):
     assert bad.size == 0, [(u[i], out[i], ref[i]) for i in bad[:5]]
 
 
+def native_cexp(kernel, z, port):
+    """The kernel's ``cexp4`` over ``z``, with its port allowed or not."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    out = np.full_like(z, 7.0)
+    kernel.lib.phasesde_cexp(ctypes.c_void_p(z.ctypes.data),
+                             ctypes.c_void_p(out.ctypes.data),
+                             ctypes.c_int64(z.size), ctypes.c_int32(port))
+    return out
+
+
+def assert_cexp_port_is_libm(kernel, z):
+    fast, ref = (native_cexp(kernel, z, port) for port in (1, 0))
+    bad = np.flatnonzero((fast.view(np.uint64) != ref.view(np.uint64))
+                         .reshape(-1, 2).any(axis=1))
+    assert bad.size == 0, [(z[i], fast[i], ref[i]) for i in bad[:5]]
+
+
+def signed_ulps_around(*values):
+    """Each positive value and its neighbours one ulp away, both signs."""
+    v = np.array(values, dtype=float).view(np.int64)
+    near = (v[:, None] + np.arange(-1, 2)).ravel().view(np.float64)
+    return np.concatenate([near, -near])
+
+
+def complex_grid(re, im):
+    """Every (re, im) pair, built without arithmetic on nan or inf."""
+    z = np.empty((len(re), len(im)), dtype=complex)
+    z.real, z.imag = np.meshgrid(re, im, indexing="ij")
+    return z.ravel()
+
+
+def libm_is_the_ports_model():
+    """True on glibc 2.36 with a CPU that has FMA and AVX2, where libm's
+    cexp runs the FMA builds of sincos and exp that the kernel ports."""
+    try:
+        cpuinfo = Path("/proc/cpuinfo").read_text()
+        glibc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (OSError, ValueError):
+        return False
+    flags = {f for line in cpuinfo.splitlines() if line.startswith("flags")
+             for f in line.split()}
+    return glibc == "glibc 2.36" and {"fma", "avx2"} <= flags
+
+
+@pytest.fixture
+def cexp_port(native):
+    """The native kernel, whose cexp port passed its check at load.
+
+    Only where libm is not the port's model may the check fail: chunks
+    then call libm, and the port is not pinned."""
+    if not native.cexp_port:
+        if libm_is_the_ports_model():
+            pytest.fail("the kernel's cexp port differs from the libm it "
+                        "ports")
+        pytest.skip("this libm is not the port's model, so chunks call "
+                    "libm")
+    return native
+
+
+def test_native_cexp_port_is_libms_bit_for_bit(cexp_port):
+    """With its port of glibc's cexp on, the kernel's ``cexp4`` gives
+    libm's bits at both signs of each edge of both stages: zero,
+    subnormals, 2^-27, 0.126, each table point k/128 and the midpoints
+    between them in the imaginary part; 2^-54 and 512 in the real part.
+    Then on 10^7 seeded arguments over the port's range, a third of them
+    with a zero real part, as every Wigner rotation has."""
+    tiny = np.finfo(float).tiny
+    edges = [0.0, -0.0, 5e-324, -5e-324, tiny / 2, -tiny / 2]
+    im = np.concatenate([edges, signed_ulps_around(
+        tiny, 2.0 ** -27, 0.126, *(k / 128 for k in range(1, 17)),
+        *((k + 0.5) / 128 for k in range(17)))])
+    re = np.concatenate([edges, signed_ulps_around(
+        tiny, 2.0 ** -54, 1e-3, 0.5, 20.0, 511.0, 512.0)])
+    assert_cexp_port_is_libm(cexp_port, complex_grid(re, im))
+    rng = np.random.default_rng(20261020)
+    n = 10 ** 6
+    for _ in range(10):
+        shrink = rng.integers(0, 64, (2, n)) * (rng.random((2, n)) < 0.5)
+        scale = 2.0 ** -shrink
+        re = rng.uniform(-512, 512, n) * scale[0] * (rng.random(n) < 2 / 3)
+        im = rng.uniform(-0.126, 0.126, n) * scale[1]
+        assert_cexp_port_is_libm(cexp_port, re + 1j * im)
+
+
+def test_native_cexp_sends_other_arguments_to_libm(cexp_port):
+    """Non-finite parts and finite ones outside the port's range give
+    libm's bits with the port on, nan payloads included."""
+    inf, nan = math.inf, math.nan
+    re = np.array([0.0, 1.0, -1.0, 512.0, -512.0, 700.0, -800.0, 1e300,
+                   inf, -inf, nan])
+    im = np.array([0.0, -0.0, 1e-3, 0.126, -0.126, 1.0, -3.0, 1e300, inf,
+                   -inf, nan])
+    assert_cexp_port_is_libm(cexp_port, complex_grid(re, im))
+
+
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_native_runs_give_the_same_bytes_with_the_cexp_port_or_libm(
+        cexp_port, monkeypatch, name):
+    """Whole runs with the port forced off give the bytes of runs with it
+    on: the rotations, hybrid_truncated's exponential kick, and a
+    coupling that switches off the dt grid."""
+    libm = copy.copy(cexp_port)
+    libm.cexp_port = False
+    params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
+    cfg = EnsembleConfig(n_trajectories=48, dt=1e-3, t_final=0.0305,
+                         N_a0=4.0, N_b0=0.25, n_batches=3, sample_interval=7,
+                         master_seed=31, blowup_threshold=1.2)
+    runs = []
+    for kernel in (cexp_port, libm):
+        monkeypatch.setattr(integrator, "_native", kernel)
+        runs.append(run_bytes(name, params, cfg, record_gauge_drift=True))
+    assert runs[0] == runs[1]
+
+
+def test_failed_cexp_check_logs_once_and_calls_libm(monkeypatch, caplog):
+    """A kernel whose port differs from libm keeps it off, says so once at
+    INFO, and the engine record names libm."""
+    path = _kernel.build()
+    if path is None:
+        pytest.skip("the native kernel does not build")
+    cdll = ctypes.CDLL
+
+    class Differs:
+        """The kernel's library, with a check that fails."""
+
+        def __init__(self, name):
+            self.lib = cdll(name)
+
+        def __getattr__(self, name):
+            return getattr(self.lib, name)
+
+        @staticmethod
+        def phasesde_cexp_check():
+            return 0
+
+    caplog.set_level(logging.INFO, logger=_kernel.log.name)
+    monkeypatch.setattr(_kernel.ctypes, "CDLL", Differs)
+    kernel = _kernel.Kernel(path)
+    assert kernel.cexp_port is False
+    assert [r.levelno for r in caplog.records] == [logging.INFO]
+    assert "cexp" in caplog.messages[0]
+    monkeypatch.setattr(integrator, "_native", kernel)
+    assert integrator.engine_record() == {"name": "native", "cexp": "libm"}
+    monkeypatch.setattr(integrator, "_native", False)
+    assert integrator.engine_record() == {"name": "numpy"}
+
+
 @pytest.mark.parametrize("ends", [[30, 20, 50], [20, 40, 49], [-1, 20, 50]],
                          ids=["falling", "short", "negative"])
 def test_native_refuses_segment_ends_it_cannot_follow(native, ends):
@@ -878,8 +1028,8 @@ def test_native_build_is_cached_by_source_and_flags(monkeypatch, tmp_path):
     # A second build finds the cached file and needs no compiler.
     monkeypatch.setattr(_kernel, "COMPILER", "no-such-compiler-phasesde")
     assert _kernel.build() == path
-    # A build from a changed source removes the stale object, and leaves
-    # the temporary file of a concurrent build alone.
+    # A build from a changed source keeps the other source's object, and
+    # leaves the temporary file of a concurrent build alone.
     monkeypatch.setattr(_kernel, "COMPILER", compiler)
     source = tmp_path / "_kernel.c"
     source.write_bytes(_kernel.SOURCE.read_bytes() + b"/* changed */\n")
@@ -887,8 +1037,37 @@ def test_native_build_is_cached_by_source_and_flags(monkeypatch, tmp_path):
     (cache / "tmp123.so.tmp").touch()
     changed = _kernel.build()
     assert changed is not None and changed != path
-    assert sorted(p.name for p in cache.iterdir()) == [
-        changed.name, "tmp123.so.tmp"]
+    assert sorted(p.name for p in cache.iterdir()) == sorted([
+        path.name, changed.name, "tmp123.so.tmp"])
     # A cache directory that others may write is refused.
     cache.chmod(0o770)
     assert _kernel.build() is None
+
+
+def test_native_cache_keeps_two_sources_and_prunes_the_least_used(
+        monkeypatch, tmp_path):
+    """Building source A, then B, then A compiles nothing the third time,
+    as when two checkouts share a cache.  A build keeps ``CACHE_KEEP``
+    objects, its own and the most recently used of the others."""
+    compiler = _kernel.COMPILER
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no {compiler} on PATH")
+    cache = tmp_path / "cache"
+    monkeypatch.setattr(_kernel, "CACHE_DIR", cache)
+    monkeypatch.setattr(_kernel, "CACHE_KEEP", 2)
+    cache.mkdir(mode=0o700)
+    old = cache / "kernel-0123456789abcdef.so"  # last used long ago
+    old.touch()
+    os.utime(old, (1e9, 1e9))
+    source_a = _kernel.SOURCE
+    source_b = tmp_path / "_kernel.c"
+    source_b.write_bytes(source_a.read_bytes() + b"/* B */\n")
+    path_a = _kernel.build()
+    assert sorted(cache.iterdir()) == sorted([old, path_a])
+    monkeypatch.setattr(_kernel, "SOURCE", source_b)
+    path_b = _kernel.build()
+    assert sorted(cache.iterdir()) == sorted([path_a, path_b])
+    monkeypatch.setattr(_kernel, "COMPILER", "no-such-compiler-phasesde")
+    monkeypatch.setattr(_kernel, "SOURCE", source_a)
+    assert _kernel.build() == path_a
+    assert sorted(cache.iterdir()) == sorted([path_a, path_b])

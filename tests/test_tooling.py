@@ -1,12 +1,14 @@
 """The package names the benchmark in ``perfbench/`` wraps or calls."""
 import ast
 import importlib.util
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from phasesde import cli, core, dynamics, integrator, oracle, stats
+from phasesde import _kernel, cli, core, dynamics, integrator, oracle, stats
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "phasesde"
@@ -138,3 +140,21 @@ def test_oracle_stays_independent_of_the_engine():
             reached.add(name)
             todo.append(name)
     assert not reached & {"integrator", "dynamics", "_kernel", "stats"}
+
+
+@pytest.mark.parametrize("fma", [True, False], ids=["fma", "no_fma"])
+def test_kernel_compiles_without_warnings(tmp_path, fma):
+    """``_kernel.c`` compiles clean under -Wall -Wextra -Werror, with and
+    without -mfma.  -Wno-psabi silences only gcc's notes that a vector
+    argument is passed differently where AVX is off."""
+    compiler = shutil.which(_kernel.COMPILER)
+    if compiler is None:
+        pytest.skip(f"no {_kernel.COMPILER} on PATH")
+    flags = [f for f in _kernel._flags() if f != "-mfma"]
+    flags += ["-Wall", "-Wextra", "-Wno-psabi", "-Werror"]
+    flags += ["-mfma"] if fma else []
+    proc = subprocess.run(
+        [compiler, *flags, "-o", str(tmp_path / "kernel.so"),
+         str(_kernel.SOURCE), "-lm"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
