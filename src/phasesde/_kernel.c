@@ -22,6 +22,9 @@
  * neither fuses nor reorders anything; fma() is spelt out where numpy
  * fuses.
  *
+ * Nothing at file scope is writable: the tables are const, and each call
+ * allocates its own lanes.  So chunks run on several threads at once.
+ *
  * Lanes step four at a time.  For each segment, the live lanes are
  * grouped in ascending order, four to a group, and a group holds each of
  * alpha, alpha_plus, beta and beta_plus as two vectors of four doubles,

@@ -6,9 +6,10 @@ sampling draws (mode a, then mode b), then four noise draws per substep.
 Normals always come from the inverse CDF of the stream's uniforms, so the
 consumption count never depends on platform or on the values drawn.
 Trajectories are processed in fixed-size chunks.  With more than one
-worker the chunks run in forked worker processes, and their partials are
-merged in chunk order as they arrive, which makes results bit-identical
-for a given config no matter how many workers run the chunks.
+worker the chunks run on threads of this process (a native chunk is one
+call that releases the GIL), and their partials are merged in chunk order
+as they arrive, which makes results bit-identical for a given config no
+matter how many workers run the chunks.
 
 Every method takes the same split step: a multiplicative noise kick
 x (1 + m sqrt(dt)) at the pre-step point, with each variable's noise
@@ -28,9 +29,9 @@ the reference and the fallback.
 """
 from __future__ import annotations
 
-import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -315,29 +316,39 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
 
 # The native chunk engine of ``_kernel.c``: None until the first run in this
 # process, then the kernel if it loaded and matched the numpy loop's bytes
-# on the probe, else False (the numpy loop).
+# on the probe, else False (the numpy loop).  Set once, under the lock.
 _native = None
+_native_lock = threading.Lock()
 
 
 def _load_native():
-    """Load and probe the native kernel once per process; see ``_native``."""
+    """Load and probe the native kernel once per process; see ``_native``.
+
+    A thread that calls during the first load waits for its verdict.
+    """
     global _native
     if _native is None:
-        from . import _kernel
-
-        _native = False
-        kernel = _kernel.load()
-        try:
-            if kernel is not None and _probe_matches(kernel):
-                _native = kernel
-            elif kernel is not None:
-                _kernel.log.info("native kernel differs from numpy")
-        except Exception as exc:  # say, a kernel that rejects the arrays
-            _kernel.log.info("native kernel failed the probe: %s", exc,
-                             exc_info=True)
-        if not _native:
-            _kernel.log.info("running the numpy substep loop")
+        with _native_lock:
+            if _native is None:
+                _native = _probed_kernel()
     return _native
+
+
+def _probed_kernel():
+    """The loaded kernel if it passes the probe, else False (logged)."""
+    from . import _kernel
+
+    kernel = _kernel.load()
+    try:
+        if kernel is not None and _probe_matches(kernel):
+            return kernel
+        if kernel is not None:
+            _kernel.log.info("native kernel differs from numpy")
+    except Exception as exc:  # say, a kernel that rejects the arrays
+        _kernel.log.info("native kernel failed the probe: %s", exc,
+                         exc_info=True)
+    _kernel.log.info("running the numpy substep loop")
+    return False
 
 
 def engine_record() -> dict:
@@ -380,18 +391,6 @@ def _probe_matches(kernel) -> bool:
     return True
 
 
-def _chunk_job(method, params, config, plan, noise_free, record_gauge,
-               bound):
-    """One chunk, trajectories ``bound[0]`` to ``bound[1] - 1``.
-
-    A module-level function so that a worker process can unpickle it;
-    ``_simulate_chunk`` is looked up by name at call time.
-    """
-    lo, hi = bound
-    return _simulate_chunk(lo, hi - lo, method, params, config, plan,
-                           noise_free, record_gauge)
-
-
 def _reduce(partials):
     """Merge chunk partials in the order given, as they arrive.
 
@@ -425,11 +424,10 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
     Trajectory i uses the stream keyed (master_seed, i) and belongs to
     batch i mod n_batches.  Trajectories run in chunks of ``CHUNK_SIZE``;
     with ``n_workers`` > 1 (default: up to 4, one per CPU and chunk) and
-    more than one chunk, the chunks run in forked worker processes;
-    forking is unsafe while other threads run, so a threaded caller
-    passes ``n_workers=1``.  Chunk partials are reduced in chunk order,
-    so the result is bit-identical for a given config regardless of
-    ``n_workers``.
+    more than one chunk, the chunks run on that many threads.  Chunk
+    partials are reduced in chunk order, so the result is bit-identical
+    for a given config regardless of ``n_workers``, and a caller on any
+    thread may pass any ``n_workers``.
     ``noise_free`` zeroes all noise terms (debug aid);
     ``record_gauge_drift`` attaches the per-trajectory maximum relative
     drift of alpha_plus*alpha over the run.  An ``n_workers`` that is not
@@ -440,28 +438,25 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
     # type(...) is int: a bool is an int, but not a count.
     if n_workers is not None and not (type(n_workers) is int and n_workers >= 1):
         raise ConfigError(["n_workers must be a positive integer"])
-    _load_native()  # before any fork, so workers inherit it
 
     plan = build_step_plan(config, params)
 
     n = config.n_trajectories
     bounds = [(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
-    job = functools.partial(_chunk_job, method, params, config, plan,
-                            noise_free, record_gauge_drift)
+
+    def job(bound):
+        lo, hi = bound
+        return _simulate_chunk(lo, hi - lo, method, params, config, plan,
+                               noise_free, record_gauge_drift)
 
     if n_workers is None:
         n_workers = min(4, os.cpu_count() or 1, len(bounds))
     if n_workers > 1 and len(bounds) > 1:
-        # Imported here, not at the top: about 6 ms that every package
+        # Imported here, not at the top: about 5 ms that every package
         # import would otherwise pay.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor
 
-        # Forked workers inherit the imported modules and need no fresh
-        # import; the engine starts no threads of its own before forking.
-        with ProcessPoolExecutor(
-                max_workers=min(n_workers, len(bounds)),
-                mp_context=multiprocessing.get_context("fork")) as pool:
+        with ThreadPoolExecutor(min(n_workers, len(bounds))) as pool:
             sums, live_counts, blowup_times, gauge = _reduce(
                 pool.map(job, bounds))
     else:

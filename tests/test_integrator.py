@@ -7,7 +7,10 @@ import math
 import os
 import re
 import shutil
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -206,30 +209,50 @@ def test_noise_free_hybrid_equals_further_truncated():
 
 
 def test_ensemble_is_deterministic_across_worker_counts(monkeypatch):
-    """Same bytes for 1, 2 and 4 workers over several chunks.
+    """Same bytes for 1, 2 and 4 workers over several chunks, with no
+    process forked, from threads that run at the same time.
 
     16-lane chunks give 4 chunks per run, so the worker pool and the
-    ordered reduce both run; the positive-P case loses lanes.
+    ordered reduce both run; the positive-P case loses lanes.  Each
+    multi-worker run starts on its own thread, beside the others and
+    before the engine has loaded, and its sums, live counts, blow-up
+    times and gauge drift must equal the single-worker run's, byte for
+    byte.  Threads switch often, and outnumber the CPUs.
     """
     monkeypatch.setattr(integrator, "CHUNK_SIZE", 16)
+    monkeypatch.setattr(integrator, "_native", None)
+
+    def no_fork():
+        raise AssertionError("the engine forked a process")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     cases = [
         ("hybrid", config(n_trajectories=64)),
         ("positive_p", config(n_trajectories=64, dt=1e-4, t_final=0.15,
                               N_a0=100.0, N_b0=0.01, sample_interval=50,
                               master_seed=14)),
     ]
-    for name, cfg in cases:
-        runs = [run_ensemble(name, kerr(), cfg, n_workers=w,
-                             record_gauge_drift=True) for w in (1, 2, 4)]
-        one = runs[0]
-        if name == "positive_p":
-            assert np.isfinite(one.blowup_times).any()
-        for other in runs[1:]:
-            assert one.sums.tobytes() == other.sums.tobytes()
-            assert one.live_counts.tobytes() == other.live_counts.tobytes()
-            assert np.array_equal(one.blowup_times, other.blowup_times,
-                                  equal_nan=True)
-            assert one.gauge_drift.tobytes() == other.gauge_drift.tobytes()
+    runs = [(name, cfg, w) for name, cfg in cases for w in (2, 4)]
+    together = threading.Barrier(len(runs))
+
+    def threaded(name, cfg, w):
+        together.wait(timeout=60)
+        return run_bytes(name, kerr(), cfg, n_workers=w,
+                         record_gauge_drift=True)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(len(runs)) as pool:
+            futures = [pool.submit(threaded, *run) for run in runs]
+            for (name, cfg, w), future in zip(runs, futures):
+                one = run_bytes(name, kerr(), cfg, n_workers=1,
+                                record_gauge_drift=True)
+                if name == "positive_p":
+                    assert np.isfinite(np.frombuffer(one[2])).any()
+                assert future.result(timeout=300) == one, (name, w)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_ensemble_depends_on_master_seed():
@@ -1011,6 +1034,42 @@ def test_native_faults_fall_back_to_numpy_bytes(monkeypatch, tmp_path, caplog,
     assert integrator._native is False
     if fault == "corrupted":  # loaded, then refused by the probe
         assert "native kernel differs from numpy" in caplog.messages
+
+
+def test_threads_that_call_during_the_first_load_share_its_kernel(
+        monkeypatch):
+    """The kernel loads once; a second thread that asks while the first
+    load runs waits for it, rather than taking the numpy loop."""
+    kernel, loads = object(), []
+    loading, release = threading.Event(), threading.Event()
+
+    def slow_load():
+        loads.append(threading.get_ident())
+        loading.set()
+        assert release.wait(timeout=60)
+        return kernel
+
+    monkeypatch.setattr(_kernel, "load", slow_load)
+    monkeypatch.setattr(integrator, "_probe_matches", lambda k: k is kernel)
+    monkeypatch.setattr(integrator, "_native", None)
+    got = {}
+
+    def call(name):
+        got[name] = integrator._load_native()
+
+    first = threading.Thread(target=call, args=("first",))
+    second = threading.Thread(target=call, args=("second",))
+    first.start()
+    assert loading.wait(timeout=60)
+    second.start()
+    second.join(timeout=0.2)  # time to reach the load, or to return early
+    release.set()
+    first.join(timeout=60)
+    second.join(timeout=60)
+    assert not first.is_alive() and not second.is_alive()
+    assert got == {"first": kernel, "second": kernel}
+    assert len(loads) == 1
+    assert integrator._native is kernel
 
 
 def test_native_build_is_cached_by_source_and_flags(monkeypatch, tmp_path):

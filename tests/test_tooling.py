@@ -158,3 +158,23 @@ def test_kernel_compiles_without_warnings(tmp_path, fma):
          str(_kernel.SOURCE), "-lm"],
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_kernel_keeps_no_writable_data(tmp_path):
+    """Chunks run on threads at once, which is safe because ``_kernel.c``
+    keeps no mutable state at file scope: its object defines no data,
+    BSS, common or small-data symbol (``nm`` types D d B b C G g S s),
+    only code, read-only tables and references to libm and libc."""
+    compiler, nm = shutil.which(_kernel.COMPILER), shutil.which("nm")
+    if compiler is None or nm is None:
+        pytest.skip(f"needs {_kernel.COMPILER} and nm on PATH")
+    obj = tmp_path / "kernel.o"
+    subprocess.run([compiler, *_kernel._flags(), "-c", "-o", str(obj),
+                    str(_kernel.SOURCE)], check=True, timeout=300)
+    listing = subprocess.run([nm, "-P", str(obj)], check=True,
+                             capture_output=True, text=True).stdout
+    symbols = [line.split() for line in listing.splitlines()]
+    assert any(kind == "T" for _name, kind, *_ in symbols)
+    writable = [(name, kind) for name, kind, *_ in symbols
+                if kind in "DdBbCGgSs"]
+    assert writable == []
