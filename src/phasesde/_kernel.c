@@ -5,8 +5,9 @@
  * records the substeps (noise draw, effective frequencies, multiplicative
  * kick, exact rotation, blow-up check and gauge drift) and the record of
  * the eleven monomials into the per-batch sums.  It gives the bytes of the
- * numpy loop in integrator.py, which stays the reference: every operation
- * below is the one numpy performs, in numpy's order.
+ * numpy loop in integrator.py, which stays the reference, on every config
+ * that core.EnsembleConfig accepts: every operation below is the one
+ * numpy performs, in numpy's order.
  *
  *   - complex product a*b: (fma(ar, br, -(ai*bi)), fma(ar, bi, ai*br)),
  *     with a real operand promoted to (x, 0.0) as numpy promotes it;
@@ -886,28 +887,21 @@ static void init_lane(const chunk_t *c, lane_t *L, uint64_t index)
     L->live = 1;
 }
 
-/* Below 2^200 in every component, no monomial of a lane and no sum of a
- * chunk's monomials can overflow. */
-static inline int small(cplx x)
-{
-    return fabs(x.re) < 0x1p200 && fabs(x.im) < 0x1p200;
-}
-
 /* Adds lane L's monomials, in core.MONOMIALS order, to one batch's row of
  * sample s; a dead lane adds +0.0.  Each cell starts at zero and takes its
  * lanes in ascending order, which gives the bytes of the numpy loop's
- * reduce, signed zeros included.  Returns 1 for a live lane that is not
- * small.  A live lane is finite, and it reaches 2^200 only under a
- * blow-up threshold above about 1e60: its monomials may then overflow to
- * inf and nan, and which nan numpy gives depends on where the lane falls
- * in numpy's vector loop. */
-static int record(const chunk_t *c, const lane_t *L, int64_t s, int64_t batch)
+ * reduce, signed zeros included.  A live lane is finite, and a validated
+ * config keeps each of its components below 2^200 (core.EnsembleConfig),
+ * so none of its monomials and no sum of a chunk's monomials overflows:
+ * an overflow's nan would take numpy's bits only by chance, as they
+ * depend on where the lane falls in numpy's vector loop. */
+static void record(const chunk_t *c, const lane_t *L, int64_t s, int64_t batch)
 {
     cplx *cell = c->sums + (s * c->n_batches + batch) * N_MONOMIALS;
     if (!L->live) {
         for (int i = 0; i < N_MONOMIALS; i++)
             cell[i] = add(cell[i], real(0.0));
-        return 0;
+        return;
     }
     cplx apa = mul(L->ap, L->a);
     cplx v[N_MONOMIALS] = {L->a, L->ap, L->b, L->bp, apa, mul(L->bp, L->b),
@@ -916,23 +910,19 @@ static int record(const chunk_t *c, const lane_t *L, int64_t s, int64_t batch)
     for (int i = 0; i < N_MONOMIALS; i++)
         cell[i] = add(cell[i], v[i]);
     c->live_counts[s * c->n_batches + batch]++;
-    return !(small(L->a) && small(L->ap) && small(L->b) && small(L->bp));
 }
 
 /* The whole chunk: initial sampling and record 0, then each segment's
- * substeps and its record, lane by lane.  Returns 0, or 1 if some record
- * met a live lane that is not small (the sums may then differ from
- * numpy's in their nan bits, and the chunk must run on numpy), or -1 if
- * out of memory. */
+ * substeps and its record, lane by lane.  Returns 0, or -1 if out of
+ * memory. */
 int phasesde_chunk(const chunk_t *c)
 {
     lane_t *lanes = malloc(sizeof(lane_t) * (c->m > 0 ? c->m : 1));
     if (!lanes)
         return -1;
-    int status = 0;
     for (int64_t k = 0, batch = c->off; k < c->m; k++) {
         init_lane(c, &lanes[k], c->first + (uint64_t)k);
-        status |= record(c, &lanes[k], 0, batch);
+        record(c, &lanes[k], 0, batch);
         if (++batch == c->n_batches)
             batch = 0;
     }
@@ -950,11 +940,11 @@ int phasesde_chunk(const chunk_t *c)
         if (n)
             advance(c, lanes, idx, n, j0, c->ends[s - 1]);
         for (int64_t k = 0, batch = c->off; k < c->m; k++) {
-            status |= record(c, &lanes[k], s, batch);
+            record(c, &lanes[k], s, batch);
             if (++batch == c->n_batches)
                 batch = 0;
         }
     }
     free(lanes);
-    return status;
+    return 0;
 }

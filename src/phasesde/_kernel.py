@@ -163,9 +163,7 @@ class Kernel:
         belongs to batch ``(first + k) % n_batches``.  In ``partials``,
         ``sums`` and ``live_counts`` are added to, and ``blowup_times``
         and ``gauge_max`` updated, in place; each must be a contiguous
-        array of its engine dtype.  Returns False if a recorded lane
-        reached 2**200: the sums may then differ from the numpy loop's in
-        their nan bits, and the chunk must run on it.
+        array of its engine dtype.
         """
         sums, blow_t = partials["sums"], partials["blowup_times"]
         m = len(blow_t)
@@ -216,10 +214,8 @@ class Kernel:
                 raise ValueError(f"{name} must be a contiguous "
                                  f"{np.dtype(dtype)} array of shape {shape}")
             setattr(c, name, v.ctypes.data)
-        status = self._chunk(ctypes.byref(c))
-        if status < 0:
+        if self._chunk(ctypes.byref(c)) < 0:
             raise MemoryError("no memory for the lanes of a native chunk")
-        return status == 0
 
 
 def load() -> Kernel | None:

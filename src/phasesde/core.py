@@ -215,7 +215,11 @@ class EnsembleConfig:
 
     blowup_threshold is expressed in units of max(1, sqrt(N_a0)); a
     trajectory whose any phase-space component exceeds it in magnitude (or
-    goes non-finite) is frozen and excluded from later accumulation.
+    goes non-finite) is frozen and excluded from later accumulation.  That
+    threshold must be below 2**200, and N_a0 and N_b0 below 2**398, as
+    record 0 is sqrt(N) plus half a normal (none is below -37.52).  So no
+    recorded amplitude reaches 2**200, and no monomial or chunk sum of
+    them overflows: both engines record the same bytes.
     """
 
     n_trajectories: int
@@ -254,10 +258,13 @@ class EnsembleConfig:
             out.append("master_seed must be a 64-bit unsigned integer")
         for name in ("N_a0", "N_b0"):
             v = getattr(self, name)
-            if not (_finite(v) and v >= 0):
-                out.append(f"{name} must be a non-negative finite real")
+            if not (_finite(v) and 0 <= v < 2.0 ** 398):
+                out.append(f"{name} must be a non-negative real below 2**398")
         if not (_finite(self.blowup_threshold) and self.blowup_threshold > 0):
             out.append("blowup_threshold must be a positive real")
+        elif _finite(self.N_a0) and self.N_a0 >= 0 and self.blowup_threshold \
+                * max(1.0, math.sqrt(self.N_a0)) >= 2.0 ** 200:
+            out.append("blowup_threshold * max(1, sqrt(N_a0)) must be < 2**200")
         return out
 
 

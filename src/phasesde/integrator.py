@@ -20,12 +20,12 @@ alpha_plus*alpha and beta_plus*beta to machine precision.
 
 A chunk, trajectories ``first`` to ``first + m - 1``, works out its own
 noise coefficients, blow-up threshold and coherent start, and records
-sample s after substep ``StepPlan.ends[s - 1] - 1``.  It runs on one of
-two engines that give the same bytes: the native kernel of
-``_kernel.c``, which does a chunk's stream set-up, initial sampling,
-substeps and records in one call and is used once it has loaded and
-matched the numpy loop on a small probe, or the numpy loop, which is
-the reference and the fallback.
+sample s after substep ``StepPlan.ends[s - 1] - 1``.  A run's chunks
+all run start to end on one of two engines that give the same bytes:
+the native kernel of ``_kernel.c``, which does a chunk's stream set-up,
+initial sampling, substeps and records in one call and is used once it
+has loaded and matched the numpy loop on a small probe, or the numpy
+loop, which is the reference and the fallback.
 """
 from __future__ import annotations
 
@@ -180,17 +180,14 @@ def _initial_arrays(first: int, m: int, method: MethodSpec,
 def _simulate_chunk(first: int, m: int, method: MethodSpec,
                     params: SystemParams, config: EnsembleConfig,
                     plan: StepPlan, noise_free: bool = False,
-                    record_gauge: bool = False, native=None):
+                    record_gauge: bool = False, *, native):
     """Integrate trajectories ``first`` to ``first + m - 1``; returns the
     chunk's partials.
 
     The noise coefficients and the blow-up threshold are worked out from
     the arguments, and both engines start from ``config.coherent_start``.
-    ``native`` is a loaded kernel, False for the numpy loop, or None for
-    the engine ``run_ensemble`` uses.
+    ``native`` is a loaded kernel, or False for the numpy loop.
     """
-    if native is None:
-        native = _load_native()
     coeffs = dynamics.noise_coefficients(method.method, params, plan.sub_g)
     threshold = config.blowup_threshold * max(1.0, math.sqrt(config.N_a0))
     n_batches = config.n_batches
@@ -205,12 +202,9 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
     noise = None if noise_free else dynamics.NOISE.get(method.method)
     if native:
         # Streams, initial sampling, substeps and records in one call.
-        if native.run_chunk(method, noise is not None, record_gauge, config,
-                            first, plan, coeffs, params, threshold, partials):
-            return partials
-        # A recorded lane reached 2**200; numpy sets the nan bits.
-        return _simulate_chunk(first, m, method, params, config, plan,
-                               noise_free, record_gauge, native=False)
+        native.run_chunk(method, noise is not None, record_gauge, config,
+                         first, plan, coeffs, params, threshold, partials)
+        return partials
 
     a, ap, b, bp, gens = _initial_arrays(first, m, method, config)
     live = np.ones(m, dtype=bool)
@@ -302,7 +296,7 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
 
     # The plan records after its last substep, so this covers them all.
     j0 = 0
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+    with np.errstate(all="ignore"):
         apa0 = ap * a
         apa0_scale = np.where(np.abs(apa0) > 0, np.abs(apa0), 1.0)
         record(0)
@@ -384,8 +378,8 @@ def _probe_matches(kernel) -> bool:
         method = MethodSpec.of(name)
         for first, config, noise_free, gauge in runs:
             fast, ref = (_simulate_chunk(first, 8, method, params, config,
-                                         plan, noise_free, gauge, native)
-                         for native in (kernel, False))
+                                         plan, noise_free, gauge, native=eng)
+                         for eng in (kernel, False))
             if any(fast[k].tobytes() != ref[k].tobytes() for k in ref):
                 return False
     return True
@@ -422,9 +416,11 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
     """Integrate the full ensemble and return batch-structured moment sums.
 
     Trajectory i uses the stream keyed (master_seed, i) and belongs to
-    batch i mod n_batches.  Trajectories run in chunks of ``CHUNK_SIZE``;
-    with ``n_workers`` > 1 (default: up to 4, one per CPU and chunk) and
-    more than one chunk, the chunks run on that many threads.  Chunk
+    batch i mod n_batches.  Trajectories run in chunks of ``CHUNK_SIZE``,
+    all on the engine ``_load_native`` gives; with ``n_workers`` > 1 and
+    more than one chunk, the chunks run on that many threads.  The
+    default is up to 4, one per CPU and chunk, on the native kernel, and
+    1 on the numpy loop, whose threads only contend for the GIL.  Chunk
     partials are reduced in chunk order, so the result is bit-identical
     for a given config regardless of ``n_workers``, and a caller on any
     thread may pass any ``n_workers``.
@@ -440,6 +436,7 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
         raise ConfigError(["n_workers must be a positive integer"])
 
     plan = build_step_plan(config, params)
+    native = _load_native()
 
     n = config.n_trajectories
     bounds = [(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
@@ -447,10 +444,10 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
     def job(bound):
         lo, hi = bound
         return _simulate_chunk(lo, hi - lo, method, params, config, plan,
-                               noise_free, record_gauge_drift)
+                               noise_free, record_gauge_drift, native=native)
 
     if n_workers is None:
-        n_workers = min(4, os.cpu_count() or 1, len(bounds))
+        n_workers = min(4, os.cpu_count() or 1, len(bounds)) if native else 1
     if n_workers > 1 and len(bounds) > 1:
         # Imported here, not at the top: about 5 ms that every package
         # import would otherwise pay.

@@ -426,9 +426,12 @@ def test_main_rejects_duplicate_observables_override(tmp_path, capsys):
     lambda c: c["ensemble"].__setitem__("n_batches", 0),
     lambda c: c["ensemble"].__setitem__("dt", -1e-3),
     lambda c: c["params"]["coupling"][0].__setitem__("t_end", float("nan")),
+    lambda c: c["ensemble"].__setitem__("blowup_threshold", 1e100),
+    lambda c: c["ensemble"].__setitem__("N_b0", 2 ** 400),
 ], ids=["unknown_top", "unknown_params", "unknown_segment", "unknown_ensemble",
         "unknown_method_entry", "unknown_output", "dt_zero",
-        "sample_interval_zero", "n_batches_zero", "dt_negative", "t_end_nan"])
+        "sample_interval_zero", "n_batches_zero", "dt_negative", "t_end_nan",
+        "blowup_threshold_huge", "N_b0_huge"])
 def test_run_and_oracle_reject_the_same_configs(tmp_path, capsys, mangle,
                                                 command):
     """Both subcommands check a config alike: exit 2, one error line."""

@@ -125,10 +125,28 @@ def _good_config(**overrides):
     (dict(N_a0=-0.5), "N_a0"),
     (dict(N_b0=math.inf), "N_b0"),
     (dict(blowup_threshold=0.0), "blowup_threshold"),
+    (dict(N_a0=2.0 ** 398), "N_a0"),
+    (dict(N_b0=2 ** 398), "N_b0"),
+    (dict(N_a0=10 ** 400), "N_a0"),
+    (dict(blowup_threshold=2.0 ** 200), "blowup_threshold"),
+    (dict(N_a0=100.0, blowup_threshold=2.0 ** 200 / 10), "blowup_threshold"),
 ])
 def test_config_field_violations(overrides, needle):
     violations = _good_config(**overrides).violations()
     assert any(needle in v for v in violations), violations
+
+
+def test_config_amplitude_bounds_accept_values_just_below():
+    """The last values below the bounds pass: blowup_threshold times
+    max(1, sqrt(N_a0)) just below 2**200, N_a0 and N_b0 just below
+    2**398; an integer N_a0 beyond the float range is one violation."""
+    below = np.nextafter(2.0 ** 200, 0.0)
+    assert _good_config(N_a0=0.25, blowup_threshold=below).violations() == []
+    top = np.nextafter(2.0 ** 398, 0.0)
+    assert _good_config(N_a0=top, N_b0=top,
+                        blowup_threshold=1.0).violations() == []
+    assert _good_config(N_a0=10 ** 400).violations() == [
+        "N_a0 must be a non-negative real below 2**398"]
 
 
 @pytest.mark.parametrize("field", ["n_trajectories", "n_batches",

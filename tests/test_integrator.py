@@ -52,6 +52,8 @@ def trajectory(name, params, cfg, index=0, noise_free=False, native=None):
     flags and its blow-up time (NaN if it lives).  ``native`` defaults to
     the engine ``run_ensemble`` uses; False is the numpy loop.
     """
+    if native is None:
+        native = integrator._load_native()
     part = integrator._simulate_chunk(
         index, 1, MethodSpec.of(name), params, cfg,
         build_step_plan(cfg, params), noise_free, native=native)
@@ -253,6 +255,27 @@ def test_ensemble_is_deterministic_across_worker_counts(monkeypatch):
                 assert future.result(timeout=300) == one, (name, w)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_numpy_loop_runs_a_default_run_on_one_thread(monkeypatch):
+    """On the numpy loop, whose threads only contend for the GIL, a run
+    of several chunks with the default worker count starts no thread pool
+    and gives the single-worker bytes; an explicit count still starts one.
+    """
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was started")
+
+    monkeypatch.setattr(integrator, "CHUNK_SIZE", 16)
+    monkeypatch.setattr(integrator, "_native", False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    cfg = config(n_trajectories=32)
+    assert run_bytes("hybrid", kerr(), cfg) == run_bytes(
+        "hybrid", kerr(), cfg, n_workers=1)
+    with pytest.raises(AssertionError, match="thread pool"):
+        run_ensemble("hybrid", kerr(), cfg, n_workers=2)
 
 
 def test_ensemble_depends_on_master_seed():
@@ -540,22 +563,27 @@ def test_native_samples_complex_amplitudes_like_numpy(native, name):
     assert fast == ref
 
 
-def test_native_reruns_a_chunk_with_a_huge_lane_on_numpy(native,
-                                                         monkeypatch):
-    """A live lane recorded at 2**200 or more sends its chunk to the numpy
-    loop, which alone knows the nan bits of its monomials' overflow.
+def largest_accepted(bound, scale):
+    """The largest float x with x * scale below ``bound``."""
+    x = bound / scale
+    while x * scale >= bound:
+        x = np.nextafter(x, 0.0)
+    while np.nextafter(x, math.inf) * scale < bound:
+        x = np.nextafter(x, math.inf)
+    return x
 
-    Under a blow-up threshold of 1e100, positive-P lanes outgrow 2**200 and
-    live on: ``run_chunk`` returns False, with the numpy loop's live
-    counts, blow-up times and gauge maxima, and ``_simulate_chunk`` runs
-    the chunk again on the numpy loop.  Neither engine warns.
+
+def test_native_gives_the_numpy_bytes_at_the_largest_accepted_amplitudes(
+        native, monkeypatch):
+    """Configs may take a chunk's recorded amplitudes up to just below
+    2**200, and there both engines record the same bytes, without a
+    warning, in one ``_simulate_chunk`` call each.
+
+    At the largest blow-up threshold a config with N_a0 = 100 may have,
+    positive-P lanes live on past 2**199 in some component.  At the
+    largest N_a0 and N_b0 a config may have, every method starts its lanes
+    just below 2**199.  One step past either bound is a ConfigError.
     """
-    cfg = EnsembleConfig(n_trajectories=16, dt=1e-3, t_final=1.0,
-                         N_a0=100.0, N_b0=0.01, n_batches=4,
-                         sample_interval=10, master_seed=3,
-                         blowup_threshold=1e100)
-    plan = build_step_plan(cfg, kerr())
-    method = MethodSpec.of("positive_p")
     engines, simulate = [], integrator._simulate_chunk
 
     def spy(*args, native, **kwargs):
@@ -563,24 +591,44 @@ def test_native_reruns_a_chunk_with_a_huge_lane_on_numpy(native,
         return simulate(*args, native=native, **kwargs)
 
     monkeypatch.setattr(integrator, "_simulate_chunk", spy)
+    threshold = largest_accepted(2.0 ** 200, 10.0)  # sqrt(N_a0) = 10
+    top = largest_accepted(2.0 ** 398, 1.0)
+    lanes = EnsembleConfig(n_trajectories=16, dt=1e-3, t_final=1.0,
+                           N_a0=100.0, N_b0=0.01, n_batches=16,
+                           sample_interval=1, master_seed=0,
+                           blowup_threshold=threshold)
+    start = dataclasses.replace(lanes, t_final=0.01, N_a0=top, N_b0=top,
+                                blowup_threshold=1.0)
+    # Each run, and the least its largest recorded amplitude reaches.
+    runs = [("positive_p", lanes, 2.0 ** 199)] + [
+        (name, start, 2.0 ** 198) for name in METHOD_NAMES]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fast, ref = (integrator._simulate_chunk(
-            0, 16, method, kerr(), cfg, plan, record_gauge=True,
-            native=kernel) for kernel in (native, False))
-        for k in ref:
-            assert fast[k].tobytes() == ref[k].tobytes(), k
-        assert engines == [native, False, False]
-
-        out = {k: np.zeros_like(v) for k, v in ref.items()}
-        out["blowup_times"][:] = np.nan
-        assert not native.run_chunk(
-            method, True, True, cfg, 0, plan,
-            dynamics.noise_coefficients("positive_p", kerr(), plan.sub_g),
-            kerr(), cfg.blowup_threshold * 10.0, out)  # sqrt(N_a0) = 10
-        for k in ("live_counts", "blowup_times", "gauge_max"):
-            assert out[k].tobytes() == ref[k].tobytes(), k
+        for name, cfg, least in runs:
+            engines.clear()
+            out = []
+            for kernel in (native, False):
+                monkeypatch.setattr(integrator, "_native", kernel)
+                out.append(run_bytes(name, kerr(), cfg,
+                                     record_gauge_drift=True))
+            assert out[0] == out[1], name
+            assert engines == [native, False], name
+            sums = np.frombuffer(out[1][0], dtype=complex)
+            assert np.isfinite(sums).all()
+            live = np.frombuffer(out[1][1], dtype=np.int64) > 0
+            amplitudes = sums.reshape(len(live), -1)[live, :4]
+            largest = max(np.abs(amplitudes.real).max(),
+                          np.abs(amplitudes.imag).max())
+            assert least <= largest < 2.0 ** 200, name
     assert [str(c.message) for c in caught] == []
+    past = {"blowup_threshold": np.nextafter(threshold, math.inf),
+            "N_a0": np.nextafter(top, math.inf),
+            "N_b0": np.nextafter(top, math.inf)}
+    for field, value in past.items():
+        base = lanes if field == "blowup_threshold" else start
+        with pytest.raises(ConfigError, match=field):
+            run_ensemble("hybrid", kerr(),
+                         dataclasses.replace(base, **{field: value}))
 
 
 @pytest.mark.parametrize("gamma", [math.nan, math.inf],
@@ -591,15 +639,15 @@ def test_native_non_finite_amplitude_dies_like_numpy(native, monkeypatch,
     """A non-finite coherent start kills the lane at the first substep.
 
     No validated config gives one, so the start is patched in where both
-    engines read it.  The kernel kills the lane itself, and hands the
-    chunk to the numpy loop, which alone knows the nan bits of its
-    record 0.  Neither engine warns.
+    engines read it.  The kernel kills the lane itself, with the numpy
+    loop's live counts, blow-up time and later records.
+    Record 0 holds the non-finite start, whose nan bits are not pinned:
+    numpy's depend on where the lane falls in its vector loop.  Neither
+    engine warns.
     """
     cfg = config(n_batches=1, t_final=0.02)
     plan = build_step_plan(cfg, kerr())
     method = MethodSpec.of(name)
-    coeffs = dynamics.noise_coefficients(name, kerr(), plan.sub_g)
-    threshold = cfg.blowup_threshold  # the engine's, as N_a0 = 1
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for start in ((gamma, 0.5), (2.0, gamma)):
@@ -608,26 +656,18 @@ def test_native_non_finite_amplitude_dies_like_numpy(native, monkeypatch,
             fast, ref = (integrator._simulate_chunk(
                 3, 1, method, kerr(), cfg, plan, native=kernel)
                 for kernel in (native, False))
-            for k in ref:
-                assert fast[k].tobytes() == ref[k].tobytes(), (start, k)
-            assert ref["blowup_times"][0] == plan.sub_t_end[0]
-
-            out = {k: np.zeros_like(v) for k, v in ref.items()}
-            out["blowup_times"][:] = np.nan
-            assert not native.run_chunk(
-                method, name != "wigner", False, cfg, 3, plan, coeffs,
-                kerr(), threshold, out)
             for k in ("live_counts", "blowup_times", "gauge_max"):
-                assert out[k].tobytes() == ref[k].tobytes(), k
-            assert out["sums"][1:].tobytes() == ref["sums"][1:].tobytes()
+                assert fast[k].tobytes() == ref[k].tobytes(), (start, k)
+            assert fast["sums"][1:].tobytes() == ref["sums"][1:].tobytes()
+            assert ref["blowup_times"][0] == plan.sub_t_end[0]
     assert [str(c.message) for c in caught] == []
 
 
 @pytest.mark.parametrize("name", METHOD_NAMES)
 def test_native_keeps_a_chunk_whose_lanes_die(native, name):
-    """A lane that blows up is dead and recorded as zeros, so a chunk
-    that loses lanes stays on the kernel: ``run_chunk`` returns True and
-    gives the numpy bytes.  Lanes die at the probe's threshold of 1.2."""
+    """A lane that blows up is dead and recorded as zeros, and
+    ``run_chunk`` gives the numpy bytes for a chunk that loses lanes.
+    Lanes die at the probe's threshold of 1.2."""
     params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
     cfg = EnsembleConfig(n_trajectories=48, dt=1e-3, t_final=0.0305,
                          N_a0=4.0, N_b0=0.25, n_batches=3, sample_interval=7,
@@ -639,7 +679,7 @@ def test_native_keeps_a_chunk_whose_lanes_die(native, name):
     out = {k: np.zeros_like(v) for k, v in ref.items()}
     out["blowup_times"][:] = np.nan
     threshold = 1.2 * 2.0  # the engine's, as sqrt(N_a0) = 2
-    assert native.run_chunk(
+    native.run_chunk(
         method, name != "wigner", True, cfg, 0, plan,
         dynamics.noise_coefficients(name, params, plan.sub_g), params,
         threshold, out)
@@ -1001,10 +1041,9 @@ class Corrupted:
         self.kernel = kernel
 
     def run_chunk(self, *args):
-        done = self.kernel.run_chunk(*args)
+        self.kernel.run_chunk(*args)
         partials = args[-1]
         partials["sums"].flat[0] *= 1.0 + 2.0 ** -52
-        return done
 
 
 @pytest.mark.parametrize("fault", ["corrupted", "no_compiler",
