@@ -4,10 +4,13 @@
  * stream set-up and initial sampling, then for each segment between two
  * records the substeps (noise draw, effective frequencies, multiplicative
  * kick, exact rotation, blow-up check and gauge drift) and the record of
- * the eleven monomials into the per-batch sums.  It gives the bytes of the
- * numpy loop in integrator.py, which stays the reference, on every config
- * that core.EnsembleConfig accepts: every operation below is the one
- * numpy performs, in numpy's order.
+ * the eleven monomials into the per-batch sums.  It gives the bits of the
+ * numpy loop in integrator.py, which stays the reference, on every value
+ * a config that core.EnsembleConfig accepts produces: every operation
+ * below is the one numpy performs, in numpy's order.  Only numpy's cases
+ * for values no such run produces are left out, each on an invariant
+ * stated at absolute, divide4, record or sample; chiefly, a live lane is
+ * finite at every record and substep start (lane_threshold < 2^200).
  *
  *   - complex product a*b: (fma(ar, br, -(ai*bi)), fma(ar, bi, ai*br)),
  *     with a real operand promoted to (x, 0.0) as numpy promotes it;
@@ -15,7 +18,7 @@
  *   - complex exp: libm cexp, whose glibc 2.36 code is ported below for
  *     the small arguments of a step, bit for bit;
  *   - complex abs: larger * sqrt(fma(r, r, 1)), r = smaller / larger,
- *     with numpy's handling of zero, inf and nan;
+ *     with numpy's handling of zero;
  *   - normals: Cephes ndtri, ported below as representations.ndtri
  *     ports it; both give scipy.special.ndtri's bits.
  *
@@ -86,7 +89,7 @@ typedef struct {
     int32_t r_a, r_b;     /* 2: Wigner-sampled mode, 1: delta */
     int32_t cexp_port;    /* cexp4 may use the port: phasesde_cexp_check */
     int64_t m;            /* lanes */
-    int64_t n_batches, off; /* lane k belongs to batch (off + k) % n_batches */
+    int64_t n_batches;    /* lane k belongs to batch (first + k) % n_batches */
     int64_t n_samples;
     uint64_t master_seed, first;
     double gamma_a, gamma_b; /* coherent start, sqrt(N_a0) and sqrt(N_b0) */
@@ -97,7 +100,7 @@ typedef struct {
     const int64_t *ends; /* sample s >= 1 is recorded after substep ends[s-1]-1 */
     const cplx *q; /* hybrid interface amplitude, per substep */
     const cplx *F; /* positive-P 2x2 factor, per substep, row-major */
-    cplx s, cs;    /* hybrid Kerr amplitude s, and 1j*s */
+    cplx s;        /* hybrid Kerr amplitude s */
     double omega_a, omega_b, c2a, c2b; /* c2a = 2.0*chi_a, c2b = 2.0*chi_b */
     double threshold;
 } chunk_t;
@@ -128,17 +131,13 @@ static inline cplx mul(cplx x, cplx y)
     return (cplx){fma(x.re, y.re, -(x.im * y.im)), fma(x.re, y.im, x.im * y.re)};
 }
 
+/* numpy's abs, for a finite x only: bad() tests finiteness first, and the
+ * gauge drift and the initial scale see live lanes, which are finite. */
 static inline double absolute(cplx x)
 {
     double re = fabs(x.re), im = fabs(x.im);
-    int re_inf = re == INFINITY, im_inf = im == INFINITY;
-    if (re_inf) im = INFINITY;
-    if (im_inf) re = INFINITY;
-    int re_nan = isnan(re), im_nan = isnan(im);
-    if (re_nan) im = NAN;
-    if (im_nan) re = NAN;
     double larger = re > im ? re : im, smaller = im < re ? im : re;
-    double ratio = (larger == 0 || smaller == INFINITY) ? 0.0 : smaller / larger;
+    double ratio = larger == 0 ? 0.0 : smaller / larger;
     return sqrt(fma(ratio, ratio, 1.0)) * larger;
 }
 
@@ -226,25 +225,20 @@ static inline c4 mul4(c4 x, c4 y)
  *   ((x.re + x.im * rat) * scl, (x.im - x.re * rat) * scl),
  * elsewhere the same with the parts of y swapped,
  *   rat = y.re / y.im, scl = 1 / (y.im + y.re * rat),
- *   ((x.re * rat + x.im) * scl, (x.im * rat - x.re) * scl),
- * and (x.re / |y.re|, x.im / |y.re|) where y is zero.  Both branches share
- * their two divisions: the divisor's parts are picked per slot first, and
- * both sums of each part are formed, each in its own branch's operand
- * order, then picked. */
+ *   ((x.re * rat + x.im) * scl, (x.im * rat - x.re) * scl).
+ * Both branches share their two divisions: the divisor's parts are picked
+ * per slot first, and both sums of each part are formed, each in its own
+ * branch's operand order, then picked.  numpy's branch for a zero y is
+ * left out: y is then a factor that underflowed, the quotient non-finite
+ * with or without it, and the lane dies at this substep in both engines. */
 static inline c4 divide4(c4 x, c4 y)
 {
     v4d yr = fabs4(y.re), yi = fabs4(y.im);
     v4i wide = yr >= yi;
     v4d p = blend(wide, y.im, y.re), q = blend(wide, y.re, y.im);
     v4d rat = p / q, scl = 1.0 / (q + p * rat);
-    c4 r = {blend(wide, x.re + x.im * rat, x.re * rat + x.im) * scl,
-            blend(wide, x.im - x.re * rat, x.im * rat - x.re) * scl};
-    v4i zero = (yr == 0.0) & (yi == 0.0);
-    if (bits(zero)) {
-        r.re = blend(zero, x.re / yr, r.re);
-        r.im = blend(zero, x.im / yr, r.im);
-    }
-    return r;
+    return (c4){blend(wide, x.re + x.im * rat, x.re * rat + x.im) * scl,
+                blend(wide, x.im - x.re * rat, x.im * rat - x.re) * scl};
 }
 
 /* glibc 2.36's cexp, as x86_64 libm computes it with the FMA variants of
@@ -725,8 +719,8 @@ static const double NO_NOISE[4];
 /* Substeps j0..j1-1 of the live lanes idx[0..n-1], n <= GROUP, each in a
  * slot of its own.  The other slots are dead: they hold zeros, which every
  * update here keeps at zero, read NO_NOISE, draw nothing and are never
- * written back.  A lane that dies is written back zeroed and becomes a
- * dead slot; the group stops once all its lanes are dead. */
+ * written back.  A lane that dies is marked dead (nothing reads it again)
+ * and becomes a dead slot; the group stops once all its lanes are dead. */
 static void advance(const chunk_t *c, lane_t *lanes, const int64_t *idx,
                     int n, int64_t j0, int64_t j1)
 {
@@ -747,6 +741,7 @@ static void advance(const chunk_t *c, lane_t *lanes, const int64_t *idx,
     int live = (1 << n) - 1;
     const v4d lim = splat(c->threshold);
     const c4 one = bcast(real(1.0));
+    const c4 cs = bcast(mul(I_, c->s)); /* Python's 1j*s: 0*x and 1*x are exact */
     for (int64_t j = j0; j < j1; j++) {
         double dt = c->sub_dt[j];
         c4 fa, fb;
@@ -795,7 +790,7 @@ static void advance(const chunk_t *c, lane_t *lanes, const int64_t *idx,
                     APm = mul4(AP, sub4(one, kick));
                 }
                 c4 qem = mul4(q, em);
-                Bm = mul4(B, add4(one, mul4(add4(mul4(bcast(c->cs), x0), qem), sdt)));
+                Bm = mul4(B, add4(one, mul4(add4(mul4(cs, x0), qem), sdt)));
                 BPm = mul4(BP, add4(one, mul4(add4(mul4(bcast(c->s), x1), qem), sdt)));
             }
         }
@@ -823,7 +818,6 @@ static void advance(const chunk_t *c, lane_t *lanes, const int64_t *idx,
             lane_t *L = &lanes[idx[i]];
             c->blow_t[idx[i]] = c->sub_t_end[j];
             L->live = 0;
-            L->a = L->ap = L->b = L->bp = real(0.0);
             put(&A, i, real(0.0));
             put(&AP, i, real(0.0));
             put(&B, i, real(0.0));
@@ -855,10 +849,11 @@ static void advance(const chunk_t *c, lane_t *lanes, const int64_t *idx,
 }
 
 /* (alpha, alpha_plus) of one mode; representations.sample_wigner_coherent
- * for r = 2, in the order of its Python and numpy scalar arithmetic:
- * complex(gamma) + 0.5 * (n1 + 1j * n2), then the conjugate.  For r = 1
- * the delta (gamma, conj gamma) of sample_positive_p_coherent.  A real
- * gamma is promoted to (gamma, 0.0), as complex() promotes it. */
+ * for r = 2, complex(gamma) + 0.5 * (n1 + 1j * n2), then the conjugate:
+ * (gamma + 0.5 * n1, 0.5 * n2), as its terms like 0.0 * n2 only set the
+ * sign of a zero, no normal is -0.0 and gamma = sqrt(N) is not negative.
+ * For r = 1 the delta (gamma, conj gamma) of sample_positive_p_coherent.
+ * A real gamma is promoted to (gamma, 0.0), as complex() promotes it. */
 static void sample(philox_t *rng, int r, double re, cplx *alpha,
                    cplx *alpha_plus)
 {
@@ -866,11 +861,7 @@ static void sample(philox_t *rng, int r, double re, cplx *alpha,
     if (r == 2) {
         double n[2];
         normals(rng, n, 2);
-        double n1 = n[0], n2 = n[1];
-        double jr = 0.0 * n2 - 1.0 * 0.0, ji = 0.0 * 0.0 + 1.0 * n2; /* 1j*n2 */
-        double ur = n1 + jr, ui = 0.0 + ji;                          /* n1 + */
-        x = (cplx){gamma.re + (0.5 * ur - 0.0 * ui),                 /* 0.5 * */
-                   gamma.im + (0.5 * ui + 0.0 * ur)};
+        x = (cplx){gamma.re + 0.5 * n[0], 0.5 * n[1]};
     }
     *alpha = x;
     *alpha_plus = (cplx){x.re, -x.im};
@@ -888,21 +879,19 @@ static void init_lane(const chunk_t *c, lane_t *L, uint64_t index)
 }
 
 /* Adds lane L's monomials, in core.MONOMIALS order, to one batch's row of
- * sample s; a dead lane adds +0.0.  Each cell starts at zero and takes its
- * lanes in ascending order, which gives the bytes of the numpy loop's
- * reduce, signed zeros included.  A live lane is finite, and a validated
- * config keeps each of its components below 2^200 (core.EnsembleConfig),
- * so none of its monomials and no sum of a chunk's monomials overflows:
- * an overflow's nan would take numpy's bits only by chance, as they
- * depend on where the lane falls in numpy's vector loop. */
+ * sample s.  Each cell starts at +0.0 and takes its live lanes in
+ * ascending order, which gives the bytes of the numpy loop's reduce,
+ * signed zeros included: a sum of finite values from +0.0 is never -0.0,
+ * so the zeros numpy adds for a dead lane change nothing.  A live lane is
+ * finite, and a validated config keeps each of its components below 2^200
+ * (core.EnsembleConfig), so none of its monomials and no sum of a chunk's
+ * monomials overflows: an overflow's nan would take numpy's bits only by
+ * chance, as they depend on where the lane falls in numpy's vector loop. */
 static void record(const chunk_t *c, const lane_t *L, int64_t s, int64_t batch)
 {
-    cplx *cell = c->sums + (s * c->n_batches + batch) * N_MONOMIALS;
-    if (!L->live) {
-        for (int i = 0; i < N_MONOMIALS; i++)
-            cell[i] = add(cell[i], real(0.0));
+    if (!L->live)
         return;
-    }
+    cplx *cell = c->sums + (s * c->n_batches + batch) * N_MONOMIALS;
     cplx apa = mul(L->ap, L->a);
     cplx v[N_MONOMIALS] = {L->a, L->ap, L->b, L->bp, apa, mul(L->bp, L->b),
                            mul(apa, apa), mul(L->b, L->b), mul(L->bp, L->bp),
@@ -920,7 +909,8 @@ int phasesde_chunk(const chunk_t *c)
     lane_t *lanes = malloc(sizeof(lane_t) * (c->m > 0 ? c->m : 1));
     if (!lanes)
         return -1;
-    for (int64_t k = 0, batch = c->off; k < c->m; k++) {
+    const int64_t off = (int64_t)(c->first % (uint64_t)c->n_batches);
+    for (int64_t k = 0, batch = off; k < c->m; k++) {
         init_lane(c, &lanes[k], c->first + (uint64_t)k);
         record(c, &lanes[k], 0, batch);
         if (++batch == c->n_batches)
@@ -939,7 +929,7 @@ int phasesde_chunk(const chunk_t *c)
             }
         if (n)
             advance(c, lanes, idx, n, j0, c->ends[s - 1]);
-        for (int64_t k = 0, batch = c->off; k < c->m; k++) {
+        for (int64_t k = 0, batch = off; k < c->m; k++) {
             record(c, &lanes[k], s, batch);
             if (++batch == c->n_batches)
                 batch = 0;

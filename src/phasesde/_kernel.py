@@ -57,12 +57,11 @@ class Chunk(ctypes.Structure):
         ("record_gauge", ctypes.c_int32), ("r_a", ctypes.c_int32),
         ("r_b", ctypes.c_int32), ("cexp_port", ctypes.c_int32),
         ("m", ctypes.c_int64),
-        ("n_batches", ctypes.c_int64), ("off", ctypes.c_int64),
-        ("n_samples", ctypes.c_int64),
+        ("n_batches", ctypes.c_int64), ("n_samples", ctypes.c_int64),
         ("master_seed", ctypes.c_uint64), ("first", ctypes.c_uint64),
         ("gamma_a", _dbl), ("gamma_b", _dbl),
         *((name, ctypes.c_void_p) for name in _LAYOUT),
-        ("s", _dbl * 2), ("cs", _dbl * 2),
+        ("s", _dbl * 2),
         ("omega_a", _dbl), ("omega_b", _dbl), ("c2a", _dbl), ("c2b", _dbl),
         ("threshold", _dbl),
     ]
@@ -155,15 +154,15 @@ class Kernel:
             log.info("the kernel's cexp differs from libm's; it calls libm")
 
     def run_chunk(self, method, noisy, record_gauge, config, first, plan,
-                  coeffs, params, threshold, partials):
+                  coeffs, params, partials):
         """Run the chunk of trajectories ``first``, ``first + 1``, ...
 
         ``method`` is a MethodSpec; ``config`` an EnsembleConfig, which
-        gives the streams' master seed and the coherent start.  Lane k
-        belongs to batch ``(first + k) % n_batches``.  In ``partials``,
-        ``sums`` and ``live_counts`` are added to, and ``blowup_times``
-        and ``gauge_max`` updated, in place; each must be a contiguous
-        array of its engine dtype.
+        gives the streams' master seed, the coherent start and the lane
+        threshold.  Lane k belongs to batch ``(first + k) % n_batches``.
+        In ``partials``, ``sums`` and ``live_counts`` are added to, and
+        ``blowup_times`` and ``gauge_max`` updated, in place; each must be
+        a contiguous array of its engine dtype.
         """
         sums, blow_t = partials["sums"], partials["blowup_times"]
         m = len(blow_t)
@@ -175,18 +174,17 @@ class Kernel:
             raise OverflowError(f"trajectory indices from {first} for {m} "
                                 "lanes are not all uint64")
         s = complex(coeffs.get("s", 0j))
-        cs = 1j * s
         gamma_a, gamma_b = config.coherent_start
         c = Chunk(method=METHOD_NAMES.index(method.method), noisy=noisy,
                   record_gauge=record_gauge, r_a=method.r_a, r_b=method.r_b,
                   cexp_port=self.cexp_port,
-                  m=m, n_batches=nb, off=first % nb,
+                  m=m, n_batches=nb,
                   n_samples=plan.n_samples, master_seed=config.master_seed,
                   first=first, gamma_a=gamma_a, gamma_b=gamma_b,
-                  s=(s.real, s.imag), cs=(cs.real, cs.imag),
+                  s=(s.real, s.imag),
                   omega_a=params.omega_a, omega_b=params.omega_b,
                   c2a=2.0 * params.chi_a, c2b=2.0 * params.chi_b,
-                  threshold=threshold)
+                  threshold=config.lane_threshold)
         arrays = dict(sums=sums, live_counts=partials["live_counts"],
                       blow_t=blow_t, gauge_max=partials["gauge_max"],
                       ends=plan.ends)

@@ -213,9 +213,9 @@ class MethodSpec:
 class EnsembleConfig:
     """Everything a reproducible ensemble run needs besides the physics.
 
-    blowup_threshold is expressed in units of max(1, sqrt(N_a0)); a
+    ``lane_threshold`` is blowup_threshold * max(1, sqrt(N_a0)); a
     trajectory whose any phase-space component exceeds it in magnitude (or
-    goes non-finite) is frozen and excluded from later accumulation.  That
+    goes non-finite) dies and is excluded from later accumulation.  That
     threshold must be below 2**200, and N_a0 and N_b0 below 2**398, as
     record 0 is sqrt(N) plus half a normal (none is below -37.52).  So no
     recorded amplitude reaches 2**200, and no monomial or chunk sum of
@@ -231,6 +231,10 @@ class EnsembleConfig:
     sample_interval: int = 1
     master_seed: int = 0
     blowup_threshold: float = 1e6
+
+    @property
+    def lane_threshold(self) -> float:
+        return self.blowup_threshold * max(1.0, math.sqrt(self.N_a0))
 
     @property
     def coherent_start(self) -> tuple:
@@ -262,8 +266,8 @@ class EnsembleConfig:
                 out.append(f"{name} must be a non-negative real below 2**398")
         if not (_finite(self.blowup_threshold) and self.blowup_threshold > 0):
             out.append("blowup_threshold must be a positive real")
-        elif _finite(self.N_a0) and self.N_a0 >= 0 and self.blowup_threshold \
-                * max(1.0, math.sqrt(self.N_a0)) >= 2.0 ** 200:
+        elif _finite(self.N_a0) and self.N_a0 >= 0 \
+                and self.lane_threshold >= 2.0 ** 200:
             out.append("blowup_threshold * max(1, sqrt(N_a0)) must be < 2**200")
         return out
 

@@ -184,17 +184,15 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
     """Integrate trajectories ``first`` to ``first + m - 1``; returns the
     chunk's partials.
 
-    The noise coefficients and the blow-up threshold are worked out from
-    the arguments, and both engines start from ``config.coherent_start``.
+    The noise coefficients are worked out from the arguments; both engines
+    start from ``config.coherent_start`` and read ``config.lane_threshold``.
     ``native`` is a loaded kernel, or False for the numpy loop.
     """
     coeffs = dynamics.noise_coefficients(method.method, params, plan.sub_g)
-    threshold = config.blowup_threshold * max(1.0, math.sqrt(config.N_a0))
     n_batches = config.n_batches
-    n_samples = plan.n_samples
 
-    sums = np.zeros((n_samples, n_batches, len(MONOMIALS)), dtype=complex)
-    live_counts = np.zeros((n_samples, n_batches), dtype=np.int64)
+    sums = np.zeros((plan.n_samples, n_batches, len(MONOMIALS)), dtype=complex)
+    live_counts = np.zeros((plan.n_samples, n_batches), dtype=np.int64)
     blow_t = np.full(m, np.nan)
     gauge_max = np.zeros(m)
     partials = {"sums": sums, "live_counts": live_counts,
@@ -203,7 +201,7 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
     if native:
         # Streams, initial sampling, substeps and records in one call.
         native.run_chunk(method, noise is not None, record_gauge, config,
-                         first, plan, coeffs, params, threshold, partials)
+                         first, plan, coeffs, params, partials)
         return partials
 
     a, ap, b, bp, gens = _initial_arrays(first, m, method, config)
@@ -280,13 +278,13 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
 
             bad = np.zeros(m, dtype=bool)
             for v in (a, ap, b, bp):
-                bad |= ~np.isfinite(v) | (np.abs(v) > threshold)
+                bad |= ~np.isfinite(v) | (np.abs(v) > config.lane_threshold)
             newly = bad & live
             if newly.any():
                 blow_t[newly] = plan.sub_t_end[j]
                 live &= ~bad
-                # Zero is a fixed point of every update rule here, so
-                # dead lanes stay put without special-casing the loop.
+                # Zero is a fixed point of every update but an exp kick
+                # that over- or underflows; record() zeroes dead lanes again.
                 a[newly] = ap[newly] = b[newly] = bp[newly] = 0.0
 
             if record_gauge:

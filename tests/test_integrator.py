@@ -27,8 +27,8 @@ from phasesde import (
     run_ensemble,
 )
 from phasesde import _kernel, dynamics, integrator
-from phasesde.core import METHOD_NAMES, MONOMIALS
-from phasesde.representations import draw_standard_normals
+from phasesde.core import METHOD_NAMES, MONOMIALS, validate_config
+from phasesde.representations import draw_standard_normals, ndtri
 
 APA = MONOMIALS.index("alpha_plus_alpha")
 
@@ -665,7 +665,7 @@ def test_native_non_finite_amplitude_dies_like_numpy(native, monkeypatch,
 
 @pytest.mark.parametrize("name", METHOD_NAMES)
 def test_native_keeps_a_chunk_whose_lanes_die(native, name):
-    """A lane that blows up is dead and recorded as zeros, and
+    """A lane that blows up is dead and adds nothing to later records, and
     ``run_chunk`` gives the numpy bytes for a chunk that loses lanes.
     Lanes die at the probe's threshold of 1.2."""
     params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
@@ -678,14 +678,88 @@ def test_native_keeps_a_chunk_whose_lanes_die(native, name):
                                      record_gauge=True, native=False)
     out = {k: np.zeros_like(v) for k, v in ref.items()}
     out["blowup_times"][:] = np.nan
-    threshold = 1.2 * 2.0  # the engine's, as sqrt(N_a0) = 2
+    assert cfg.lane_threshold == 1.2 * 2.0  # the kernel's, as sqrt(N_a0) = 2
     native.run_chunk(
         method, name != "wigner", True, cfg, 0, plan,
-        dynamics.noise_coefficients(name, params, plan.sub_g), params,
-        threshold, out)
+        dynamics.noise_coefficients(name, params, plan.sub_g), params, out)
     assert 0 < np.isfinite(out["blowup_times"]).sum() < 48
     for k in ref:
         assert out[k].tobytes() == ref[k].tobytes(), k
+
+
+@pytest.mark.parametrize("chi_a", [1e8, 1e12])
+def test_native_lanes_whose_rotation_underflows_die_like_numpy(
+        native, monkeypatch, chi_a):
+    """At a huge Kerr constant, exp(-i F dt) underflows to exactly 0 on
+    live hybrid and positive-P lanes, whose plus amplitudes it divides.
+    The kernel's quotient has no branch for a zero divisor: the lane is
+    non-finite with or without one, so it dies at that substep in both
+    engines, which give the same bytes for every method.  Zero factors are
+    counted on the numpy loop, through ``dynamics.FREQUENCIES``; its dead
+    lanes hold zeros, whose F is real, so each zero is a live lane's.
+    Every noisy lane dies, and no wigner lane does: its F is real."""
+    params = SystemParams(0.3, -0.7, chi_a, 0.9 * chi_a, CouplingSchedule(
+        ((0.0123, 1.0), (math.inf, 0.6))))
+    cfg = EnsembleConfig(n_trajectories=48, dt=1e-3, t_final=0.0305,
+                         N_a0=4.0, N_b0=0.25, n_batches=3, sample_interval=7,
+                         master_seed=2, blowup_threshold=1e50)
+    plan = build_step_plan(cfg, params)
+    for name in METHOD_NAMES:
+        method = MethodSpec.of(name)
+        validate_config(cfg, method, params)
+        frequencies, zeros = dynamics.FREQUENCIES[name], []
+
+        def counting(a, ap, b, bp, params, g):
+            f_a, f_b = frequencies(a, ap, b, bp, params, g)
+            dt = plan.sub_dt[len(zeros)]
+            zeros.append(sum(int((np.exp(-1j * f * dt) == 0).sum())
+                             for f in (f_a, f_b)))
+            return f_a, f_b
+
+        monkeypatch.setitem(dynamics.FREQUENCIES, name, counting)
+        fast, ref = (integrator._simulate_chunk(
+            0, 64, method, params, cfg, plan, record_gauge=True,
+            native=kernel) for kernel in (native, False))
+        monkeypatch.setitem(dynamics.FREQUENCIES, name, frequencies)
+        for k in ref:
+            assert fast[k].tobytes() == ref[k].tobytes(), (name, k)
+        assert len(zeros) == plan.n_substeps, name  # the numpy loop's only
+        if name in ("hybrid", "positive_p"):
+            assert sum(zeros) > 0, name
+        died = np.isfinite(ref["blowup_times"])
+        assert died.all() if name != "wigner" else not died.any(), name
+
+
+def test_numpy_loop_zeroes_dead_lanes_that_an_exp_kick_breaks(native,
+                                                              monkeypatch):
+    """hybrid_truncated kicks its a pair by exp(m_a sqrt(dt)).  At a huge
+    coupling that factor over- or underflows, and then a dead lane, which
+    the numpy loop steps on from zero, turns nan.  The loop's records zero
+    dead lanes again, and so keep the bytes of the kernel, which reads no
+    dead lane."""
+    params = kerr(g=1e10)
+    cfg = EnsembleConfig(n_trajectories=48, dt=1e-3, t_final=0.0305,
+                         N_a0=4.0, N_b0=0.25, n_batches=3, sample_interval=7,
+                         master_seed=23)
+    plan = build_step_plan(cfg, params)
+    noise, exponents = dynamics.NOISE["hybrid_truncated"], []
+
+    def spy(coeffs, j, x):
+        m = noise(coeffs, j, x)
+        exponents.append(np.abs(m[0].real).max() * math.sqrt(plan.sub_dt[j]))
+        return m
+
+    monkeypatch.setitem(dynamics.NOISE, "hybrid_truncated", spy)
+    out = []
+    for kernel in (native, False):
+        monkeypatch.setattr(integrator, "_native", kernel)
+        out.append(run_bytes("hybrid_truncated", params, cfg))
+    assert out[0] == out[1]
+    live = np.frombuffer(out[1][1], dtype=np.int64)
+    assert live[-cfg.n_batches:].sum() == 0  # every lane dead at the end
+    # So at the last substep some dead lane's exp kick left the range of a
+    # finite, nonzero double, whose exponents span about -745 to 709.
+    assert len(exponents) == plan.n_substeps and exponents[-1] > 746
 
 
 def test_chunk_mirrors_the_c_struct():
@@ -867,6 +941,27 @@ def test_native_ndtri_is_scipys_bit_for_bit(ndtri_grid):
     assert bad.size == 0, [(u[i], out[i], ref[i]) for i in bad[:5]]
 
 
+@pytest.mark.parametrize("port", ["numpy", "native"])
+def test_no_normal_is_negative_zero(ndtri_grid, port):
+    """Neither ndtri port returns -0.0, and u = 0.5 gives +0.0.  The
+    kernel's initial sample rests on it: it leaves out the zero terms of
+    Python's complex arithmetic, which could only set the sign of a zero."""
+    u = np.append(ndtri_grid, 0.5)
+    if port == "numpy":
+        out = ndtri(u)
+    else:
+        kernel = _kernel.load()
+        if kernel is None:
+            pytest.skip("the native kernel does not load (no gcc or a "
+                        "failed build); runs use the numpy loop")
+        out = np.full_like(u, 7.0)
+        kernel.lib.phasesde_ndtri(ctypes.c_void_p(u.ctypes.data),
+                                  ctypes.c_void_p(out.ctypes.data),
+                                  ctypes.c_int64(u.size))
+    assert not np.signbit(out[out == 0.0]).any()
+    assert out[-1] == 0.0 and not np.signbit(out[-1])
+
+
 def native_cexp(kernel, z, port):
     """The kernel's ``cexp4`` over ``z``, with its port allowed or not."""
     z = np.ascontiguousarray(z, dtype=complex)
@@ -1031,7 +1126,7 @@ def test_native_refuses_segment_ends_it_cannot_follow(native, ends):
         native.run_chunk(
             MethodSpec.of("hybrid"), True, False, cfg, 0, bad,
             dynamics.noise_coefficients("hybrid", kerr(), plan.sub_g), kerr(),
-            cfg.blowup_threshold, out)
+            out)
 
 
 class Corrupted:
