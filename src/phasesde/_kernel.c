@@ -9,7 +9,7 @@
  * a config that core.EnsembleConfig accepts produces: every operation
  * below is the one numpy performs, in numpy's order.  Only numpy's cases
  * for values no such run produces are left out, each on an invariant
- * stated at absolute, divide4, record or sample; chiefly, a live lane is
+ * stated at absolute, divide4, record4 or sample; chiefly, a live lane is
  * finite at every record and substep start (lane_threshold < 2^200).
  *
  *   - complex product a*b: (fma(ar, br, -(ai*bi)), fma(ar, bi, ai*br)),
@@ -27,23 +27,34 @@
  * fuses.
  *
  * Nothing at file scope is writable: the tables are const, and each call
- * allocates its own lanes.  So chunks run on several threads at once.
+ * allocates its own lanes and tile accumulator.  So chunks run on several
+ * threads at once.
  *
- * Lanes step four at a time.  For each segment, the live lanes are
- * grouped in ascending order, four to a group, and a group holds each of
- * alpha, alpha_plus, beta and beta_plus as two vectors of four doubles,
- * real and imaginary parts.  The frequencies, the kick, the rotation's
- * products and quotients and the blow-up check's fast path run on the
- * whole group, element by element in the scalar IEEE order above, so
- * each lane rounds as it would alone: the products fuse with
- * _mm256_fmadd_pd under __FMA__ and with fma() per element without it.
- * So does cexp, through the port, but for a slot outside the port's
- * range, which calls libm.  The Philox stream, the normals (ndtri's log
- * calls included), the exact blow-up test and the gauge drift's abs stay
- * per lane.  A short last group is padded with dead slots, which step
- * zeros (a fixed point of every update), draw no normals and are never
- * written back; a lane that dies becomes one.  Records follow all groups,
- * lane by lane.
+ * Lanes step four at a time, a tile of segments at a time.  A tile is
+ * consecutive segments (sample 0's, of no substeps, opens the first),
+ * taken until they hold TILE substeps or TILE segments.  For each tile,
+ * the live lanes are grouped in ascending order, four to a group, and a
+ * group holds each of alpha, alpha_plus, beta and beta_plus as two
+ * vectors of four doubles, real and imaginary parts.  The frequencies,
+ * the kick, the rotation's products and quotients and the blow-up
+ * check's fast path run on the whole group, element by element in the
+ * scalar IEEE order above, so each lane rounds as it would alone: the
+ * products fuse with _mm256_fmadd_pd under __FMA__ and with fma() per
+ * element without it.  So does cexp, through the port, but for a slot
+ * outside the port's range, which calls libm.  The Philox stream, the
+ * normals (ndtri's log calls included), the exact blow-up test and the
+ * gauge drift's abs stay per lane.  A short last group is padded with
+ * dead slots, which step zeros (a fixed point of every update), draw no
+ * normals and are never written back; a lane that dies becomes one until
+ * the tile ends.
+ *
+ * Records: a group records each sample of its tile from its vectors, in
+ * record4, into the tile's accumulator, whose cells start at +0.0; once
+ * every group has run the tile, each cell is added to its cell of sums,
+ * as the numpy loop adds a reduce to sums.  Within a tile, a group
+ * records all its samples before the next group records any, and each
+ * group's lanes rise, so each cell takes its lanes in ascending order,
+ * as the reduce takes its rows.
  *
  * Streams: lane k is trajectory first+k and owns numpy's Philox4x64-10
  * stream keyed [master_seed, first+k], counter 0 (Salmon et al., SC'11):
@@ -52,9 +63,10 @@
  * the uniforms, with a zero uniform nudged to the smallest normal double,
  * as representations.draw_standard_normals does.  The initial draws come
  * first (mode a, then mode b), then four normals per substep, drawn for
- * up to FILL substeps of a segment at a time.  A lane that dies leaves
- * the rest of its fill unread, and dead lanes are skipped, so their
- * streams are never read again.
+ * up to FILL substeps of a tile at a time.  Each stream is read in that
+ * order wherever the fills break.  A lane that dies leaves the rest of
+ * its fill unread, and dead lanes are skipped, so their streams are
+ * never read again.
  *
  * The inverse CDF is a port of Cephes ndtri (Moshier, Methods and
  * Programs for Mathematical Functions, 1989), which scipy.special.ndtri
@@ -68,6 +80,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 #ifdef __AVX__
 #include <immintrin.h>
 #endif
@@ -111,7 +124,7 @@ typedef struct {
     int pos;
 } philox_t;
 
-/* One trajectory between two segments. */
+/* One trajectory between two tiles. */
 typedef struct {
     cplx a, ap, b, bp, apa0;
     double apa0_scale;
@@ -713,20 +726,90 @@ static inline void frequencies(const chunk_t *c, double g, c4 A, c4 AP, c4 B,
 /* Lanes stepped together. */
 enum { GROUP = 4 };
 
+/* Segments per tile at most; substeps per tile at least, unless the run
+ * ends first. */
+enum { TILE = 64 };
+
+/* One tile's records, before they are added to sums.  Column r < w holds
+ * batch (first + r) % n_batches, whose lanes are r, r + n_batches, ...;
+ * row t holds sample s0 + t as each monomial's real parts in w columns,
+ * then its imaginary parts, so four consecutive columns are one vector. */
+typedef struct {
+    int64_t s0, s1;       /* samples s0..s1-1 */
+    int64_t j0, j1;       /* after substeps j0..j1-1 */
+    int64_t w;            /* min(n_batches, m) columns */
+    double *sums;         /* (TILE, N_MONOMIALS, 2, w), +0.0 at the start */
+    int64_t *live_counts; /* (TILE, w) */
+} tile_t;
+
+/* The substeps before sample s: none before sample 0, else ends[s-1]. */
+static inline int64_t done(const chunk_t *c, int64_t s)
+{
+    return s ? c->ends[s - 1] : 0;
+}
+
+/* Adds the monomials of a group's live slots, in core.MONOMIALS order, to
+ * row t of tile T; slot i is column col[i].  The products round as mul
+ * does, slot by slot.  Where packed is set and every slot is live, the
+ * slots are columns col[0]..col[0]+3 and each part of each monomial is
+ * one vector add; otherwise the live slots add their values one at a
+ * time, in ascending order.  So each cell starts at +0.0 and takes its
+ * live lanes in ascending order, and added to sums, which start at +0.0,
+ * it gives the bytes of the numpy loop's reduce, signed zeros included: a
+ * sum of finite values from +0.0 is never -0.0, so the zeros numpy adds
+ * for a dead lane change nothing.  A live lane is finite, and a validated
+ * config keeps each of its components below 2^200 (core.EnsembleConfig),
+ * so none of its monomials and no sum of a chunk's monomials overflows: an
+ * overflow's nan would take numpy's bits only by chance, as they depend
+ * on where the lane falls in numpy's vector loop. */
+static inline void record4(const tile_t *T, int64_t t, c4 A, c4 AP, c4 B,
+                           c4 BP, int live, const int64_t *col, int packed)
+{
+    c4 apa = mul4(AP, A);
+    const c4 v[N_MONOMIALS] = {A, AP, B, BP, apa, mul4(BP, B), mul4(apa, apa),
+                               mul4(B, B), mul4(BP, BP), mul4(apa, B),
+                               mul4(apa, BP)};
+    const int64_t w = T->w;
+    double *row = T->sums + t * 2 * N_MONOMIALS * w;
+    int64_t *count = T->live_counts + t * w;
+    if (packed && live == (1 << GROUP) - 1) {
+        double *p = row + col[0];
+        for (int k = 0; k < N_MONOMIALS; k++, p += 2 * w) {
+            store4(p, load4(p) + v[k].re);
+            store4(p + w, load4(p + w) + v[k].im);
+        }
+        for (int i = 0; i < GROUP; i++)
+            count[col[0] + i]++;
+        return;
+    }
+    for (int i = 0; i < GROUP; i++)
+        if (live >> i & 1) {
+            double *p = row + col[i];
+            for (int k = 0; k < N_MONOMIALS; k++, p += 2 * w) {
+                p[0] += v[k].re[i];
+                p[w] += v[k].im[i];
+            }
+            count[col[i]]++;
+        }
+}
+
 /* The normals of a dead slot. */
 static const double NO_NOISE[4];
 
-/* Substeps j0..j1-1 of the live lanes idx[0..n-1], n <= GROUP, each in a
- * slot of its own.  The other slots are dead: they hold zeros, which every
- * update here keeps at zero, read NO_NOISE, draw nothing and are never
- * written back.  A lane that dies is marked dead (nothing reads it again)
- * and becomes a dead slot; the group stops once all its lanes are dead. */
+/* Tile T for the live lanes idx[0..n-1], n <= GROUP, each in a slot of
+ * its own: each segment's substeps, then the record of its sample into
+ * T, from the group's vectors.  The other slots are dead: they hold
+ * zeros, which every update here keeps at zero, read NO_NOISE, draw
+ * nothing, and are neither recorded nor written back.  A lane that dies
+ * is marked dead (nothing reads it again) and becomes a dead slot for the
+ * rest of the tile; the group stops once all its lanes are dead. */
 static void advance(const chunk_t *c, lane_t *lanes, const int64_t *idx,
-                    int n, int64_t j0, int64_t j1)
+                    int n, const tile_t *T)
 {
     c4 A, AP, B, BP, APA0;
     A = AP = B = BP = APA0 = bcast(real(0.0));
     double scale[GROUP] = {1.0, 1.0, 1.0, 1.0};
+    int64_t col[GROUP] = {0, 0, 0, 0};
     const double *x[GROUP] = {NO_NOISE, NO_NOISE, NO_NOISE, NO_NOISE};
     double xs[GROUP][NDTRI_BLOCK];
     for (int i = 0; i < n; i++) {
@@ -737,20 +820,29 @@ static void advance(const chunk_t *c, lane_t *lanes, const int64_t *idx,
         put(&BP, i, L->bp);
         put(&APA0, i, L->apa0);
         scale[i] = L->apa0_scale;
+        col[i] = idx[i] % c->n_batches;
     }
+    /* Four consecutive lanes in four consecutive columns. */
+    int packed = n == GROUP && idx[3] - idx[0] == 3 && col[0] + 3 < T->w;
     int live = (1 << n) - 1;
     const v4d lim = splat(c->threshold);
     const c4 one = bcast(real(1.0));
     const c4 cs = bcast(mul(I_, c->s)); /* Python's 1j*s: 0*x and 1*x are exact */
-    for (int64_t j = j0; j < j1; j++) {
+    for (int64_t j = T->j0, s = T->s0;; j++) {
+        /* Each sample whose substeps are done: a segment of no substeps
+         * records at once. */
+        for (; s < T->s1 && done(c, s) == j; s++)
+            record4(T, s - T->s0, A, AP, B, BP, live, col, packed);
+        if (s == T->s1)
+            break;
         double dt = c->sub_dt[j];
         c4 fa, fb;
         frequencies(c, c->sub_g[j], A, AP, B, BP, &fa, &fb);
 
         c4 Am = A, APm = AP, Bm = B, BPm = BP;
         if (c->noisy) {
-            if ((j - j0) % FILL == 0) {
-                int len = 4 * (int)(j1 - j < FILL ? j1 - j : FILL);
+            if ((j - T->j0) % FILL == 0) {
+                int len = 4 * (int)(T->j1 - j < FILL ? T->j1 - j : FILL);
                 for (int i = 0; i < GROUP; i++)
                     if (live >> i & 1) {
                         normals(&lanes[idx[i]].rng, xs[i], len);
@@ -878,63 +970,63 @@ static void init_lane(const chunk_t *c, lane_t *L, uint64_t index)
     L->live = 1;
 }
 
-/* Adds lane L's monomials, in core.MONOMIALS order, to one batch's row of
- * sample s.  Each cell starts at +0.0 and takes its live lanes in
- * ascending order, which gives the bytes of the numpy loop's reduce,
- * signed zeros included: a sum of finite values from +0.0 is never -0.0,
- * so the zeros numpy adds for a dead lane change nothing.  A live lane is
- * finite, and a validated config keeps each of its components below 2^200
- * (core.EnsembleConfig), so none of its monomials and no sum of a chunk's
- * monomials overflows: an overflow's nan would take numpy's bits only by
- * chance, as they depend on where the lane falls in numpy's vector loop. */
-static void record(const chunk_t *c, const lane_t *L, int64_t s, int64_t batch)
+/* Adds tile T's cells to sums and live_counts, then zeroes them. */
+static void flush(const chunk_t *c, const tile_t *T)
 {
-    if (!L->live)
-        return;
-    cplx *cell = c->sums + (s * c->n_batches + batch) * N_MONOMIALS;
-    cplx apa = mul(L->ap, L->a);
-    cplx v[N_MONOMIALS] = {L->a, L->ap, L->b, L->bp, apa, mul(L->bp, L->b),
-                           mul(apa, apa), mul(L->b, L->b), mul(L->bp, L->bp),
-                           mul(apa, L->b), mul(apa, L->bp)};
-    for (int i = 0; i < N_MONOMIALS; i++)
-        cell[i] = add(cell[i], v[i]);
-    c->live_counts[s * c->n_batches + batch]++;
+    const int64_t nb = c->n_batches, w = T->w;
+    const int64_t off = (int64_t)(c->first % (uint64_t)nb);
+    for (int64_t s = T->s0; s < T->s1; s++) {
+        const double *row = T->sums + (s - T->s0) * 2 * N_MONOMIALS * w;
+        const int64_t *count = T->live_counts + (s - T->s0) * w;
+        for (int64_t r = 0, batch = off; r < w; r++) {
+            cplx *cell = c->sums + (s * nb + batch) * N_MONOMIALS;
+            for (int k = 0; k < N_MONOMIALS; k++)
+                cell[k] = add(cell[k], (cplx){row[2 * k * w + r],
+                                              row[(2 * k + 1) * w + r]});
+            c->live_counts[s * nb + batch] += count[r];
+            if (++batch == nb)
+                batch = 0;
+        }
+    }
+    const int64_t rows = T->s1 - T->s0;
+    memset(T->sums, 0, sizeof(double) * rows * 2 * N_MONOMIALS * w);
+    memset(T->live_counts, 0, sizeof(int64_t) * rows * w);
 }
 
-/* The whole chunk: initial sampling and record 0, then each segment's
- * substeps and its record, lane by lane.  Returns 0, or -1 if out of
- * memory. */
+/* The whole chunk: initial sampling, then for each tile its groups' runs
+ * and its flush.  Returns 0, or -1 if out of memory. */
 int phasesde_chunk(const chunk_t *c)
 {
-    lane_t *lanes = malloc(sizeof(lane_t) * (c->m > 0 ? c->m : 1));
-    if (!lanes)
-        return -1;
-    const int64_t off = (int64_t)(c->first % (uint64_t)c->n_batches);
-    for (int64_t k = 0, batch = off; k < c->m; k++) {
+    const int64_t m = c->m > 0 ? c->m : 1;
+    const int64_t rows = c->n_samples < TILE ? c->n_samples : TILE;
+    tile_t T = {.w = c->n_batches < m ? c->n_batches : m};
+    T.sums = calloc(rows * 2 * N_MONOMIALS * T.w, sizeof(double));
+    T.live_counts = calloc(rows * T.w, sizeof(int64_t));
+    lane_t *lanes = malloc(sizeof(lane_t) * m);
+    const int ok = T.sums && T.live_counts && lanes;
+    for (int64_t k = 0; ok && k < c->m; k++)
         init_lane(c, &lanes[k], c->first + (uint64_t)k);
-        record(c, &lanes[k], 0, batch);
-        if (++batch == c->n_batches)
-            batch = 0;
-    }
-    for (int64_t s = 1, j0 = 0; s < c->n_samples; j0 = c->ends[s - 1], s++) {
+    for (T.s0 = 0, T.j1 = 0; ok && T.s0 < c->n_samples; T.s0 = T.s1) {
+        T.j0 = T.j1;
+        T.s1 = T.s0;
+        while (T.s1 < c->n_samples && T.s1 - T.s0 < TILE && T.j1 - T.j0 < TILE)
+            T.j1 = done(c, T.s1++);
         int64_t idx[GROUP];
         int n = 0;
         for (int64_t k = 0; k < c->m; k++)
             if (lanes[k].live) {
                 idx[n++] = k;
                 if (n == GROUP) {
-                    advance(c, lanes, idx, n, j0, c->ends[s - 1]);
+                    advance(c, lanes, idx, n, &T);
                     n = 0;
                 }
             }
         if (n)
-            advance(c, lanes, idx, n, j0, c->ends[s - 1]);
-        for (int64_t k = 0, batch = off; k < c->m; k++) {
-            record(c, &lanes[k], s, batch);
-            if (++batch == c->n_batches)
-                batch = 0;
-        }
+            advance(c, lanes, idx, n, &T);
+        flush(c, &T);
     }
+    free(T.sums);
+    free(T.live_counts);
     free(lanes);
-    return 0;
+    return ok ? 0 : -1;
 }

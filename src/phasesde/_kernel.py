@@ -162,7 +162,10 @@ class Kernel:
         threshold.  Lane k belongs to batch ``(first + k) % n_batches``.
         In ``partials``, ``sums`` and ``live_counts`` are added to, and
         ``blowup_times`` and ``gauge_max`` updated, in place; each must be
-        a contiguous array of its engine dtype.
+        a contiguous array of its engine dtype.  The kernel sums each
+        sample's lanes per batch from +0.0, a tile of samples at a time,
+        and adds each total to the value its cell holds on entry, as the
+        numpy loop's ``sums[s] += reduce`` does.
         """
         sums, blow_t = partials["sums"], partials["blowup_times"]
         m = len(blow_t)

@@ -7,6 +7,7 @@ import math
 import os
 import re
 import shutil
+import subprocess
 import sys
 import threading
 import warnings
@@ -794,8 +795,8 @@ FILL = int(re.search(r"\bFILL = (\d+)", _kernel.SOURCE.read_text())[1])
                                   "lanes_die_mid_fill"])
 @pytest.mark.parametrize("name", ["hybrid", "hybrid_truncated", "positive_p"])
 def test_native_normal_fills_give_the_numpy_bytes(native, name, case):
-    """The kernel draws a lane's normals up to FILL substeps of a segment
-    at a time; the numpy loop draws NOISE_BLOCK substeps of the run at a
+    """The kernel draws a lane's normals up to FILL substeps of a tile at
+    a time; the numpy loop draws NOISE_BLOCK substeps of the run at a
     time.  Segments of one substep, segments longer than a fill, and lanes
     that die with part of a fill unread all give the numpy bytes."""
     params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
@@ -835,7 +836,7 @@ def test_native_normal_fills_give_the_numpy_bytes(native, name, case):
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 7, 9])
 @pytest.mark.parametrize("name", METHOD_NAMES)
 def test_native_lane_groups_give_the_numpy_bytes(native, name, m):
-    """The kernel steps a segment's live lanes four at a time and pads the
+    """The kernel steps a tile's live lanes four at a time and pads the
     last group with dead slots.  Chunks of every remainder, whose first
     lane is off batch 0, give the numpy bytes plain, with gauge drift,
     noise-free and losing lanes."""
@@ -889,6 +890,175 @@ def test_native_group_lanes_that_die_apart_give_the_numpy_bytes(native, name,
                and (j >= starts[s] + FILL).any()
                for i in np.flatnonzero(dead)
                for s in [np.searchsorted(plan.ends, j[i], side="right")])
+
+
+# Segments per tile at most, and substeps per tile at least.
+TILE = int(re.search(r"\bTILE = (\d+)", _kernel.SOURCE.read_text())[1])
+
+
+def tiles(plan):
+    """Each tile as the kernel cuts it, (first sample, last sample + 1):
+    segments, sample 0's first, until they hold TILE substeps or TILE
+    segments."""
+    done = np.concatenate([[0], plan.ends])  # substeps before each sample
+    out, s1, j1 = [], 0, 0
+    while s1 < plan.n_samples:
+        s0, j0 = s1, j1
+        while s1 < plan.n_samples and s1 - s0 < TILE and j1 - j0 < TILE:
+            j1 = done[s1]
+            s1 += 1
+        out.append((s0, s1))
+    return out
+
+
+def record_paths(plan, blow_t, n_batches):
+    """How the kernel adds each group's records, from when lanes die.
+
+    Counts the records made with vector adds ("packed": four live
+    consecutive lanes in four consecutive columns, lane k in column
+    k % n_batches), the records made lane by lane ("general"), and those
+    of the latter whose group is four consecutive lanes ("wrapped": their
+    columns wrap, or there are fewer than four)."""
+    done = np.concatenate([[0], plan.ends])
+    death = np.where(np.isfinite(blow_t),
+                     np.searchsorted(plan.sub_t_end, blow_t), plan.n_substeps)
+    w = min(n_batches, len(blow_t))
+    count = dict.fromkeys(("packed", "general", "wrapped"), 0)
+    for s0, s1 in tiles(plan):
+        live = np.flatnonzero(death >= (done[s0 - 1] if s0 else 0))
+        for group in (live[i:i + 4] for i in range(0, len(live), 4)):
+            consecutive = len(group) == 4 and group[3] - group[0] == 3
+            packed = consecutive and group[0] % n_batches + 3 < w
+            for s in range(s0, s1):
+                alive = death[group] >= done[s]
+                if packed and alive.all():
+                    count["packed"] += 1
+                elif alive.any():
+                    count["general"] += 1
+                    count["wrapped"] += consecutive
+    return count
+
+
+@pytest.mark.parametrize("interval", [1, 3, TILE + 1])
+@pytest.mark.parametrize("name", METHOD_NAMES)
+def test_native_tiles_give_the_numpy_bytes(native, name, interval):
+    """The kernel steps each group of lanes through a tile of segments and
+    records each sample from the group's vectors, into an accumulator
+    that it adds to the sums once every group has run the tile.  Tiles of
+    one-substep segments, of short ones and of one segment longer than
+    TILE; one batch, fewer batches than a group and more; chunks that
+    start off batch 0; a short last group; and lanes that die inside a
+    tile, so that later records of the tile see a dead slot: all give the
+    numpy bytes.  Both record paths run: vector adds, and lane by lane,
+    also for four consecutive lanes whose columns wrap."""
+    params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
+    paths = dict.fromkeys(("packed", "general", "wrapped"), 0)
+    inside = 0
+    for n_batches in (1, 3, 8):
+        cfg = EnsembleConfig(n_trajectories=48, dt=1e-3, t_final=0.2005,
+                             N_a0=4.0, N_b0=0.25, n_batches=n_batches,
+                             sample_interval=interval, master_seed=2,
+                             blowup_threshold=1.2)  # the probe's
+        plan = build_step_plan(cfg, params)
+        done = np.concatenate([[0], plan.ends])
+        for first in (0, 5, 2049):
+            fast, ref = (integrator._simulate_chunk(
+                first, 37, MethodSpec.of(name), params, cfg, plan,
+                record_gauge=True, native=kernel)
+                for kernel in (native, False))
+            for k in ref:
+                assert fast[k].tobytes() == ref[k].tobytes(), (
+                    n_batches, first, k)
+            blow_t = ref["blowup_times"]
+            j = np.searchsorted(plan.sub_t_end, blow_t[np.isfinite(blow_t)])
+            # Deaths with a record of their tile before and one after.
+            inside += sum(int(((done[s0] <= j) & (j < done[s1 - 1])).sum())
+                          for s0, s1 in tiles(plan))
+            if n_batches == 8:  # fewer than four columns record lane by lane
+                for path, n in record_paths(plan, blow_t, n_batches).items():
+                    paths[path] += n
+    assert len(tiles(plan)) > 2
+    assert inside > 0
+    assert all(n > 0 for n in paths.values()), paths
+
+
+def zero_length_plan():
+    """A probe-like lossy chunk whose step plan repeats its ends: three
+    segments of no substeps before the first substep, TILE + 5 after the
+    first segment and TILE + 2 at the end.  Returns its config, params and
+    plan."""
+    params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
+    cfg = EnsembleConfig(n_trajectories=48, dt=1e-3, t_final=0.0305,
+                         N_a0=4.0, N_b0=0.25, n_batches=3, sample_interval=7,
+                         master_seed=2, blowup_threshold=1.2)
+    plan = build_step_plan(cfg, params)
+    ends = np.concatenate([[0] * 3, [plan.ends[0]] * (TILE + 5),
+                           plan.ends[1:], [plan.ends[-1]] * (TILE + 1)])
+    times = np.where(ends > 0, plan.sub_t_end[ends - 1], 0.0)
+    return cfg, params, dataclasses.replace(
+        plan, ends=ends, sample_times=np.concatenate([[0.0], times]))
+
+
+def zero_length_runs_match(kernel):
+    """True if ``kernel`` gives the numpy loop's bytes for each method on
+    ``zero_length_plan``'s chunk, with gauge drift and lanes that die."""
+    cfg, params, plan = zero_length_plan()
+    for name in METHOD_NAMES:
+        fast, ref = (integrator._simulate_chunk(
+            1, 30, MethodSpec.of(name), params, cfg, plan, record_gauge=True,
+            native=engine) for engine in (kernel, False))
+        if any(fast[k].tobytes() != ref[k].tobytes() for k in ref):
+            return False
+    return True
+
+
+def test_native_records_runs_of_zero_length_segments_like_numpy(native):
+    """``run_chunk`` accepts repeated ends, segments of no substeps that
+    record the same state again.  More than TILE of them in a row make
+    tiles of TILE segments, which give the numpy loop's sums and live
+    counts."""
+    cfg, params, plan = zero_length_plan()
+    assert zero_length_runs_match(native)
+    for name in METHOD_NAMES:
+        ref = integrator._simulate_chunk(1, 30, MethodSpec.of(name), params,
+                                         cfg, plan, native=False)
+        live = ref["live_counts"].sum(axis=1)
+        assert live[0] == 30 and live[-1] < 30, name
+
+
+def test_native_tiles_stay_inside_their_accumulator(native, tmp_path):
+    """Built with AddressSanitizer, the kernel runs the chunks of
+    ``zero_length_runs_match``, with runs of more than TILE segments of no
+    substeps, and reads and writes nothing outside its allocations; a tile
+    of more than TILE segments would run past the accumulator's rows."""
+    compiler = shutil.which(_kernel.COMPILER)
+    if compiler is None:
+        pytest.skip(f"no {_kernel.COMPILER} on PATH")
+    runtime = subprocess.run([compiler, "-print-file-name=libasan.so"],
+                             capture_output=True, text=True).stdout.strip()
+    if not os.path.isabs(runtime):
+        pytest.skip("no AddressSanitizer runtime")
+    target = tmp_path / "kernel-asan.so"
+    build = subprocess.run(
+        [compiler, *_kernel._flags(), "-g", "-fsanitize=address", "-o",
+         str(target), str(_kernel.SOURCE), "-lm"],
+        capture_output=True, text=True, timeout=300)
+    assert build.returncode == 0, build.stderr
+    script = (
+        "import sys; from pathlib import Path\n"
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+        "import test_integrator as t\n"
+        f"kernel = t._kernel.Kernel(Path({str(target)!r}))\n"
+        "print(t.zero_length_runs_match(kernel))\n")
+    env = {**os.environ, "LD_PRELOAD": runtime,
+           "ASAN_OPTIONS": "detect_leaks=0",
+           "PYTHONPATH": os.pathsep.join(
+               [str(Path(_kernel.__file__).parents[1]),
+                os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    assert proc.stdout.strip() == "True"
 
 
 def test_native_build_without_fma_gives_the_same_bytes(native, monkeypatch,
