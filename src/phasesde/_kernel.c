@@ -96,8 +96,7 @@ enum { N_MONOMIALS = 11 }; /* core.MONOMIALS */
 
 /* One chunk's inputs, coefficients and outputs; mirrored by _kernel.Chunk. */
 typedef struct {
-    int32_t method;
-    int32_t noisy;        /* draw noise and kick */
+    int32_t method;       /* all but WIGNER draw noise and kick */
     int32_t record_gauge; /* track the drift of alpha_plus*alpha */
     int32_t r_a, r_b;     /* 2: Wigner-sampled mode, 1: delta */
     int32_t cexp_port;    /* cexp4 may use the port: phasesde_cexp_check */
@@ -840,7 +839,7 @@ static void advance(const chunk_t *c, lane_t *lanes, const int64_t *idx,
         frequencies(c, c->sub_g[j], A, AP, B, BP, &fa, &fb);
 
         c4 Am = A, APm = AP, Bm = B, BPm = BP;
-        if (c->noisy) {
+        if (c->method != WIGNER) {
             if ((j - T->j0) % FILL == 0) {
                 int len = 4 * (int)(T->j1 - j < FILL ? T->j1 - j : FILL);
                 for (int i = 0; i < GROUP; i++)

@@ -53,9 +53,9 @@ class Chunk(ctypes.Structure):
     """The ``chunk_t`` of _kernel.c: one chunk's inputs and outputs."""
 
     _fields_ = [
-        ("method", ctypes.c_int32), ("noisy", ctypes.c_int32),
-        ("record_gauge", ctypes.c_int32), ("r_a", ctypes.c_int32),
-        ("r_b", ctypes.c_int32), ("cexp_port", ctypes.c_int32),
+        ("method", ctypes.c_int32), ("record_gauge", ctypes.c_int32),
+        ("r_a", ctypes.c_int32), ("r_b", ctypes.c_int32),
+        ("cexp_port", ctypes.c_int32),
         ("m", ctypes.c_int64),
         ("n_batches", ctypes.c_int64), ("n_samples", ctypes.c_int64),
         ("master_seed", ctypes.c_uint64), ("first", ctypes.c_uint64),
@@ -153,13 +153,14 @@ class Kernel:
         if not self.cexp_port:
             log.info("the kernel's cexp differs from libm's; it calls libm")
 
-    def run_chunk(self, method, noisy, record_gauge, config, first, plan,
-                  coeffs, params, partials):
+    def run_chunk(self, method, record_gauge, config, first, plan, coeffs,
+                  params, partials):
         """Run the chunk of trajectories ``first``, ``first + 1``, ...
 
-        ``method`` is a MethodSpec; ``config`` an EnsembleConfig, which
-        gives the streams' master seed, the coherent start and the lane
-        threshold.  Lane k belongs to batch ``(first + k) % n_batches``.
+        ``method`` is a MethodSpec; every method but ``wigner`` draws noise
+        and kicks.  ``config`` is an EnsembleConfig, which gives the
+        streams' master seed, the coherent start and the lane threshold.
+        Lane k belongs to batch ``(first + k) % n_batches``.
         In ``partials``, ``sums`` and ``live_counts`` are added to, and
         ``blowup_times`` and ``gauge_max`` updated, in place; each must be
         a contiguous array of its engine dtype.  The kernel sums each
@@ -178,7 +179,7 @@ class Kernel:
                                 "lanes are not all uint64")
         s = complex(coeffs.get("s", 0j))
         gamma_a, gamma_b = config.coherent_start
-        c = Chunk(method=METHOD_NAMES.index(method.method), noisy=noisy,
+        c = Chunk(method=METHOD_NAMES.index(method.method),
                   record_gauge=record_gauge, r_a=method.r_a, r_b=method.r_b,
                   cexp_port=self.cexp_port,
                   m=m, n_batches=nb,
@@ -199,7 +200,7 @@ class Kernel:
                 arrays[name] = np.ascontiguousarray(coeffs[name],
                                                     dtype=complex)
         factor = {"positive_p": "F", "wigner": None}.get(method.method, "q")
-        if noisy and factor not in arrays:
+        if factor and factor not in arrays:
             raise ValueError(f"a noisy {method.method} chunk needs {factor}")
         # The kernel reads sub_dt up to the last end.
         if (np.diff(plan.ends, prepend=0) < 0).any() or (

@@ -215,6 +215,13 @@ def _distinct(values: list, what: str):
                            f"got {values}"])
 
 
+def _known_observables(names: list):
+    bad = [o for o in names if o not in OBSERVABLE_NAMES]
+    if bad:
+        raise ConfigError(
+            [f"unknown observables {bad}; available: {', '.join(OBSERVABLE_NAMES)}"])
+
+
 def _params_from_json(d: dict) -> SystemParams:
     return SystemParams(**_section(d, "params"))
 
@@ -262,10 +269,7 @@ def resolve_config(raw: dict, overrides: dict | None = None) -> dict:
         obs = over["observables"]
         obs = obs.split(",") if isinstance(obs, str) else list(obs)
         config["observables"] = [o.strip() for o in obs if o.strip()]
-    bad = [o for o in config["observables"] if o not in OBSERVABLE_NAMES]
-    if bad:
-        raise ConfigError(
-            [f"unknown observables {bad}; available: {', '.join(OBSERVABLE_NAMES)}"])
+    _known_observables(config["observables"])
     _distinct(config["observables"], "observables")
 
     output = config["output"]
@@ -388,10 +392,7 @@ def oracle_table(params, times, observables) -> dict:
     a closed form.
     """
     times = np.asarray(times, dtype=float)
-    bad = [o for o in observables if o not in OBSERVABLE_NAMES]
-    if bad:
-        raise ConfigError(
-            [f"unknown observables {bad}; available: {', '.join(OBSERVABLE_NAMES)}"])
+    _known_observables(observables)
     table = {"t": times}
     for name in observables:
         table[name] = np.asarray(exact_series(name, times, params), dtype=float)

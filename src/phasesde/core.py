@@ -256,6 +256,9 @@ class EnsembleConfig:
             out.append("dt must be a positive real")
         if not (_finite(self.t_final) and self.t_final >= 0):
             out.append("t_final must be a non-negative real")
+        elif _finite(self.dt) and self.dt > 0 \
+                and not math.isfinite(self.t_final / self.dt):
+            out.append("t_final / dt must be finite")
         if not (type(self.sample_interval) is int and self.sample_interval >= 1):
             out.append("sample_interval must be a positive integer")
         if not (type(self.master_seed) is int and 0 <= self.master_seed < 2 ** 64):

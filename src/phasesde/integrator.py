@@ -179,8 +179,7 @@ def _initial_arrays(first: int, m: int, method: MethodSpec,
 
 def _simulate_chunk(first: int, m: int, method: MethodSpec,
                     params: SystemParams, config: EnsembleConfig,
-                    plan: StepPlan, noise_free: bool = False,
-                    record_gauge: bool = False, *, native):
+                    plan: StepPlan, record_gauge: bool = False, *, native):
     """Integrate trajectories ``first`` to ``first + m - 1``; returns the
     chunk's partials.
 
@@ -197,15 +196,15 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
     gauge_max = np.zeros(m)
     partials = {"sums": sums, "live_counts": live_counts,
                 "blowup_times": blow_t, "gauge_max": gauge_max}
-    noise = None if noise_free else dynamics.NOISE.get(method.method)
     if native:
         # Streams, initial sampling, substeps and records in one call.
-        native.run_chunk(method, noise is not None, record_gauge, config,
-                         first, plan, coeffs, params, partials)
+        native.run_chunk(method, record_gauge, config, first, plan, coeffs,
+                         params, partials)
         return partials
 
     a, ap, b, bp, gens = _initial_arrays(first, m, method, config)
     live = np.ones(m, dtype=bool)
+    noise = dynamics.NOISE.get(method.method)
 
     # Lane k belongs to batch (first + k) % n_batches.  It sits at row
     # off + k of a zeroed buffer of rows * n_batches rows; viewed as
@@ -356,11 +355,12 @@ def engine_record() -> dict:
 def _probe_matches(kernel) -> bool:
     """True if ``kernel`` gives the numpy loop's bytes on a small probe.
 
-    Every method runs three times: with noise, gauge drift and a threshold
-    low enough to kill some lanes at different substeps; noise-free; and
-    noisy again at other occupations on a chunk whose first lane is not in
-    batch 0.  The coupling switches off the dt grid, and the tail step is
-    shortened.
+    Every method runs three times: with gauge drift and a threshold low
+    enough to kill some lanes at different substeps; as a default run
+    does, without gauge drift at the default threshold; and with gauge
+    drift and lost lanes again at other occupations on a chunk whose first
+    lane is not in batch 0.  The coupling switches off the dt grid, and
+    the tail step is shortened.
     """
     params = SystemParams(0.3, -0.7, 1.1, 0.9, CouplingSchedule(
         ((0.0123, 1.0), (math.inf, 0.6))))
@@ -370,13 +370,13 @@ def _probe_matches(kernel) -> bool:
     # A threshold of 1.2 * sqrt(N_a0) = 2.4.
     lossy = replace(plain, blowup_threshold=1.2)
     plan = build_step_plan(plain, params)
-    runs = ((0, lossy, False, True), (0, plain, True, False),
-            (5, replace(lossy, N_a0=4.25, N_b0=0.26), False, True))
+    runs = ((0, lossy, True), (0, plain, False),
+            (5, replace(lossy, N_a0=4.25, N_b0=0.26), True))
     for name in METHOD_NAMES:
         method = MethodSpec.of(name)
-        for first, config, noise_free, gauge in runs:
+        for first, config, gauge in runs:
             fast, ref = (_simulate_chunk(first, 8, method, params, config,
-                                         plan, noise_free, gauge, native=eng)
+                                         plan, gauge, native=eng)
                          for eng in (kernel, False))
             if any(fast[k].tobytes() != ref[k].tobytes() for k in ref):
                 return False
@@ -409,7 +409,7 @@ def _reduce(partials):
 
 
 def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
-                 n_workers: int | None = None, noise_free: bool = False,
+                 n_workers: int | None = None,
                  record_gauge_drift: bool = False) -> EnsembleResult:
     """Integrate the full ensemble and return batch-structured moment sums.
 
@@ -422,7 +422,6 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
     partials are reduced in chunk order, so the result is bit-identical
     for a given config regardless of ``n_workers``, and a caller on any
     thread may pass any ``n_workers``.
-    ``noise_free`` zeroes all noise terms (debug aid);
     ``record_gauge_drift`` attaches the per-trajectory maximum relative
     drift of alpha_plus*alpha over the run.  An ``n_workers`` that is not
     None or a positive integer is a ConfigError.
@@ -442,7 +441,7 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
     def job(bound):
         lo, hi = bound
         return _simulate_chunk(lo, hi - lo, method, params, config, plan,
-                               noise_free, record_gauge_drift, native=native)
+                               record_gauge_drift, native=native)
 
     if n_workers is None:
         n_workers = min(4, os.cpu_count() or 1, len(bounds)) if native else 1

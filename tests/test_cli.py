@@ -448,6 +448,29 @@ def test_run_and_oracle_reject_the_same_configs(tmp_path, capsys, mangle,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_a_step_count_beyond_the_float_range_exits_2(tmp_path, capsys,
+                                                      command):
+    """A dt so small that t_final / dt is not finite is a config error:
+    ``run --dt`` and ``oracle`` on a config file exit 2 with one error
+    line, not an OverflowError from the step plan."""
+    if command == "run":
+        args = ["run", "--preset", "fig2", "--dt", "1e-320",
+                "--trajectories", "10"]
+    else:
+        raw = load_preset("fig2")
+        raw["ensemble"]["dt"] = 1e-320
+        path = tmp_path / "tiny_dt.json"
+        path.write_text(json.dumps(raw))
+        args = ["oracle", "--config", str(path)]
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "t_final / dt must be finite" in err
+    assert not out.exists()
+
+
 # A leaf becomes one of these: null, a bool, a string, a list, an object,
 # NaN, a negative number, a fraction or an integer beyond the float range.
 FUZZ_VALUES = st.one_of(

@@ -149,6 +149,14 @@ def test_config_amplitude_bounds_accept_values_just_below():
         "N_a0 must be a non-negative real below 2**398"]
 
 
+def test_config_rejects_a_step_count_beyond_the_float_range():
+    """t_final / dt must be finite, or the step plan cannot count its
+    steps; at t_final = 0 a subnormal dt takes none and stays valid."""
+    assert _good_config(dt=1e-320).violations() == [
+        "t_final / dt must be finite"]
+    assert _good_config(dt=1e-320, t_final=0.0).violations() == []
+
+
 @pytest.mark.parametrize("field", ["n_trajectories", "n_batches",
                                    "sample_interval", "master_seed"])
 def test_config_integer_fields_reject_a_bool(field):

@@ -1,11 +1,13 @@
 """The package names the benchmark in ``perfbench/`` wraps or calls."""
 import ast
 import importlib.util
+import inspect
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from phasesde import _kernel, cli, core, dynamics, integrator, oracle, stats
@@ -93,6 +95,46 @@ def test_noise_table_feeds_the_noise_factors_and_the_engine(monkeypatch):
         integrator._simulate_chunk(0, 2, core.MethodSpec.of(name), params,
                                    config, plan, native=False)
         assert calls == [(name, j) for j in range(plan.n_substeps)]
+
+
+def test_probe_runs_what_runs_use(monkeypatch):
+    """The load-time probe runs three chunks per method, numpy against
+    numpy here: one as a default run does, with the method's noise and
+    gauge drift off at the default blow-up threshold, and one with gauge
+    drift on at a threshold that kills lanes."""
+    rows, kicks, simulate = [], [], integrator._simulate_chunk
+    signature = inspect.signature(simulate)
+
+    def spy(*args, **kwargs):
+        call = signature.bind(*args, **kwargs)
+        call.apply_defaults()
+        kicks.clear()
+        out = simulate(*args, **kwargs)
+        rows.append((call.arguments["method"].method,
+                     call.arguments["config"].blowup_threshold,
+                     call.arguments["record_gauge"], bool(kicks),
+                     bool(np.isfinite(out["blowup_times"]).any())))
+        return out
+
+    def counted(rule):
+        def wrapper(*args):
+            kicks.append(args[1])
+            return rule(*args)
+        return wrapper
+
+    for name, rule in list(dynamics.NOISE.items()):
+        monkeypatch.setitem(dynamics.NOISE, name, counted(rule))
+    monkeypatch.setattr(integrator, "_simulate_chunk", spy)
+    assert integrator._probe_matches(False)
+    default = core.EnsembleConfig.__dataclass_fields__[
+        "blowup_threshold"].default
+    for name in core.METHOD_NAMES:
+        runs = [row[1:] for row in rows if row[0] == name]
+        assert len(runs) == 6, name  # three rows, each on two engines
+        noisy = name in dynamics.NOISE
+        assert all(kicked == noisy for _, _, kicked, _ in runs), name
+        assert any(row[:2] == (default, False) for row in runs), name
+        assert any(gauge and lost for _, gauge, _, lost in runs), name
 
 
 @pytest.mark.parametrize("path", sorted(DEMOS.glob("*.py")),
