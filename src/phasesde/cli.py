@@ -311,14 +311,15 @@ def _write_table(path: str, columns: dict, metadata: dict):
     written empty (CSV) or null (JSON), as is a non-finite value in JSON.
     """
     if path.endswith(".csv"):
-        # One row template, applied once to the values in row order.
+        # One row template, applied once to the values in row order.  A
+        # list column holds cells formatted already, for %s fields.
         n = len(next(iter(columns.values())))
-        row = ",".join("" if col is None else "%.17g"
-                       for col in columns.values())
-        values = np.column_stack([col for col in columns.values()
-                                  if col is not None]).ravel().tolist()
+        row = ",".join("" if col is None else "%s" if isinstance(col, list)
+                       else "%.17g" for col in columns.values())
+        values = np.column_stack([np.asarray(col, dtype=object) for col in
+                                  columns.values() if col is not None])
         _write_text(path, ",".join(columns) + "\n"
-                    + (row + "\n") * n % tuple(values))
+                    + (row + "\n") * n % tuple(values.ravel().tolist()))
         return
     _write_text(path, json.dumps({"metadata": metadata, "columns": {
         k: None if col is None
@@ -345,6 +346,11 @@ def _execute(resolved: dict) -> dict:
     engine = engine_record()
     for spec, config in runs:
         result = run_ensemble(spec, params, config)
+        # The two columns every file of a method shares: formatted once.
+        shared = {"t": result.times, "live_fraction": result.live_fraction}
+        if fmt == "csv":
+            shared = {k: ("%.17g\n" * len(v) % tuple(v.tolist())).splitlines()
+                      for k, v in shared.items()}
         for obs in resolved["observables"]:
             series = observable_series(result, obs)
             t_break = detect_blowup(series)
@@ -352,9 +358,9 @@ def _execute(resolved: dict) -> dict:
             breakdowns[(spec.method, obs)] = t_break
             path = f"{stem}_{spec.method}_{obs}.{fmt}"
             _write_table(path, {
-                "t": series.times, "mean": series.mean,
+                "t": shared["t"], "mean": series.mean,
                 "stderr": series.stderr, "exact": series.exact,
-                "live_fraction": series.live_fraction,
+                "live_fraction": shared["live_fraction"],
             }, {"version": __version__, "method": spec.method, "observable": obs,
                 "breakdown_time": t_break, "engine": engine,
                 "config": resolved})

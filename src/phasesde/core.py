@@ -45,6 +45,9 @@ METHOD_TAGS = {
 
 METHOD_NAMES = tuple(METHOD_TAGS)
 
+# Most steps t_final / dt of a run; build_step_plan lists each in Python.
+MAX_STEPS = 10**6
+
 # Raw monomials accumulated per batch at every sample time, in storage order.
 MONOMIALS = (
     "alpha",
@@ -256,9 +259,12 @@ class EnsembleConfig:
             out.append("dt must be a positive real")
         if not (_finite(self.t_final) and self.t_final >= 0):
             out.append("t_final must be a non-negative real")
-        elif _finite(self.dt) and self.dt > 0 \
-                and not math.isfinite(self.t_final / self.dt):
-            out.append("t_final / dt must be finite")
+        elif _finite(self.dt) and self.dt > 0:
+            steps = self.t_final / self.dt
+            if not math.isfinite(steps):
+                out.append("t_final / dt must be finite")
+            elif steps > MAX_STEPS + 1e-9:  # build_step_plan's rounding
+                out.append(f"t_final / dt must be at most {MAX_STEPS}")
         if not (type(self.sample_interval) is int and self.sample_interval >= 1):
             out.append("sample_interval must be a positive integer")
         if not (type(self.master_seed) is int and 0 <= self.master_seed < 2 ** 64):

@@ -167,12 +167,13 @@ def detect_blowup(series: ObservableSeries) -> float | None:
         # with non-finite values as NaN.
         prev = np.concatenate([np.full(BLOWUP_WINDOW, np.nan),
                                np.where(np.isfinite(se), se, np.nan)])
-        rows = sliding_window_view(prev[:-1], BLOWUP_WINDOW)
-        enough = np.count_nonzero(~np.isnan(rows), axis=1) >= 3
-        med = np.full(se.size, np.nan)
-        if enough.any():
-            med[enough] = np.nanmedian(rows[enough], axis=1)
-        hits = np.nonzero(enough & (med > 0.0) & np.isfinite(se)
+        rows = np.sort(sliding_window_view(prev[:-1], BLOWUP_WINDOW), axis=1)
+        k = np.count_nonzero(~np.isnan(rows), axis=1)
+        # The median of a row's k finite values, which sort first: its middle
+        # two summed and halved, as np.nanmedian does for either parity.
+        i = np.arange(se.size)
+        med = (rows[i, (k - 1) // 2] + rows[i, k // 2]) / 2
+        hits = np.nonzero((k >= 3) & (med > 0.0) & np.isfinite(se)
                           & (se > BLOWUP_FACTOR * med))[0]
         if hits.size:
             candidates.append(float(series.times[hits[0]]))

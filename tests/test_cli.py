@@ -156,6 +156,48 @@ def test_csv_table_gives_the_bytes_of_a_per_cell_formatter(tmp_path, rows):
     assert path.read_text(encoding="utf-8") == expected + "\n"
 
 
+def test_run_writes_each_observable_as_its_series(tmp_path):
+    """A run of two methods and four observables that loses lanes, so that
+    live_fraction varies and cells go NaN: every CSV is the per-cell
+    f"{x:.17g}" rendering of its ObservableSeries, and the JSON format
+    writes the same values as floats, with null for a non-finite one."""
+    raw = {
+        "method": ["positive_p", "hybrid"],
+        "params": {"omega_a": 0.0, "omega_b": 0.0, "chi_a": 1.0,
+                   "chi_b": 1.0, "coupling": [{"t_end": None, "g": 1.0}]},
+        "ensemble": {"n_trajectories": 40, "n_batches": 4, "dt": 1e-4,
+                     "t_final": 0.3, "sample_interval": 100,
+                     "master_seed": 77, "N_a0": 100.0, "N_b0": 0.01,
+                     "blowup_threshold": 1.2},
+        "observables": ["X_a", "N_a", "var_Y_b", "C_Na_Yb"],
+        "output": {"path": str(tmp_path / "csv" / "loss"), "format": "csv"},
+    }
+    cfg_path = tmp_path / "loss.json"
+    cfg_path.write_text(json.dumps(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        series = run_config(str(cfg_path))["series"]
+        run_config(str(cfg_path), {"format": "json",
+                                   "out": str(tmp_path / "json")})
+    assert len(series) == 8
+    nulls = 0
+    for (method, obs), s in series.items():
+        assert len(set(s.live_fraction)) > 2
+        columns = {"t": s.times, "mean": s.mean, "stderr": s.stderr,
+                   "exact": s.exact, "live_fraction": s.live_fraction}
+        cells = [[f"{x:.17g}" for x in col] for col in columns.values()]
+        expected = "\n".join([",".join(columns), *map(",".join, zip(*cells))])
+        csv = tmp_path / "csv" / f"loss_{method}_{obs}.csv"
+        assert csv.read_text(encoding="utf-8") == expected + "\n"
+        doc = json.loads((tmp_path / "json" / f"loss_{method}_{obs}.json")
+                         .read_text())["columns"]
+        for key, col in columns.items():
+            assert doc[key] == [x if math.isfinite(x) else None
+                                for x in col.tolist()]
+            nulls += doc[key].count(None)
+    assert nulls > 0
+
+
 def test_same_seed_same_bytes_different_seed_different(tmp_path):
     kw = ["run", "--preset", "fig1", "--trajectories", "30"]
     assert main([*kw, "--out", str(tmp_path / "r1")]) == 0
@@ -468,6 +510,27 @@ def test_a_step_count_beyond_the_float_range_exits_2(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "t_final / dt must be finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "oracle"])
+def test_a_step_count_beyond_the_bound_exits_2(tmp_path, capsys, command):
+    """A finite t_final / dt above MAX_STEPS is a config error too: fig2
+    at dt 1e-12 would take 2e11 steps, and its plan would grow until
+    memory ran out."""
+    if command == "run":
+        args = ["run", "--preset", "fig2", "--dt", "1e-12",
+                "--trajectories", "10"]
+    else:
+        raw = load_preset("fig2")
+        raw["ensemble"]["dt"] = 1e-12
+        path = tmp_path / "small_dt.json"
+        path.write_text(json.dumps(raw))
+        args = ["oracle", "--config", str(path)]
+    out = tmp_path / "out"
+    assert main([*args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: t_final / dt must be at most 1000000\n", err
     assert not out.exists()
 
 

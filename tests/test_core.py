@@ -157,6 +157,17 @@ def test_config_rejects_a_step_count_beyond_the_float_range():
     assert _good_config(dt=1e-320, t_final=0.0).violations() == []
 
 
+def test_config_bounds_the_step_count():
+    """t_final / dt may reach MAX_STEPS (10**6), with the step plan's
+    rounding, but not pass it: the plan lists every substep in Python."""
+    assert ps.core.MAX_STEPS == 10 ** 6
+    assert _good_config(t_final=100.0, dt=1e-4).violations() == []
+    assert 0.1 / 1e-7 > 10 ** 6  # by one ulp; the plan takes 10**6 steps
+    assert _good_config(t_final=0.1, dt=1e-7).violations() == []
+    assert _good_config(t_final=100.0001, dt=1e-4).violations() == [
+        "t_final / dt must be at most 1000000"]
+
+
 @pytest.mark.parametrize("field", ["n_trajectories", "n_batches",
                                    "sample_interval", "master_seed"])
 def test_config_integer_fields_reject_a_bool(field):

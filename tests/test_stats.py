@@ -363,6 +363,34 @@ def test_detector_matches_the_per_sample_loop(seed):
     assert fired > 100
 
 
+def _fires_after(window, value):
+    """Whether ``value`` fires the error rule right after ``window``."""
+    se = np.array([*window, value], dtype=float)
+    series = flat_series(len(se), stderr=se)
+    t = detect_blowup(series)
+    assert t is None or t == series.times[-1]
+    return t is not None
+
+
+@pytest.mark.parametrize("window,quiet,fires", [
+    ([1, 2, 4, 8], 25, 31),  # even count: (2 + 4) / 2 = 3, so 10 * 3 = 30
+    ([1, 2, 4], 19, 21),  # odd count: the middle value 2, so 20
+    # +-inf are read as NaN, so each window is the finite [1, 2, 4] again.
+    ([1, math.inf, 2, 4, math.inf], 19, 21),
+    ([-math.inf, 1, 2, -math.inf, 4], 19, 21),
+], ids=["even", "odd", "inf", "minus_inf"])
+def test_detector_median_of_either_parity(window, quiet, fires):
+    assert BLOWUP_FACTOR == 10.0
+    assert not _fires_after(window, quiet)
+    assert _fires_after(window, fires)
+
+
+@pytest.mark.parametrize("window", [[1], [1, 2], [math.nan, 1, math.inf, 2],
+                                    [math.nan] * 5])
+def test_detector_needs_three_finite_values_in_its_window(window):
+    assert not _fires_after(window, 1e300)
+
+
 def test_hybrid_survives_past_the_positive_p_horizon():
     """In the strong-Kerr regime the mixed method holds for a couple of
     Kerr times while pure positive-P statistics break almost immediately."""
