@@ -22,9 +22,11 @@ objects, and ``t_end: null`` denotes an open-ended final segment.  Every
 key of every section is in ``_FIELDS``, with its default or as required;
 an unknown or missing key, or a value of the wrong kind, is a ConfigError.
 ``run`` and ``oracle`` check a config alike: ``resolve_config``, then
-``validate_config`` for every method.  Presets are config files of exactly
-this shape.  One series file is written per (method, observable) as
-``<path>_<method>_<observable>.<fmt>``; CSV runs also get a
+``validate_config`` for every method.  Every coupling schedule has exact
+curves, so both accept the same configs.  Presets are config files of
+exactly this shape.  One series file is written per (method, observable)
+as ``<path>_<method>_<observable>.<fmt>``, its ``exact`` column the
+closed form of the run's physics; CSV runs also get a
 ``<path>_<method>.meta.json`` sidecar carrying the resolved config, any
 detected breakdown times and the engine that ran.  Identical config and
 seed give identical output bytes.
@@ -52,7 +54,7 @@ from .core import (
     validate_config,
 )
 from .integrator import build_step_plan, engine_record, run_ensemble
-from .oracle import exact_series, match_schedule
+from .oracle import OracleParams, exact_series
 from .representations import OBSERVABLE_NAMES
 from .stats import detect_blowup, observable_series
 
@@ -307,23 +309,22 @@ def _write_text(path: str, text: str):
 def _write_table(path: str, columns: dict, metadata: dict):
     """Write equal-length columns as CSV or, with ``metadata``, as JSON.
 
-    The path's extension picks the format.  A column that is None is
-    written empty (CSV) or null (JSON), as is a non-finite value in JSON.
+    The path's extension picks the format.  JSON writes a non-finite
+    value as null.
     """
     if path.endswith(".csv"):
         # One row template, applied once to the values in row order.  A
         # list column holds cells formatted already, for %s fields.
         n = len(next(iter(columns.values())))
-        row = ",".join("" if col is None else "%s" if isinstance(col, list)
-                       else "%.17g" for col in columns.values())
-        values = np.column_stack([np.asarray(col, dtype=object) for col in
-                                  columns.values() if col is not None])
+        row = ",".join("%s" if isinstance(col, list) else "%.17g"
+                       for col in columns.values())
+        values = np.column_stack([np.asarray(col, dtype=object)
+                                  for col in columns.values()])
         _write_text(path, ",".join(columns) + "\n"
                     + (row + "\n") * n % tuple(values.ravel().tolist()))
         return
     _write_text(path, json.dumps({"metadata": metadata, "columns": {
-        k: None if col is None
-        else [float(x) if math.isfinite(x) else None for x in col]
+        k: [float(x) if math.isfinite(x) else None for x in col]
         for k, col in columns.items()}}, indent=2) + "\n")
 
 
@@ -438,14 +439,10 @@ def _time(text: str) -> float:
 def _oracle_command(resolved: dict, times_text: str | None) -> dict:
     params, runs = _runs(resolved)
     config = runs[0][1]
-    op = match_schedule(params, config.N_a0, config.N_b0)
-    if op is None:
-        raise ConfigError(["no closed form for this coupling schedule; it "
-                           "must be constant or switched off once"])
-
     times = (build_step_plan(config, params).sample_times if times_text is None
              else _parse_times(times_text))
-    table = oracle_table(op, times, resolved["observables"])
+    table = oracle_table(OracleParams.of(params, config), times,
+                         resolved["observables"])
     path = f"{resolved['output']['path']}_exact.{resolved['output']['format']}"
     _write_table(path, table, {"version": __version__, "config": resolved})
     return {"outputs": [path], "table": table}

@@ -12,8 +12,8 @@ is diagonal in the two-mode number basis, and two routes use that:
   monomial moment <a+^j_a a^k_a b+^j_b b^k_b>(t) has one.  ``exact_series``
   turns them into observables with the positive-P conversions of
   ``representations``, the one place that forms observables from moments.
-  A coupling that is g until tau and zero afterwards enters only through
-  theta(t) = g*min(t, tau); the omega and chi phases keep running.
+  A piecewise-constant coupling g(t) enters only through
+  theta(t) = integral of g over [0, t]; the omega and chi phases keep running.
 
 * A numerically exact Fock-basis evaluator (``fock_expect``) that sums the
   same evolution over number states up to the cutoff ``default_cutoff``,
@@ -32,7 +32,7 @@ from itertools import groupby, permutations
 
 import numpy as np
 
-from .core import MethodSpec, _finite
+from .core import CouplingSchedule, MethodSpec, _finite
 from .representations import observable_estimate_complex
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "fock_expect",
     "fock_word_expect",
     "fock_symmetrized",
-    "match_schedule",
 ]
 
 
@@ -51,30 +50,36 @@ __all__ = [
 class OracleParams:
     """Physics of one run in closed-form-friendly form.
 
-    The coupling is either constant g (tau=None) or g until tau and zero
-    afterwards.  N_a0 and N_b0 are the initial coherent occupations.
+    ``g`` is a CouplingSchedule; a real g is stored as the constant
+    schedule.  N_a0 and N_b0 are the initial coherent occupations.
     """
 
     omega_a: float
     omega_b: float
     chi_a: float
     chi_b: float
-    g: float
+    g: CouplingSchedule
     N_a0: float
     N_b0: float
-    tau: float | None = None
 
     def __post_init__(self):
-        values = (self.omega_a, self.omega_b, self.chi_a, self.chi_b, self.g,
+        if not isinstance(self.g, CouplingSchedule):
+            object.__setattr__(self, "g", CouplingSchedule.constant(self.g))
+        values = (self.omega_a, self.omega_b, self.chi_a, self.chi_b,
                   self.N_a0, self.N_b0)
         if not all(_finite(v) for v in values):
-            raise ValueError("frequencies, coupling and occupations must be "
-                             "finite")
-        if self.tau is not None and not (_finite(self.tau)
-                                         and self.tau >= 0):
-            raise ValueError("tau must be a finite number >= 0 when present")
+            raise ValueError("frequencies and occupations must be finite")
+        problems = self.g.violations()
+        if problems:
+            raise ValueError("; ".join(problems))
         if self.N_a0 < 0 or self.N_b0 < 0:
             raise ValueError("initial occupations must be non-negative")
+
+    @classmethod
+    def of(cls, params, config) -> "OracleParams":
+        """The physics of a run: SystemParams and the config's occupations."""
+        return cls(params.omega_a, params.omega_b, params.chi_a, params.chi_b,
+                   params.coupling, config.N_a0, config.N_b0)
 
 
 # --------------------------------------------------------------------------
@@ -83,11 +88,21 @@ class OracleParams:
 
 
 def accumulated_coupling_phase(t, p: OracleParams):
-    """theta(t) = integral of g over [0, t] for the (g, tau) schedule."""
+    """theta(t) = integral of g over [0, t] for the schedule ``p.g``.
+
+    Adjacent segments with equal g are merged first, so a schedule gives
+    the floats of its merged form.  Each later segment with g != 0 adds g
+    times the part of [0, t] it covers, so a constant schedule gives g*t
+    and one switched off once g*min(t, t_off).
+    """
     t = np.asarray(t, dtype=float)
-    if p.tau is None:
-        return p.g * t
-    return p.g * np.minimum(t, p.tau)
+    segs = [tuple(run)[-1] for _, run in
+            groupby(p.g.segments, key=lambda seg: seg[1])]
+    theta = segs[0][1] * np.minimum(t, segs[0][0])
+    for (start, _), (end, g) in zip(segs, segs[1:]):
+        if g != 0.0:
+            theta = theta + g * np.clip(t - start, 0.0, end - start)
+    return theta
 
 
 # Each monomial of core.MONOMIALS as (j_a, k_a, j_b, k_b): under r=1 its
@@ -134,34 +149,6 @@ def exact_series(name: str, t, p: OracleParams):
 
     return observable_estimate_complex(name, Moments(),
                                        MethodSpec("positive_p")).real
-
-
-def match_schedule(params, N_a0: float, N_b0: float) -> OracleParams | None:
-    """Map SystemParams onto OracleParams when the schedule allows it.
-
-    Adjacent segments with equal g are merged first.  Supported shapes are
-    then a single constant segment, or exactly two segments with the second
-    g equal to zero (coupling switched off at tau).  Any other schedule
-    returns None and callers must do without exact curves.
-    """
-    segs = [tuple(run)[-1] for _, run in
-            groupby(params.coupling.segments, key=lambda seg: seg[1])]
-    if len(segs) == 1:
-        g, tau = segs[0][1], None
-    elif len(segs) == 2 and segs[1][1] == 0.0:
-        g, tau = segs[0][1], segs[0][0]
-    else:
-        return None
-    return OracleParams(
-        omega_a=params.omega_a,
-        omega_b=params.omega_b,
-        chi_a=params.chi_a,
-        chi_b=params.chi_b,
-        g=g,
-        N_a0=N_a0,
-        N_b0=N_b0,
-        tau=tau,
-    )
 
 
 # --------------------------------------------------------------------------

@@ -24,8 +24,8 @@ __all__ = [
 class ObservableSeries:
     """One observable's estimate against time, with batch standard errors.
 
-    ``exact`` carries the closed-form curve when the run's coupling
-    schedule admits one (constant, or switched off once), else None.
+    ``exact`` carries the closed-form curve of the run's physics, which
+    every coupling schedule has.
     ``n_batches_used`` counts the batches contributing at each sample;
     it drops below the configured count when batches die out or, for the
     correlation, when a batch's variance estimate is not positive.
@@ -38,7 +38,7 @@ class ObservableSeries:
     stderr: np.ndarray
     live_fraction: np.ndarray
     n_batches_used: np.ndarray
-    exact: np.ndarray | None = None
+    exact: np.ndarray
 
     @property
     def stderr_reliable(self) -> np.ndarray:
@@ -50,14 +50,6 @@ class ObservableSeries:
         """
         lost = np.asarray(self.live_fraction, dtype=float) < 1.0
         return ~np.maximum.accumulate(lost)
-
-
-def _exact_curve(name: str, result: EnsembleResult) -> np.ndarray | None:
-    params = oracle.match_schedule(
-        result.params, result.config.N_a0, result.config.N_b0)
-    if params is None:
-        return None
-    return np.asarray(oracle.exact_series(name, result.times, params), dtype=float)
 
 
 def observable_series(result: EnsembleResult, name: str) -> ObservableSeries:
@@ -124,6 +116,7 @@ def observable_series(result: EnsembleResult, name: str) -> ObservableSeries:
             f"(excess {worst_im:.3g}); check sampling or dynamics",
             stacklevel=2)
 
+    physics = oracle.OracleParams.of(result.params, result.config)
     return ObservableSeries(
         name=name,
         method=result.method.method,
@@ -132,7 +125,8 @@ def observable_series(result: EnsembleResult, name: str) -> ObservableSeries:
         stderr=stderr,
         live_fraction=np.asarray(result.live_fraction, dtype=float),
         n_batches_used=used,
-        exact=_exact_curve(name, result),
+        exact=np.asarray(oracle.exact_series(name, result.times, physics),
+                         dtype=float),
     )
 
 

@@ -139,19 +139,17 @@ def test_csv_columns_round_trip_floats_exactly(tmp_path):
 
 @pytest.mark.parametrize("rows", [0, 1, 9])
 def test_csv_table_gives_the_bytes_of_a_per_cell_formatter(tmp_path, rows):
-    """The one-pass writer formats each value as f"{x:.17g}" does, and
-    writes a None column empty."""
+    """The one-pass writer formats each value as f"{x:.17g}" does."""
     special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1,
                -2.5e-310, 1.0]
     columns = {"t": np.arange(rows) * 0.1,
                "mean": np.array(special[:rows]),
                "stderr": np.array(special[::-1][:rows]),
-               "exact": None,
+               "exact": np.array(special[3:] + special[:3])[:rows],
                "live_fraction": np.linspace(0.0, 1.0, rows)}
     path = tmp_path / "table.csv"
     cli._write_table(str(path), columns, {})
-    cells = [[""] * rows if col is None else [f"{x:.17g}" for x in col]
-             for col in columns.values()]
+    cells = [[f"{x:.17g}" for x in col] for col in columns.values()]
     expected = "\n".join([",".join(columns), *map(",".join, zip(*cells))])
     assert path.read_text(encoding="utf-8") == expected + "\n"
 
@@ -332,6 +330,28 @@ def test_oracle_command_merges_equal_coupling_segments(tmp_path):
     preset = read_csv(tmp_path / "preset" / "fig6_exact.csv")
     np.testing.assert_array_equal(split["C_Na_Yb"], preset["C_Na_Yb"])
     assert np.isfinite(split["C_Na_Yb"]).all()
+
+
+def test_run_and_oracle_accept_a_three_segment_coupling(tmp_path):
+    """fig6 with a coupling that changes sign and stays on: ``run`` and
+    ``oracle`` both exit 0, with the same finite exact curve."""
+    raw = load_preset("fig6")
+    raw["params"]["coupling"] = [{"t_end": 0.05, "g": 1.0},
+                                 {"t_end": 0.1, "g": -2.0},
+                                 {"t_end": None, "g": 0.5}]
+    raw["ensemble"]["dt"] = 1e-3
+    for entry in raw["method"]:
+        entry["n_trajectories"] = 200
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(raw))
+    for command in ("run", "oracle"):
+        assert main([command, "--config", str(path), "--out",
+                     str(tmp_path / command)]) == 0
+    exact = read_csv(tmp_path / "oracle" / "fig6_exact.csv")["C_Na_Yb"]
+    assert len(exact) == 11 and np.isfinite(exact).all()
+    for method in ("hybrid", "wigner"):
+        table = read_csv(tmp_path / "run" / f"fig6_{method}_C_Na_Yb.csv")
+        np.testing.assert_array_equal(table["exact"], exact)
 
 
 def test_oracle_table_correlation_vanishes_without_coupling():

@@ -9,6 +9,7 @@ from phasesde import (
     MONOMIALS,
     OBSERVABLE_NAMES,
     CouplingSchedule,
+    EnsembleConfig,
     SystemParams,
     oracle,
 )
@@ -20,7 +21,6 @@ from phasesde.oracle import (
     fock_expect,
     fock_symmetrized,
     fock_word_expect,
-    match_schedule,
 )
 
 KERR = OracleParams(omega_a=0.0, omega_b=0.0, chi_a=1.0, chi_b=1.0, g=1.0,
@@ -55,7 +55,8 @@ def test_kerr_revival_is_two_pi_periodic():
 
 
 def test_coupling_phase_freezes_after_switch_off():
-    p = OracleParams(0.0, -100.0, 1.0, 1.0, 1.0, 100.0, 0.01, tau=0.1)
+    p = OracleParams(0.0, -100.0, 1.0, 1.0,
+                     CouplingSchedule.switched(1.0, 0.1), 100.0, 0.01)
     assert accumulated_coupling_phase(0.05, p) == pytest.approx(0.05)
     assert accumulated_coupling_phase(0.1, p) == pytest.approx(0.1)
     assert accumulated_coupling_phase(5.0, p) == pytest.approx(0.1)
@@ -63,7 +64,8 @@ def test_coupling_phase_freezes_after_switch_off():
 
 def test_observables_are_continuous_at_the_switch():
     """Only theta(t) carries the coupling, so curves are C^0 at tau."""
-    p = OracleParams(0.0, -100.0, 1.0, 1.0, 1.0, 100.0, 0.01, tau=0.1)
+    p = OracleParams(0.0, -100.0, 1.0, 1.0,
+                     CouplingSchedule.switched(1.0, 0.1), 100.0, 0.01)
     eps = 1e-9
     for name in OBSERVABLE_NAMES:
         left = float(exact_series(name, 0.1 - eps, p))
@@ -74,8 +76,9 @@ def test_observables_are_continuous_at_the_switch():
 
 def test_correlation_is_bounded_and_vanishes_without_coupling():
     t = np.linspace(0.0, 2.0, 50)
-    c = exact_series("C_Na_Yb", t, OracleParams(0.0, -100.0, 1.0, 1.0, 1.0,
-                                                 100.0, 0.01, tau=0.1))
+    c = exact_series("C_Na_Yb", t, OracleParams(
+        0.0, -100.0, 1.0, 1.0, CouplingSchedule.switched(1.0, 0.1), 100.0,
+        0.01))
     assert np.all(np.abs(c) <= 1.0 + 1e-12)
     c0 = exact_series("C_Na_Yb", t,
                       OracleParams(0.0, 0.0, 1.0, 1.0, 0.0, 4.0, 0.25))
@@ -89,50 +92,90 @@ def test_exact_series_rejects_unknown_names():
 
 def test_oracle_params_validate():
     with pytest.raises(ValueError):
-        OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.25, tau=-0.1)
+        OracleParams(0.0, 0.0, 1.0, 1.0, CouplingSchedule.switched(1.0, -0.1),
+                     1.0, 0.25)
     with pytest.raises(ValueError):
         OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, -1.0, 0.25)
+
+
+def switched_at(tau):
+    """A schedule switched off at ``tau``, for the rejection cases."""
+    return CouplingSchedule.switched(1.0, tau)
 
 
 @pytest.mark.parametrize("field, value", [
     ("omega_a", math.nan), ("omega_b", math.inf), ("chi_a", -math.inf),
     ("chi_b", math.nan), ("g", math.nan), ("N_a0", math.inf),
-    ("N_b0", math.nan), ("tau", math.nan), ("tau", math.inf),
+    ("N_b0", math.nan),
+    pytest.param("g", switched_at(math.nan), id="tau-nan"),
+    pytest.param("g", switched_at(math.inf), id="tau-inf"),
     pytest.param("g", 10 ** 400, id="g-beyond_float"),
-    pytest.param("tau", 10 ** 400, id="tau-beyond_float")])
+    pytest.param("g", switched_at(10 ** 400), id="tau-beyond_float")])
 def test_oracle_params_reject_non_finite_values(field, value):
     """A NaN or infinite input used to give NaN curves without an error,
-    and an int beyond the float range an OverflowError."""
-    good = dict(omega_a=0.0, omega_b=0.0, chi_a=1.0, chi_b=1.0, g=1.0,
-                N_a0=1.0, N_b0=0.25, tau=0.5)
+    and an int beyond the float range an OverflowError.  The tau cases
+    are schedules switched off at a non-finite time."""
+    good = dict(omega_a=0.0, omega_b=0.0, chi_a=1.0, chi_b=1.0,
+                g=switched_at(0.5), N_a0=1.0, N_b0=0.25)
     with pytest.raises(ValueError):
         OracleParams(**{**good, field: value})
 
 
-def test_match_schedule_shapes():
+def test_coupling_phase_by_hand():
+    """theta(t) of g = 1 until 0.05, -2 until 0.1, then 0.5."""
+    p = OracleParams(0.0, 0.0, 1.0, 1.0, CouplingSchedule(
+        ((0.05, 1.0), (0.1, -2.0), (math.inf, 0.5))), 1.0, 0.25)
+    by_hand = {0.0: 0.0, 0.02: 0.02, 0.05: 0.05, 0.075: 0.0, 0.1: -0.05,
+               0.2: 0.0, 1.1: 0.45}
+    theta = accumulated_coupling_phase(list(by_hand), p)
+    np.testing.assert_allclose(theta, list(by_hand.values()), atol=1e-15)
+
+
+def test_coupling_phase_of_each_schedule_shape():
+    """Every schedule gives a curve; one that merges to another gives its
+    bytes, and a constant or once-switched one the forms g*t and
+    g*min(t, t_off)."""
+    t = np.concatenate([[-0.0], np.linspace(0.0, 0.5, 51)])
+
     def params(*segments):
-        return SystemParams(0.0, 0.0, 1.0, 1.0, CouplingSchedule(segments))
+        config = EnsembleConfig(n_trajectories=10, dt=1e-3, t_final=0.5,
+                                N_a0=1.0, N_b0=0.25)
+        return OracleParams.of(SystemParams(
+            0.0, 0.0, 1.0, 1.0, CouplingSchedule(segments)), config)
 
-    constant = match_schedule(params((math.inf, 2.0)), 1.0, 0.25)
-    assert constant is not None and constant.g == 2.0 and constant.tau is None
+    def curves(p):
+        return b"".join(exact_series(name, t, p).tobytes()
+                        for name in OBSERVABLE_NAMES)
 
-    switched = match_schedule(params((0.1, 1.0), (math.inf, 0.0)), 1.0, 0.25)
-    assert switched is not None and switched.tau == 0.1
+    constant = params((math.inf, 2.0))
+    assert constant == OracleParams(0.0, 0.0, 1.0, 1.0, 2.0, 1.0, 0.25)
+    assert accumulated_coupling_phase(t, constant).tobytes() == (
+        2.0 * t).tobytes()
 
-    # second segment with nonzero coupling has no closed form here
-    assert match_schedule(params((0.1, 1.0), (math.inf, 0.5)), 1.0, 0.25) is None
-    assert match_schedule(
-        params((0.1, 1.0), (0.2, 0.0), (math.inf, 1.0)), 1.0, 0.25) is None
+    switched = params((0.1, 1.0), (math.inf, 0.0))
+    assert switched.g == CouplingSchedule.switched(1.0, 0.1)
+    assert accumulated_coupling_phase(t, switched).tobytes() == (
+        np.minimum(t, 0.1)).tobytes()
 
-    # adjacent segments with equal g are merged before matching
-    merged = match_schedule(params((0.1, 1.0), (math.inf, 1.0)), 1.0, 0.25)
-    assert merged == OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.25)
-    merged = match_schedule(
-        params((0.1, 1.0), (0.2, 0.0), (math.inf, 0.0)), 1.0, 0.25)
-    assert merged == switched
-    merged = match_schedule(
-        params((0.05, 1.0), (0.1, 1.0), (math.inf, 0.0)), 1.0, 0.25)
-    assert merged == switched
+    # a nonzero coupling after the first segment has a curve too
+    theta = accumulated_coupling_phase(
+        t, params((0.1, 1.0), (math.inf, 0.5)))
+    np.testing.assert_allclose(
+        theta, np.where(t < 0.1, t, 0.1 + 0.5 * (t - 0.1)), atol=1e-15)
+    p = params((0.1, 1.0), (0.2, 0.0), (math.inf, 1.0))
+    theta = accumulated_coupling_phase(t, p)
+    np.testing.assert_allclose(
+        theta, np.minimum(t, 0.1) + np.maximum(t - 0.2, 0.0), atol=1e-15)
+    assert all(np.isfinite(exact_series(name, t, p)).all()
+               for name in OBSERVABLE_NAMES)
+
+    # adjacent segments with equal g give the bytes of their merged form
+    merged = params((0.1, 1.0), (math.inf, 1.0))
+    assert curves(merged) == curves(params((math.inf, 1.0)))
+    merged = params((0.1, 1.0), (0.2, 0.0), (math.inf, 0.0))
+    assert curves(merged) == curves(switched)
+    merged = params((0.05, 1.0), (0.1, 1.0), (math.inf, 0.0))
+    assert curves(merged) == curves(switched)
 
 
 # Each monomial's normally ordered word as ladder words on modes a and b.
@@ -162,7 +205,8 @@ def test_monomial_closed_forms_match_fock_words(n_a0):
     word, with both frame frequencies, unequal Kerr terms, and times before
     and after the switch-off."""
     p = OracleParams(omega_a=0.7, omega_b=-3.0, chi_a=1.0, chi_b=0.6,
-                     g=0.8, N_a0=n_a0, N_b0=0.25, tau=0.3)
+                     g=CouplingSchedule.switched(0.8, 0.3), N_a0=n_a0,
+                     N_b0=0.25)
     for t in (0.0, 0.1, 0.3, 0.45, 1.7):
         for name in MONOMIALS:
             word = oracle._WORDS[name]

@@ -16,6 +16,7 @@ from phasesde import (
     run_ensemble,
 )
 from phasesde.core import MONOMIALS
+from phasesde.oracle import OracleParams, exact_series
 from phasesde.representations import (
     OBSERVABLE_NAMES,
     observable_estimate_complex,
@@ -35,7 +36,7 @@ def test_stderr_reliable_latches_at_first_loss():
         name="X_a", method="hybrid",
         times=np.arange(4.0), mean=np.zeros(4), stderr=np.ones(4),
         live_fraction=np.array([1.0, 1.0, 0.99, 1.0]),
-        n_batches_used=np.full(4, 10))
+        n_batches_used=np.full(4, 10), exact=np.zeros(4))
     np.testing.assert_array_equal(series.stderr_reliable,
                                   [True, True, False, False])
 
@@ -105,17 +106,25 @@ def test_correlation_series_is_the_named_observable():
     b = observable_series(res, name="C_Na_Yb")
     np.testing.assert_array_equal(a.mean, b.mean)
     np.testing.assert_array_equal(a.stderr, b.stderr)
-    assert a.exact is not None  # switched-off coupling has closed forms
+    np.testing.assert_array_equal(a.exact, b.exact)
 
 
-def test_exact_curve_absent_for_general_schedules():
+def test_exact_curve_follows_a_general_schedule():
+    """A schedule that is neither constant nor switched off once has its
+    closed-form curve too, from the run's own physics."""
     schedule = CouplingSchedule(((0.05, 1.0), (0.1, 0.5), (math.inf, 0.0)))
     params = SystemParams(0.0, 0.0, 1.0, 1.0, schedule)
     cfg = EnsembleConfig(n_trajectories=20, dt=1e-3, t_final=0.15,
                          N_a0=1.0, N_b0=0.25, n_batches=4, sample_interval=50,
                          master_seed=8)
     res = run_ensemble("hybrid", params, cfg)
-    assert observable_series(res, name="X_a").exact is None
+    exact = observable_series(res, name="X_b").exact
+    want = exact_series("X_b", res.times,
+                        OracleParams(0.0, 0.0, 1.0, 1.0, schedule, 1.0, 0.25))
+    assert exact.tobytes() == want.tobytes()
+    constant = exact_series("X_b", res.times,
+                            OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, 1.0, 0.25))
+    assert np.abs(exact - constant).max() > 0.01
 
 
 def test_unknown_observable_name_is_rejected():
@@ -278,7 +287,7 @@ def flat_series(n=100, stderr=None, live=None):
         mean=np.zeros(n),
         stderr=np.full(n, 0.01) if stderr is None else stderr,
         live_fraction=np.ones(n) if live is None else live,
-        n_batches_used=np.full(n, 10))
+        n_batches_used=np.full(n, 10), exact=np.zeros(n))
 
 
 def test_detector_stays_quiet_on_flat_noise():
