@@ -42,8 +42,11 @@
  * products fuse with _mm256_fmadd_pd under __FMA__ and with fma() per
  * element without it.  So does cexp, through the port, but for a slot
  * outside the port's range, which calls libm.  The Philox stream, the
- * normals (ndtri's log calls included), the exact blow-up test and the
- * gauge drift's abs stay per lane.  A short last group is padded with
+ * normals, the exact blow-up test and the gauge drift's abs stay per
+ * lane; within a lane's fill, built with -DPHASESDE_AVX512 (where the CPU
+ * has AVX-512F, DQ and VL), Philox runs 16 blocks at a time in vector
+ * registers, and ndtri's tail is gathered eight values at a time (below).
+ * A short last group is padded with
  * dead slots, which step zeros (a fixed point of every update), draw no
  * normals and are never written back; a lane that dies becomes one until
  * the tile ends.
@@ -59,7 +62,14 @@
  * Streams: lane k is trajectory first+k and owns numpy's Philox4x64-10
  * stream keyed [master_seed, first+k], counter 0 (Salmon et al., SC'11):
  * the counter is incremented before each block of four words, and a
- * uniform is (word >> 11) * 2^-53.  Normals are the inverse normal CDF of
+ * uniform is (word >> 11) * 2^-53.  philox_next gives one word at a time;
+ * with AVX-512, philox_blocks gives the uniforms of 16 blocks at a time,
+ * two runs of 8, one block per 64-bit element: the 64 x 64 -> 128-bit
+ * products from four vpmuludq each, the key XORs by vpternlogq, and an
+ * in-register transpose into stream order.  A fill takes its buffered
+ * words and the blocks that do not make up a batch of 16 from
+ * philox_next, and so does a batch whose counter's low word would wrap;
+ * either way it reads the same words.  Normals are the inverse normal CDF of
  * the uniforms, with a zero uniform nudged to the smallest normal double,
  * as representations.draw_standard_normals does.  The initial draws come
  * first (mode a, then mode b), then four normals per substep, drawn for
@@ -74,14 +84,18 @@
  * +, -, *, / and sqrt, with glibc log, give scipy's bits.  Those five
  * operations round alike in vector lanes and in scalar code, so
  * phasesde_ndtri evaluates the polynomials four lanes at a time and
- * calls log one value at a time.
+ * calls log one value at a time.  The values in the tails are gathered
+ * into a packed list without a branch on any value: the lower-tail
+ * argument is picked by a mask, a tail value's sign is set by flipping
+ * its sign bit, and with AVX-512 vcompresspd and vpcompressd pack the
+ * values and their indices.
  */
 #include <complex.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-#ifdef __AVX__
+#if defined __AVX__ || defined PHASESDE_AVX512
 #include <immintrin.h>
 #endif
 
@@ -545,6 +559,157 @@ static inline uint64_t philox_next(philox_t *p)
     return c0;
 }
 
+/* (word >> 11) * 2^-53, with a zero nudged to the smallest normal double. */
+static inline double uniform(uint64_t word)
+{
+    double u = (double)(word >> 11) * (1.0 / 9007199254740992.0);
+    return u == 0.0 ? 2.2250738585072014e-308 : u;
+}
+
+#ifdef PHASESDE_AVX512
+/* Only the functions that carry this attribute use AVX-512, so the rest
+ * of the file compiles as it does without it (-mavx512f would enable FMA
+ * throughout). */
+#define AVX512 __attribute__((target("avx512f,avx512dq,avx512vl")))
+
+/* The high words of each element's 128-bit product with m, and its low
+ * words into *lo: four 32 x 32 -> 64 products (vpmuludq) per element,
+ * for a = a1 * 2^32 + a0 and m = m1 * 2^32 + m0. */
+AVX512 static inline __m512i mulhilo8(__m512i a, uint64_t m, __m512i *lo)
+{
+    const __m512i m0 = _mm512_set1_epi64(m & 0xffffffff);
+    const __m512i m1 = _mm512_set1_epi64(m >> 32);
+    __m512i a1 = _mm512_srli_epi64(a, 32);
+    __m512i p00 = _mm512_mul_epu32(a, m0), p01 = _mm512_mul_epu32(a, m1);
+    __m512i p10 = _mm512_mul_epu32(a1, m0), p11 = _mm512_mul_epu32(a1, m1);
+    __m512i t = _mm512_add_epi64(p01, _mm512_srli_epi64(p00, 32));
+    __m512i w = _mm512_add_epi64(
+        p10, _mm512_and_si512(t, _mm512_set1_epi64(0xffffffff)));
+    /* (w << 32) | (p00 & 0xffffffff): the odd 32-bit halves from w. */
+    *lo = _mm512_mask_blend_epi32(0xAAAA, p00, _mm512_slli_epi64(w, 32));
+    return _mm512_add_epi64(_mm512_add_epi64(p11, _mm512_srli_epi64(t, 32)),
+                            _mm512_srli_epi64(w, 32));
+}
+
+/* The uniforms of 8 blocks, word w of block i in element i of x[w], into
+ * u[0..31] in stream order: word w of block i at u[4i + w].  The words
+ * are converted as uniform() converts them, then transposed: unpacking
+ * pairs words 0 and 1, and 2 and 3, of the even and of the odd blocks,
+ * and permutex2var joins the pairs into blocks i and i + 2, one per
+ * 256-bit half. */
+AVX512 static inline void store8(double *u, const __m512i x[4])
+{
+    __m512d v[4];
+    for (int k = 0; k < 4; k++) {
+        __m512i bits = _mm512_srli_epi64(x[k], 11);
+        v[k] = _mm512_mul_pd(_mm512_cvtepu64_pd(bits),
+                             _mm512_set1_pd(1.0 / 9007199254740992.0));
+        v[k] = _mm512_mask_mov_pd(
+            v[k], _mm512_cmpeq_epi64_mask(bits, _mm512_setzero_si512()),
+            _mm512_set1_pd(2.2250738585072014e-308));
+    }
+    __m512d t[4] = {_mm512_unpacklo_pd(v[0], v[1]),  /* blocks 0, 2, 4, 6 */
+                    _mm512_unpackhi_pd(v[0], v[1]),  /* blocks 1, 3, 5, 7 */
+                    _mm512_unpacklo_pd(v[2], v[3]),
+                    _mm512_unpackhi_pd(v[2], v[3])};
+    const __m512i first = _mm512_setr_epi64(0, 1, 8, 9, 2, 3, 10, 11);
+    const __m512i second = _mm512_setr_epi64(4, 5, 12, 13, 6, 7, 14, 15);
+    for (int odd = 0; odd < 2; odd++) {
+        __m512d lo = _mm512_permutex2var_pd(t[odd], first, t[odd + 2]);
+        __m512d hi = _mm512_permutex2var_pd(t[odd], second, t[odd + 2]);
+        double *b = u + 4 * odd;
+        _mm256_storeu_pd(b, _mm512_castpd512_pd256(lo));       /* block odd */
+        _mm256_storeu_pd(b + 8, _mm512_extractf64x4_pd(lo, 1));
+        _mm256_storeu_pd(b + 16, _mm512_castpd512_pd256(hi));
+        _mm256_storeu_pd(b + 24, _mm512_extractf64x4_pd(hi, 1));
+    }
+}
+
+/* The uniforms of the next 16 * batches blocks of stream p into
+ * u[0..64 * batches - 1], as philox_next would give their words; p's
+ * buffer must be empty and its counter's low word must not wrap.  Each
+ * batch is two independent runs of 8 blocks, counters ctr + 1 .. ctr + 8
+ * and ctr + 9 .. ctr + 16, one block per 64-bit element, and
+ * philox_next's rounds on every element; the key XORs are one vpternlogq
+ * each. */
+AVX512 static void philox_blocks(philox_t *p, double *u, int64_t batches)
+{
+    const __m512i up = _mm512_setr_epi64(1, 2, 3, 4, 5, 6, 7, 8);
+    for (int64_t b = 0; b < batches; b++, u += 64) {
+        __m512i x[2][4];
+        __m512i c0 = _mm512_add_epi64(_mm512_set1_epi64(p->ctr[0]), up);
+        x[0][0] = c0;
+        x[1][0] = _mm512_add_epi64(c0, _mm512_set1_epi64(8));
+        for (int h = 0; h < 2; h++)
+            for (int k = 1; k < 4; k++)
+                x[h][k] = _mm512_set1_epi64(p->ctr[k]);
+        uint64_t k0 = p->key[0], k1 = p->key[1];
+        for (int round = 0; round < 10; round++) {
+            if (round) {
+                k0 += 0x9E3779B97F4A7C15ULL;
+                k1 += 0xBB67AE8584CAA73BULL;
+            }
+            const __m512i K0 = _mm512_set1_epi64(k0), K1 = _mm512_set1_epi64(k1);
+#pragma GCC unroll 2
+            for (int h = 0; h < 2; h++) {
+                __m512i lo0, lo1;
+                __m512i hi0 = mulhilo8(x[h][0], 0xD2E7470EE14C6C93ULL, &lo0);
+                __m512i hi1 = mulhilo8(x[h][2], 0xCA5A826395121157ULL, &lo1);
+                x[h][0] = _mm512_ternarylogic_epi64(hi1, x[h][1], K0, 0x96);
+                x[h][1] = lo1;
+                x[h][2] = _mm512_ternarylogic_epi64(hi0, x[h][3], K1, 0x96);
+                x[h][3] = lo0;
+            }
+        }
+        p->ctr[0] += 16;
+        store8(u, x[0]);
+        store8(u + 32, x[1]);
+    }
+}
+#endif
+
+/* The next n uniforms of stream p into u.  Buffered words come first, one
+ * at a time; with AVX-512, whole batches of 16 blocks follow while the
+ * counter's low word does not wrap; then the rest, one word at a time. */
+static void uniforms(philox_t *p, double *u, int64_t n)
+{
+    int64_t i = 0;
+    for (; i < n && p->pos < 4; i++)
+        u[i] = uniform(philox_next(p));
+#ifdef PHASESDE_AVX512
+    uint64_t room = (UINT64_MAX - p->ctr[0]) / 16;
+    int64_t batches = (n - i) / 64;
+    if ((uint64_t)batches > room)
+        batches = (int64_t)room;
+    philox_blocks(p, u + i, batches);
+    i += 64 * batches;
+#endif
+    for (; i < n; i++)
+        u[i] = uniform(philox_next(p));
+}
+
+/* out[i] = the uniform of word skip + i of the Philox4x64-10 stream keyed
+ * key[0..1] from counter ctr[0..3], i < n: the path a lane's fills take. */
+void phasesde_uniforms(const uint64_t *key, const uint64_t *ctr, int32_t skip,
+                       int64_t n, double *out)
+{
+    philox_t p = {.ctr = {ctr[0], ctr[1], ctr[2], ctr[3]},
+                  .key = {key[0], key[1]}, .pos = 4};
+    for (int32_t i = 0; i < skip; i++)
+        philox_next(&p);
+    uniforms(&p, out, n);
+}
+
+/* 1 where the fills draw their uniforms with AVX-512, else 0. */
+int phasesde_normals_avx512(void)
+{
+#ifdef PHASESDE_AVX512
+    return 1;
+#else
+    return 0;
+#endif
+}
+
 /* Cephes ndtri's coefficients: |y - 0.5| <= 0.5 - exp(-2), then
  * z = sqrt(-2 log y) in [2, 8) and in [8, 64), for y the smaller of u
  * and 1 - u.  The leading 1 of each Q is implicit. */
@@ -634,13 +799,71 @@ static inline v4d tail(v4d x, v4d lx)
 /* Substeps of normals drawn per lane at a time, four normals each. */
 enum { FILL = 256, NDTRI_BLOCK = 4 * FILL };
 
+static inline uint64_t bits_of(double x)
+{
+    uint64_t b;
+    __builtin_memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+static inline double of_bits(uint64_t b)
+{
+    double x;
+    __builtin_memcpy(&x, &b, sizeof x);
+    return x;
+}
+
+/* Gathers the tail arguments of u[0..n-1]: for each u[i] whose
+ * f = u[i] > 1 - exp(-2) ? 1 - u[i] : u[i] is not above exp(-2), appends f
+ * to t and i to at.  Returns their count.  No branch depends on a value:
+ * f is picked by a mask, and the count rises by the test's 0 or 1; with
+ * AVX-512, eight values at a time are packed by vcompresspd and their
+ * indices by vpcompressd.  t and at have room for n + 8 entries. */
+#ifdef PHASESDE_AVX512
+AVX512 static int tail_args(const double *u, double *t, int *at, int n)
+{
+    const __m512d upper = _mm512_set1_pd(1.0 - EXPM2);
+    const __m512d lim = _mm512_set1_pd(EXPM2), one = _mm512_set1_pd(1.0);
+    __m256i idx = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    int nt = 0;
+    for (int i = 0; i < n; i += 8) {
+        __mmask8 in = n - i < 8 ? (__mmask8)((1u << (n - i)) - 1) : 0xff;
+        __m512d y = _mm512_maskz_loadu_pd(in, u + i);
+        __m512d f = _mm512_mask_sub_pd(
+            y, _mm512_cmp_pd_mask(y, upper, _CMP_GT_OQ), one, y);
+        __mmask8 tail = _mm512_cmp_pd_mask(f, lim, _CMP_NGT_UQ) & in;
+        _mm512_storeu_pd(t + nt, _mm512_maskz_compress_pd(tail, f));
+        _mm256_storeu_si256((__m256i *)(at + nt),
+                            _mm256_maskz_compress_epi32(tail, idx));
+        nt += __builtin_popcount(tail);
+        idx = _mm256_add_epi32(idx, _mm256_set1_epi32(8));
+    }
+    return nt;
+}
+#else
+static int tail_args(const double *u, double *t, int *at, int n)
+{
+    int nt = 0;
+    for (int i = 0; i < n; i++) {
+        uint64_t upper = -(uint64_t)(u[i] > 1.0 - EXPM2);
+        t[nt] = of_bits((bits_of(1.0 - u[i]) & upper)
+                        | (bits_of(u[i]) & ~upper));
+        at[nt] = i;
+        nt += !(t[nt] > EXPM2);
+    }
+    return nt;
+}
+#endif
+
 /* ndtri of u[0..n-1], n <= NDTRI_BLOCK, all in (0, 1): the central
  * formula for all of them, then the tail formula for those outside the
- * central interval, gathered into a packed list. */
+ * central interval, gathered into a packed list.  A tail value is -ndtri
+ * of the lower tail; its sign bit is flipped where u is not in the upper
+ * one. */
 static void ndtri_block(const double *u, double *x, int n)
 {
-    double t[NDTRI_BLOCK], w[NDTRI_BLOCK];
-    int at[NDTRI_BLOCK], nt = 0, i = 0;
+    double t[NDTRI_BLOCK + 8], w[NDTRI_BLOCK];
+    int at[NDTRI_BLOCK + 8], i = 0;
     for (; i + 4 <= n; i += 4)
         store4(x + i, central(load4(u + i)));
     if (i < n) {
@@ -649,12 +872,7 @@ static void ndtri_block(const double *u, double *x, int n)
         store4(y, central(load4(y)));
         __builtin_memcpy(x + i, y, (n - i) * sizeof *y);
     }
-    for (i = 0; i < n; i++) {
-        double y = u[i], f = y > 1.0 - EXPM2 ? 1.0 - y : y;
-        t[nt] = f;
-        at[nt] = i;
-        nt += !(f > EXPM2);
-    }
+    int nt = tail_args(u, t, at, n);
     int padded = (nt + 3) & ~3;
     for (i = nt; i < padded; i++)
         t[i] = 0.5;
@@ -667,7 +885,8 @@ static void ndtri_block(const double *u, double *x, int n)
     for (i = 0; i < padded; i += 4)
         store4(t + i, tail(load4(t + i), load4(w + i)));
     for (i = 0; i < nt; i++)
-        x[at[i]] = u[at[i]] > 1.0 - EXPM2 ? t[i] : -t[i];
+        x[at[i]] = of_bits(bits_of(t[i])
+                           ^ (uint64_t)!(u[at[i]] > 1.0 - EXPM2) << 63);
 }
 
 /* out[i] = scipy.special.ndtri(u[i]) for i < n and 0 < u[i] < 1; out
@@ -683,11 +902,7 @@ void phasesde_ndtri(const double *u, double *out, int64_t n)
 static void normals(philox_t *p, double *x, int n)
 {
     double u[NDTRI_BLOCK];
-    for (int i = 0; i < n; i++) {
-        u[i] = (double)(philox_next(p) >> 11) * (1.0 / 9007199254740992.0);
-        if (u[i] == 0.0)
-            u[i] = 2.2250738585072014e-308;
-    }
+    uniforms(p, u, n);
     ndtri_block(u, x, n);
 }
 

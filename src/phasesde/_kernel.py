@@ -1,7 +1,9 @@
 """Build and load the native chunk engine in ``_kernel.c``.
 
 The C file is compiled at first use with ``gcc -O2 -ffp-contract=off``
-(plus ``-mfma`` where the CPU has FMA, as numpy's own loops use it) into
+(plus ``-mfma`` where the CPU has FMA, as numpy's own loops use it, and
+``-DPHASESDE_AVX512`` where it has AVX-512F, DQ and VL, which turns on the
+AVX-512 Philox and tail gather of the normal fills) into
 the user cache directory, under a name made from the sha256 of the
 source and the flags, and loaded with ``ctypes``.  Objects of other
 sources and flags stay, so checkouts that share the cache do not rebuild
@@ -73,9 +75,12 @@ def _flags() -> list:
         cpuinfo = Path("/proc/cpuinfo").read_text()
     except OSError:
         cpuinfo = ""
-    if any(line.startswith("flags") and "fma" in line.split()
-           for line in cpuinfo.splitlines()):
+    cpu = next((set(line.split()) for line in cpuinfo.splitlines()
+                if line.startswith("flags")), set())
+    if "fma" in cpu:
         flags.append("-mfma")
+    if {"avx512f", "avx512dq", "avx512vl"} <= cpu:
+        flags.append("-DPHASESDE_AVX512")
     return flags
 
 
@@ -137,11 +142,15 @@ class Kernel:
     ``phasesde_chunk``, which runs a chunk; ``phasesde_ndtri``, the
     inverse normal CDF that the chunk draws its normals with;
     ``phasesde_cexp``, the chunk's complex exp over an array, with its
-    port of libm's ``cexp`` allowed or not; and
-    ``phasesde_cexp_check``, which compares that port with libm.
+    port of libm's ``cexp`` allowed or not;
+    ``phasesde_cexp_check``, which compares that port with libm;
+    ``phasesde_uniforms``, the uniforms of a Philox stream as a lane's
+    fills draw them; and ``phasesde_normals_avx512``, 1 where the fills
+    draw them with AVX-512.
 
     ``cexp_port`` is the check's verdict, taken once here: where it is
     False (a libm that rounds otherwise), every chunk calls libm ``cexp``.
+    ``normals`` is ``"avx512"`` or ``"scalar"``, the build's uniform draw.
     """
 
     def __init__(self, path: Path):
@@ -152,6 +161,8 @@ class Kernel:
         self.cexp_port = bool(self.lib.phasesde_cexp_check())
         if not self.cexp_port:
             log.info("the kernel's cexp differs from libm's; it calls libm")
+        self.normals = ("avx512" if self.lib.phasesde_normals_avx512()
+                        else "scalar")
 
     def run_chunk(self, method, record_gauge, config, first, plan, coeffs,
                   params, partials):

@@ -204,6 +204,11 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
 
     a, ap, b, bp, gens = _initial_arrays(first, m, method, config)
     live = np.ones(m, dtype=bool)
+    # The live lanes, ascending.  a, ap, b, bp, apa0 and apa0_scale hold
+    # their rows only, and xi_rows their rows of the noise block, so a dead
+    # lane is neither stepped nor drawn for: its stream is never read
+    # again, as in the kernel.
+    idx = np.arange(m)
     noise = dynamics.NOISE.get(method.method)
 
     # Lane k belongs to batch (first + k) % n_batches.  It sits at row
@@ -221,13 +226,12 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
 
     def record(sample_index):
         apa = ap * a
-        # Columns in MONOMIALS order.
+        # Columns in MONOMIALS order.  A dead lane's row was zeroed when it
+        # died and is not written again.
         for col, v in enumerate((a, ap, b, bp, apa, bp * b, apa * apa, b * b,
                                  bp * bp, apa * b, apa * bp)):
-            lanes[:, col] = v
+            lanes[idx, col] = v
         lane_live[off:off + m] = live
-        if not live.all():
-            lanes[~live] = 0.0
         sums[sample_index] += np.add.reduce(
             buf.reshape(rows, n_batches, -1), axis=0)
         live_counts[sample_index] += np.add.reduce(
@@ -239,20 +243,24 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
     # An exact exponential a pair keeps alpha_plus*alpha real under the
     # interface noise.
     exact_pair = method.method == "hybrid_truncated"
-    xi = None
+    xi, xi_rows = None, idx
 
     def numpy_advance(j0, j1):
-        """Substeps j0..j1-1; noise is drawn NOISE_BLOCK substeps at a time."""
-        nonlocal a, ap, b, bp, live, xi
+        """Substeps j0..j1-1 of the live lanes; noise is drawn NOISE_BLOCK
+        substeps at a time."""
+        nonlocal a, ap, b, bp, idx, xi, xi_rows, apa0, apa0_scale
         for j in range(j0, j1):
             if noise is not None and j % NOISE_BLOCK == 0:
                 block_len = min(NOISE_BLOCK, plan.n_substeps - j)
-                xi = draw_standard_normals(gens, block_len * 4).reshape(
-                    m, block_len, 4)
+                xi = draw_standard_normals(
+                    [gens[k] for k in idx], block_len * 4).reshape(
+                        idx.size, block_len, 4)
+                xi_rows = np.arange(idx.size)
             dt_s = plan.sub_dt[j]
             f_a, f_b = frequencies(a, ap, b, bp, params, plan.sub_g[j])
             if noise is not None:
-                m_a, m_ap, m_b, m_bp = noise(coeffs, j, xi[:, j % NOISE_BLOCK])
+                m_a, m_ap, m_b, m_bp = noise(coeffs, j,
+                                             xi[xi_rows, j % NOISE_BLOCK])
                 sdt = math.sqrt(dt_s)
                 if exact_pair:
                     ee = np.exp(m_a * sdt)
@@ -275,21 +283,23 @@ def _simulate_chunk(first: int, m: int, method: MethodSpec,
                 ap = ap_mid / rot_a
                 bp = bp_mid / rot_b
 
-            bad = np.zeros(m, dtype=bool)
+            bad = np.zeros(idx.size, dtype=bool)
             for v in (a, ap, b, bp):
                 bad |= ~np.isfinite(v) | (np.abs(v) > config.lane_threshold)
-            newly = bad & live
-            if newly.any():
-                blow_t[newly] = plan.sub_t_end[j]
-                live &= ~bad
-                # Zero is a fixed point of every update but an exp kick
-                # that over- or underflows; record() zeroes dead lanes again.
-                a[newly] = ap[newly] = b[newly] = bp[newly] = 0.0
+            if bad.any():
+                dead, keep = idx[bad], ~bad
+                blow_t[dead] = plan.sub_t_end[j]
+                live[dead] = False
+                lanes[dead] = 0.0
+                idx, xi_rows, a, ap, b, bp, apa0, apa0_scale = (
+                    v[keep] for v in (idx, xi_rows, a, ap, b, bp, apa0,
+                                      apa0_scale))
 
             if record_gauge:
                 drift = np.abs(ap * a - apa0) / apa0_scale
-                np.copyto(gauge_max, drift,
-                          where=live & (drift > gauge_max))
+                peak = gauge_max[idx]
+                np.copyto(peak, drift, where=drift > peak)
+                gauge_max[idx] = peak
 
     # The plan records after its last substep, so this covers them all.
     j0 = 0
@@ -344,12 +354,14 @@ def _probed_kernel():
 
 def engine_record() -> dict:
     """The engine that runs chunks in this process: ``{"name": "numpy"}``,
-    or ``{"name": "native", "cexp": "port"}`` (``"libm"`` where the
-    kernel's cexp port failed its check at load)."""
+    or ``{"name": "native", "cexp": "port", "normals": "avx512"}``
+    (``"libm"`` where the kernel's cexp port failed its check at load,
+    ``"scalar"`` where its build draws uniforms without AVX-512)."""
     kernel = _load_native()
     if not kernel:
         return {"name": "numpy"}
-    return {"name": "native", "cexp": "port" if kernel.cexp_port else "libm"}
+    return {"name": "native", "cexp": "port" if kernel.cexp_port else "libm",
+            "normals": kernel.normals}
 
 
 def _probe_matches(kernel) -> bool:

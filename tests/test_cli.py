@@ -18,7 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phasesde
-from phasesde import ConfigError, EnsembleConfig, __version__, cli, integrator
+from phasesde import (ConfigError, EnsembleConfig, __version__, _kernel,
+                      cli, integrator)
 from phasesde.cli import (
     PRESET_NAMES,
     load_preset,
@@ -238,17 +239,27 @@ def test_breakdown_is_annotated_in_the_sidecar(tmp_path, capsys):
 
 def test_outputs_name_the_engine_that_ran(tmp_path, monkeypatch):
     """The sidecar and the JSON metadata record the engine, and for the
-    native kernel whether its cexp is the port or libm; CSV bytes are the
-    same on every engine."""
+    native kernel whether its cexp is the port or libm and whether its
+    build draws uniforms with AVX-512; CSV bytes are the same on every
+    engine."""
     monkeypatch.setattr(integrator, "_native", None)
     kernel = integrator._load_native()
     if not kernel:
         pytest.skip("runs use the numpy loop here")
     libm = copy.copy(kernel)
     libm.cexp_port = False
+    native = {"name": "native", "normals": kernel.normals}
     records = {"numpy": (False, {"name": "numpy"}),
-               "port": (kernel, {"name": "native", "cexp": "port"}),
-               "libm": (libm, {"name": "native", "cexp": "libm"})}
+               "port": (kernel, {**native, "cexp": "port"}),
+               "libm": (libm, {**native, "cexp": "libm"})}
+    flags = _kernel._flags()
+    if "-DPHASESDE_AVX512" in flags:  # else the default build is scalar
+        monkeypatch.setattr(_kernel, "_flags", lambda: [
+            f for f in flags if f != "-DPHASESDE_AVX512"])
+        monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
+        scalar = _kernel.Kernel(_kernel.build())
+        records["scalar"] = (scalar, {"name": "native", "cexp": "port",
+                                      "normals": "scalar"})
     csv = set()
     for name, (engine, record) in records.items():
         monkeypatch.setattr(integrator, "_native", engine)

@@ -757,20 +757,23 @@ def test_native_lanes_whose_rotation_underflows_die_like_numpy(
 def test_numpy_loop_zeroes_dead_lanes_that_an_exp_kick_breaks(native,
                                                               monkeypatch):
     """hybrid_truncated kicks its a pair by exp(m_a sqrt(dt)).  At a huge
-    coupling that factor over- or underflows, and then a dead lane, which
-    the numpy loop steps on from zero, turns nan.  The loop's records zero
-    dead lanes again, and so keep the bytes of the kernel, which reads no
-    dead lane."""
+    coupling that factor over- or underflows, and a lane it kicks turns
+    nan or infinite and dies.  The numpy loop zeroes a lane's record row
+    when it dies and kicks only live lanes, as the kernel reads no dead
+    lane, so the two give the same bytes."""
     params = kerr(g=1e10)
     cfg = EnsembleConfig(n_trajectories=48, dt=1e-3, t_final=0.0305,
                          N_a0=4.0, N_b0=0.25, n_batches=3, sample_interval=7,
                          master_seed=23)
     plan = build_step_plan(cfg, params)
-    noise, exponents = dynamics.NOISE["hybrid_truncated"], []
+    noise, exponents, rows = dynamics.NOISE["hybrid_truncated"], [], []
 
     def spy(coeffs, j, x):
         m = noise(coeffs, j, x)
-        exponents.append(np.abs(m[0].real).max() * math.sqrt(plan.sub_dt[j]))
+        rows.append(len(x))
+        if len(x):
+            exponents.append(np.abs(m[0].real).max()
+                             * math.sqrt(plan.sub_dt[j]))
         return m
 
     monkeypatch.setitem(dynamics.NOISE, "hybrid_truncated", spy)
@@ -781,9 +784,12 @@ def test_numpy_loop_zeroes_dead_lanes_that_an_exp_kick_breaks(native,
     assert out[0] == out[1]
     live = np.frombuffer(out[1][1], dtype=np.int64)
     assert live[-cfg.n_batches:].sum() == 0  # every lane dead at the end
-    # So at the last substep some dead lane's exp kick left the range of a
-    # finite, nonzero double, whose exponents span about -745 to 709.
-    assert len(exponents) == plan.n_substeps and exponents[-1] > 746
+    # Some live lane's exp kick left the range of a finite, nonzero
+    # double, whose exponents span about -745 to 709; once the lanes are
+    # dead, the kick sees none of them.
+    assert len(rows) == plan.n_substeps and max(exponents) > 746
+    assert rows[0] == cfg.n_trajectories and rows[-1] == 0
+    assert rows == sorted(rows, reverse=True)
 
 
 def test_chunk_mirrors_the_c_struct():
@@ -815,28 +821,40 @@ FILL = int(re.search(r"\bFILL = (\d+)", _kernel.SOURCE.read_text())[1])
 
 @pytest.mark.parametrize("case", ["one_substep_segments",
                                   "segment_past_one_fill",
-                                  "lanes_die_mid_fill"])
+                                  "lanes_die_mid_fill",
+                                  "fill_of_17", "fill_of_63", "fill_of_65"])
 @pytest.mark.parametrize("name", ["hybrid", "hybrid_truncated", "positive_p"])
 def test_native_normal_fills_give_the_numpy_bytes(native, name, case):
     """The kernel draws a lane's normals up to FILL substeps of a tile at
     a time; the numpy loop draws NOISE_BLOCK substeps of the run at a
     time.  Segments of one substep, segments longer than a fill, and lanes
-    that die with part of a fill unread all give the numpy bytes."""
+    that die with part of a fill unread all give the numpy bytes.  So do
+    runs of one fill of 17, 63 and 65 substeps: with AVX-512 a fill draws
+    whole batches of 16 Philox blocks, 16 substeps' words, and the words
+    left over one block at a time, after the two that hybrid's initial
+    sample leaves buffered."""
     params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
     cfg = EnsembleConfig(n_trajectories=48, dt=1e-4, t_final=0.0605,
                          N_a0=4.0, N_b0=0.25, n_batches=3,
                          sample_interval=300, master_seed=2)
-    if case == "one_substep_segments":  # no switch to split a step
+    if case in ("one_substep_segments", "fill_of_17", "fill_of_63",
+                "fill_of_65"):  # no switch to split a step
         params = dataclasses.replace(
             params, coupling=NATIVE_SCHEDULES["constant"])
+    if case == "one_substep_segments":
         cfg = dataclasses.replace(cfg, dt=1e-3, t_final=0.0205,
                                   sample_interval=1)
+    elif case.startswith("fill_of_"):
+        n = int(case.removeprefix("fill_of_"))
+        cfg = dataclasses.replace(cfg, t_final=n * 1e-4, sample_interval=n)
     elif case == "lanes_die_mid_fill":
         cfg = dataclasses.replace(cfg, blowup_threshold=1.2)  # the probe's
     plan = build_step_plan(cfg, params)
     lengths = np.diff(plan.ends, prepend=0)
     if case == "one_substep_segments":
         assert lengths.max() == 1
+    elif case.startswith("fill_of_"):
+        assert list(lengths) == [n]
     else:
         assert lengths.max() > FILL
     fast, ref = (integrator._simulate_chunk(
@@ -1084,19 +1102,22 @@ def test_native_tiles_stay_inside_their_accumulator(native, tmp_path):
     assert proc.stdout.strip() == "True"
 
 
-def test_native_build_without_fma_gives_the_same_bytes(native, monkeypatch,
-                                                       tmp_path):
-    """Built without -mfma, the kernel's vector complex products call
-    libm's fma one element at a time.  That build passes the probe and
-    gives the default build's bytes on a lossy chunk of each method."""
-    flags = [f for f in _kernel._flags() if f != "-mfma"]
-    monkeypatch.setattr(_kernel, "_flags", lambda: flags)
+def build_without(flag, monkeypatch, tmp_path):
+    """The path of the kernel built with the default flags less ``flag``,
+    in a cache of its own; skips where the default flags lack it."""
+    flags = _kernel._flags()
+    if flag not in flags:
+        pytest.skip(f"the default build has no {flag} on this CPU")
+    monkeypatch.setattr(_kernel, "_flags",
+                        lambda: [f for f in flags if f != flag])
     monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
     path = _kernel.build()
     assert path is not None
-    assert b"fma\0" in path.read_bytes()  # imported from libm
-    plain = _kernel.Kernel(path)
-    assert integrator._probe_matches(plain)
+    return path
+
+
+def assert_gives_the_same_bytes(kernel, other):
+    """Both kernels give the same bytes on a lossy chunk of each method."""
     params = SystemParams(0.3, -0.7, 1.1, 0.9, NATIVE_SCHEDULES["switch"])
     cfg = EnsembleConfig(n_trajectories=48, dt=1e-3, t_final=0.0305,
                          N_a0=4.0, N_b0=0.25, n_batches=3, sample_interval=7,
@@ -1105,10 +1126,79 @@ def test_native_build_without_fma_gives_the_same_bytes(native, monkeypatch,
     for name in METHOD_NAMES:
         fast, ref = (integrator._simulate_chunk(
             5, 30, MethodSpec.of(name), params, cfg, plan, record_gauge=True,
-            native=kernel) for kernel in (native, plain))
+            native=k) for k in (kernel, other))
         for k in ref:
             assert fast[k].tobytes() == ref[k].tobytes(), (name, k)
         assert np.isfinite(ref["blowup_times"]).any(), name
+
+
+def test_native_build_without_fma_gives_the_same_bytes(native, monkeypatch,
+                                                       tmp_path):
+    """Built without -mfma, the kernel's vector complex products call
+    libm's fma one element at a time.  That build passes the probe and
+    gives the default build's bytes on a lossy chunk of each method."""
+    path = build_without("-mfma", monkeypatch, tmp_path)
+    assert b"fma\0" in path.read_bytes()  # imported from libm
+    plain = _kernel.Kernel(path)
+    assert integrator._probe_matches(plain)
+    assert_gives_the_same_bytes(native, plain)
+
+
+def test_native_build_without_avx512_gives_the_same_bytes(
+        native, monkeypatch, tmp_path, ndtri_grid):
+    """Built without -DPHASESDE_AVX512, the kernel draws every Philox
+    block with philox_next and gathers ndtri's tail one value at a time.
+    That build passes the probe, gives the default build's bytes on a
+    lossy chunk of each method, and its ndtri gives the default build's
+    bits on the ndtri grid."""
+    scalar = _kernel.Kernel(build_without("-DPHASESDE_AVX512", monkeypatch,
+                                          tmp_path))
+    assert (native.normals, scalar.normals) == ("avx512", "scalar")
+    assert integrator._probe_matches(scalar)
+    assert_gives_the_same_bytes(native, scalar)
+    out = [np.full_like(ndtri_grid, 7.0) for _ in range(2)]
+    for kernel, x in zip((native, scalar), out):
+        kernel.lib.phasesde_ndtri(ctypes.c_void_p(ndtri_grid.ctypes.data),
+                                  ctypes.c_void_p(x.ctypes.data),
+                                  ctypes.c_int64(ndtri_grid.size))
+    assert out[0].tobytes() == out[1].tobytes()
+
+
+def native_uniforms(kernel, key, counter, skip, n):
+    """The kernel's uniforms of words skip .. skip + n - 1 of the stream
+    keyed ``key`` from ``counter``."""
+    key = np.ascontiguousarray(key, dtype=np.uint64)
+    counter = np.ascontiguousarray(counter, dtype=np.uint64)
+    out = np.full(n, 7.0)
+    kernel.lib.phasesde_uniforms(
+        ctypes.c_void_p(key.ctypes.data), ctypes.c_void_p(counter.ctypes.data),
+        ctypes.c_int32(skip), ctypes.c_int64(n), ctypes.c_void_p(out.ctypes.data))
+    return out
+
+
+def test_native_uniforms_are_numpys_philox():
+    """A lane's fills draw numpy's Philox4x64-10 uniforms, (word >> 11) *
+    2^-53: from any buffer offset, over lengths that end inside a batch of
+    16 blocks, and across a carry of the counter's low word, which the
+    AVX-512 batches leave to philox_next."""
+    kernel = _kernel.load()
+    if kernel is None:
+        pytest.skip("the native kernel does not load (no gcc or a failed "
+                    "build); runs use the numpy loop")
+    rng = np.random.default_rng(20261021)
+    top = 2 ** 64 - 1
+    counters = [[0, 0, 0, 0], rng.integers(0, top, 4, dtype=np.uint64),
+                [top - 5, 7, 0, 0], [top - 16, 3, 0, 0], [top - 17, 3, 0, 0],
+                [top - 9, top, top, 0]]
+    for counter in (np.array(c, dtype=np.uint64) for c in counters):
+        key = rng.integers(0, top, 2, dtype=np.uint64)
+        for skip in range(4):
+            for n in (1, 5, 63, 64, 65, 127, 128, 200, 1030):
+                bits = np.random.Philox(key=key, counter=counter)
+                bits.random_raw(skip)
+                ref = (bits.random_raw(n) >> np.uint64(11)) * 2.0 ** -53
+                got = native_uniforms(kernel, key, counter, skip, n)
+                assert got.tobytes() == ref.tobytes(), (counter, skip, n)
 
 
 def test_native_ndtri_is_scipys_bit_for_bit(ndtri_grid):
@@ -1297,7 +1387,8 @@ def test_failed_cexp_check_logs_once_and_calls_libm(monkeypatch, caplog):
     assert [r.levelno for r in caplog.records] == [logging.INFO]
     assert "cexp" in caplog.messages[0]
     monkeypatch.setattr(integrator, "_native", kernel)
-    assert integrator.engine_record() == {"name": "native", "cexp": "libm"}
+    assert integrator.engine_record() == {"name": "native", "cexp": "libm",
+                                          "normals": kernel.normals}
     monkeypatch.setattr(integrator, "_native", False)
     assert integrator.engine_record() == {"name": "numpy"}
 

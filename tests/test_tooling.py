@@ -184,17 +184,22 @@ def test_oracle_stays_independent_of_the_engine():
     assert not reached & {"integrator", "dynamics", "_kernel", "stats"}
 
 
-@pytest.mark.parametrize("fma", [True, False], ids=["fma", "no_fma"])
-def test_kernel_compiles_without_warnings(tmp_path, fma):
+@pytest.mark.parametrize("fma, avx512", [(True, False), (False, False),
+                                         (True, True), (False, True)],
+                         ids=["fma", "no_fma", "fma-avx512", "no_fma-avx512"])
+def test_kernel_compiles_without_warnings(tmp_path, fma, avx512):
     """``_kernel.c`` compiles clean under -Wall -Wextra -Werror, with and
-    without -mfma.  -Wno-psabi silences only gcc's notes that a vector
-    argument is passed differently where AVX is off."""
+    without -mfma and -DPHASESDE_AVX512, whatever the CPU.  -Wno-psabi
+    silences only gcc's notes that a vector argument is passed differently
+    where AVX is off."""
     compiler = shutil.which(_kernel.COMPILER)
     if compiler is None:
         pytest.skip(f"no {_kernel.COMPILER} on PATH")
-    flags = [f for f in _kernel._flags() if f != "-mfma"]
+    flags = [f for f in _kernel._flags()
+             if f not in ("-mfma", "-DPHASESDE_AVX512")]
     flags += ["-Wall", "-Wextra", "-Wno-psabi", "-Werror"]
     flags += ["-mfma"] if fma else []
+    flags += ["-DPHASESDE_AVX512"] if avx512 else []
     proc = subprocess.run(
         [compiler, *flags, "-o", str(tmp_path / "kernel.so"),
          str(_kernel.SOURCE), "-lm"],
