@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,7 +44,8 @@ METHOD_TAGS = {
 
 METHOD_NAMES = tuple(METHOD_TAGS)
 
-# Most steps t_final / dt of a run; build_step_plan lists each in Python.
+# Most steps t_final / dt of a run: every chunk reads per-substep arrays of
+# the plan and the noise coefficients, 40-88 bytes a substep.
 MAX_STEPS = 10**6
 
 # Raw monomials accumulated per batch at every sample time, in storage order.
@@ -107,9 +107,8 @@ class CouplingSchedule:
     """Piecewise-constant coupling strength g(t).
 
     ``segments`` is an ordered tuple of (t_end, g) pairs; the final t_end
-    must be +inf so every t >= 0 falls in exactly one segment.  Evaluation
-    is right-continuous: at a breakpoint the following segment's value
-    applies.
+    must be +inf so every t >= 0 falls in exactly one segment.  A substep
+    takes the g of the segment holding its midpoint.
     """
 
     segments: tuple
@@ -129,13 +128,6 @@ class CouplingSchedule:
     def switched(cls, g: float, t_off: float) -> "CouplingSchedule":
         """g until t_off, then 0 from t_off onward."""
         return cls(((t_off, g), (math.inf, 0.0)))
-
-    def g_at(self, t: float) -> float:
-        ends = [seg[0] for seg in self.segments]
-        idx = bisect_right(ends, t)
-        if idx >= len(self.segments):
-            idx = len(self.segments) - 1
-        return self.segments[idx][1]
 
     def breakpoints(self) -> tuple:
         """Finite segment boundaries, ascending."""

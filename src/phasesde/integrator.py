@@ -83,13 +83,14 @@ def make_stream(master_seed: int, trajectory_index: int) -> np.random.Generator:
 class StepPlan:
     """Substep schedule for one run.
 
-    Nominal steps sit on the grid k*dt; a coupling breakpoint strictly
-    inside a nominal step splits it into shortened auxiliary substeps that
-    land on the breakpoint exactly.  Auxiliary substeps do not advance the
-    sampling cadence: samples are recorded after nominal step k whenever k
-    is a multiple of sample_interval, plus the final time.  Sample s >= 1
-    is recorded after substep ``ends[s - 1] - 1``, so the last end is
-    ``n_substeps``.
+    ``sub_t_end`` is one sorted array: the grid k*dt of nominal steps, each
+    coupling breakpoint more than 1e-9*dt inside a nominal step, which
+    splits it, and ``t_final`` where a tail step runs past the grid.
+    ``sub_dt`` is the gap from the previous end (from 0).  Splits do not
+    advance the sampling cadence: samples are recorded after nominal step
+    k whenever k is a multiple of sample_interval, plus the final time.
+    Sample s >= 1 is recorded after substep ``ends[s - 1] - 1``, so the
+    last end is ``n_substeps``.
     """
 
     sub_dt: np.ndarray
@@ -108,46 +109,35 @@ class StepPlan:
 
 
 def build_step_plan(config: EnsembleConfig, params: SystemParams) -> StepPlan:
-    dt = config.dt
-    t_final = config.t_final
+    """The StepPlan of a run, built by numpy on one sorted array,
+    ``points``, of 0 and every substep end."""
+    dt, t_final = config.dt, config.t_final
     tol = 1e-9 * dt
-    n_nominal = int(math.floor(t_final / dt + 1e-9))
-    remainder = t_final - n_nominal * dt
-    has_tail = remainder > tol
-    breaks = [
-        t for t in params.coupling.breakpoints() if tol < t < t_final - tol
-    ]
-
-    sub_dt, sub_g, sub_t_end, ends = [], [], [], []
-    sample_times = [0.0]
-    schedule = params.coupling
-
-    def extend(t0, t1):
-        inner = [t for t in breaks if t0 + tol < t < t1 - tol]
-        pts = [t0, *inner, t1]
-        for lo, hi in zip(pts, pts[1:]):
-            sub_dt.append(hi - lo)
-            sub_g.append(schedule.g_at(0.5 * (lo + hi)))
-            sub_t_end.append(hi)
-
-    for k in range(n_nominal):
-        extend(k * dt, (k + 1) * dt)
-        is_last = (k + 1 == n_nominal) and not has_tail
-        if (k + 1) % config.sample_interval == 0 or is_last:
-            ends.append(len(sub_dt))
-            sample_times.append((k + 1) * dt)
+    n = int(math.floor(t_final / dt + 1e-9))
+    has_tail = t_final - n * dt > tol
+    grid = np.arange(n + 1) * dt
+    # A breakpoint splits step k, which ends at grid[k + 1] or, for the
+    # tail step n, at t_final, if it lies more than tol inside it.
+    breaks = np.array(params.coupling.breakpoints(), dtype=float)
+    breaks = breaks[(tol < breaks) & (breaks < t_final - tol)]
+    k = np.searchsorted(grid, breaks, side="right") - 1
+    stop = np.append(grid[1:], t_final)[k]
+    inside = ((k < n + has_tail) & (grid[k] + tol < breaks)
+              & (breaks < stop - tol))
+    points = np.sort(np.concatenate(
+        (grid, breaks[inside], [t_final] * has_tail)))
+    lo, hi = points[:-1], points[1:]
+    # Each substep takes the g of the segment holding its midpoint.
+    t_end, g = np.array(params.coupling.segments, dtype=float).T
+    sub_g = g[np.searchsorted(t_end, 0.5 * (lo + hi), side="right")]
+    marks = np.arange(config.sample_interval, n + 1, config.sample_interval)
+    if n % config.sample_interval and not has_tail:
+        marks = np.append(marks, n)
+    ends = np.searchsorted(points, grid[marks]).astype(np.int64)
     if has_tail:
-        extend(n_nominal * dt, t_final)
-        ends.append(len(sub_dt))
-        sample_times.append(t_final)
-
-    return StepPlan(
-        sub_dt=np.asarray(sub_dt, dtype=float),
-        sub_g=np.asarray(sub_g, dtype=float),
-        sub_t_end=np.asarray(sub_t_end, dtype=float),
-        ends=np.asarray(ends, dtype=np.int64),
-        sample_times=np.asarray(sample_times, dtype=float),
-    )
+        ends = np.append(ends, len(lo))
+    return StepPlan(sub_dt=hi - lo, sub_g=sub_g, sub_t_end=hi, ends=ends,
+                    sample_times=points[np.append(0, ends)])
 
 
 # --------------------------------------------------------------------------

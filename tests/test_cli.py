@@ -215,6 +215,19 @@ def test_method_override_selects_one_method(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
 
 
+def test_method_override_runs_a_method_the_preset_lacks(tmp_path, capsys):
+    """fig2 runs only hybrid; ``--method wigner`` runs wigner at the
+    ensemble's n_trajectories."""
+    assert load_preset("fig2")["method"] == "hybrid"
+    assert main(["run", "--preset", "fig2", "--method", "wigner",
+                 "--out", str(tmp_path)]) == 0
+    names = [p.rsplit("/", 1)[-1] for p in capsys.readouterr().out.split()]
+    assert sorted(names) == ["fig2_wigner.meta.json", "fig2_wigner_X_a.csv"]
+    meta = json.loads((tmp_path / "fig2_wigner.meta.json").read_text())
+    assert meta["config"]["method"] == [{"name": "wigner",
+                                         "n_trajectories": 10000}]
+
+
 def test_breakdown_is_annotated_in_the_sidecar(tmp_path, capsys):
     raw = {
         "method": "positive_p",
@@ -313,7 +326,7 @@ def test_oracle_command_writes_exact_values(tmp_path, capsys):
 @pytest.mark.parametrize("times", ["abc", "0:1:x", "0,nan", "0:inf:1",
                                    "0:1e18:1", "0:1e308:1e-308",
                                    ",", "", " ", "-1,0.5", "-1:0:0.5",
-                                   "0.5,-1e-9"])
+                                   "0.5,-1e-9", "0:1", "1:0:0.1", "0:1:0"])
 def test_oracle_command_rejects_malformed_times(tmp_path, capsys, times):
     # One argument, so that argparse cannot take "-1,0.5" for an option.
     assert main(["oracle", "--preset", "fig1", "--out", str(tmp_path),
@@ -501,10 +514,13 @@ def test_main_rejects_duplicate_observables_override(tmp_path, capsys):
     lambda c: c["params"]["coupling"][0].__setitem__("t_end", float("nan")),
     lambda c: c["ensemble"].__setitem__("blowup_threshold", 1e100),
     lambda c: c["ensemble"].__setitem__("N_b0", 2 ** 400),
+    lambda c: c["params"].__setitem__("coupling", []),
+    lambda c: c["params"].__setitem__("coupling", {}),
 ], ids=["unknown_top", "unknown_params", "unknown_segment", "unknown_ensemble",
         "unknown_method_entry", "unknown_output", "dt_zero",
         "sample_interval_zero", "n_batches_zero", "dt_negative", "t_end_nan",
-        "blowup_threshold_huge", "N_b0_huge"])
+        "blowup_threshold_huge", "N_b0_huge", "coupling_empty",
+        "coupling_object"])
 def test_run_and_oracle_reject_the_same_configs(tmp_path, capsys, mangle,
                                                 command):
     """Both subcommands check a config alike: exit 2, one error line."""
@@ -679,6 +695,11 @@ def test_main_rejects_unknown_preset():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--preset", "fig9"])
     assert exc.value.code == 2
+
+
+def test_load_preset_rejects_an_unknown_name():
+    with pytest.raises(ConfigError, match="unknown preset 'fig9'"):
+        load_preset("fig9")
 
 
 def test_main_maps_oserror_to_exit_1(tmp_path, capsys):

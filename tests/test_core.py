@@ -11,22 +11,48 @@ import phasesde as ps
 from phasesde.core import METHOD_TAGS
 
 
+# Offsets from a grid point, in units of dt: on the 1e-9 tolerance, either
+# side of it, or anywhere in the step.
+_NEAR = st.sampled_from([-2e-9, -1e-9, -0.5e-9, 0.0, 0.5e-9, 1e-9, 2e-9]) \
+    | st.floats(0.0, 1.0)
+
+
+@st.composite
+def plan_inputs(draw):
+    """A config of up to 31 steps and a schedule whose breakpoints lie on,
+    near or between grid points and t_final, several to a step at times;
+    such a schedule need not pass validate_config."""
+    dt = draw(st.sampled_from([1e-4, 1e-3, 0.1, 0.37]))
+    t_final = max(0.0, (draw(st.integers(0, 30)) + draw(_NEAR)) * dt)
+    breaks = draw(st.lists(
+        st.tuples(st.integers(0, 31), _NEAR).map(lambda p: (p[0] + p[1]) * dt)
+        | _NEAR.map(lambda off: t_final + off * dt), max_size=6))
+    ends = sorted({b for b in breaks if b > 0}) + [math.inf]
+    values = draw(st.lists(st.floats(-3, 3), min_size=len(ends),
+                           max_size=len(ends)))
+    cfg = ps.EnsembleConfig(n_trajectories=1, dt=dt, t_final=t_final,
+                            N_a0=1.0, N_b0=0.0, n_batches=1,
+                            sample_interval=draw(st.integers(1, 7)))
+    return cfg, tuple(zip(ends, values))
+
+
 class TestCouplingSchedule:
     def test_constant(self):
         s = ps.CouplingSchedule.constant(0.7)
-        assert s.g_at(0.0) == 0.7
-        assert s.g_at(1e9) == 0.7
+        assert s.segments == ((math.inf, 0.7),)
         assert s.breakpoints() == ()
         assert s.violations() == []
 
     def test_switch_off_is_right_continuous(self):
         s = ps.CouplingSchedule.switched(1.0, t_off=0.1)
-        assert s.g_at(0.0) == 1.0
-        assert s.g_at(0.1 - 1e-12) == 1.0
-        # at the breakpoint itself the following segment already applies
-        assert s.g_at(0.1) == 0.0
-        assert s.g_at(0.5) == 0.0
+        # the segment ending at 0.1 holds g up to, not at, the breakpoint
+        assert s.segments == ((0.1, 1.0), (math.inf, 0.0))
         assert s.breakpoints() == (0.1,)
+        assert s.violations() == []
+
+    def test_violations_name_an_empty_schedule(self):
+        assert ps.CouplingSchedule(()).violations() == [
+            "coupling must have at least one segment"]
 
     def test_violations(self):
         out_of_order = ps.CouplingSchedule(((0.2, 1.0), (0.1, 0.0), (math.inf, 0.0)))
@@ -71,21 +97,51 @@ class TestCouplingSchedule:
                                               (math.inf, 0.0)))):
             assert schedule.violations() == []
 
-    @settings(max_examples=50, deadline=None)
-    @given(
-        ends=st.lists(st.floats(0.01, 10.0), min_size=1, max_size=4, unique=True),
-        values=st.lists(st.floats(-3, 3), min_size=5, max_size=5),
-        t=st.floats(0.0, 12.0),
-    )
-    def test_lookup_matches_linear_scan(self, ends, values, t):
-        bounds = sorted(ends) + [math.inf]
-        segments = tuple(zip(bounds, values[: len(bounds)]))
-        schedule = ps.CouplingSchedule(segments)
-        for t_end, g in segments:
-            if t < t_end:
-                expected = g
-                break
-        assert schedule.g_at(t) == expected
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=plan_inputs())
+    def test_plan_substeps_match_linear_scan(self, inputs):
+        """Each substep takes the g of the segment holding its midpoint
+        (right-continuous: a segment holds g up to, not at, its t_end);
+        the substeps end at every breakpoint more than 1e-9*dt inside a
+        step and at t_final, and samples land on substep ends."""
+        cfg, segments = inputs
+        dt, t_final = cfg.dt, cfg.t_final
+        params = ps.SystemParams(0.0, 0.0, 1.0, 1.0,
+                                 ps.CouplingSchedule(segments))
+        plan = ps.build_step_plan(cfg, params)
+        t_end, tol = plan.sub_t_end, 1e-9 * dt
+        start = np.concatenate(([0.0], t_end[:-1]))
+        assert plan.sub_dt.tobytes() == (t_end - start).tobytes()
+        for lo, hi, g in zip(start, t_end, plan.sub_g):
+            mid = 0.5 * (lo + hi)
+            assert g == next(v for end, v in segments if mid < end)
+
+        n = int(math.floor(t_final / dt + 1e-9))
+        grid = [k * dt for k in range(n + 1)]
+        steps = [(k * dt, min((k + 1) * dt, t_final)) for k in range(n)]
+        if t_final - n * dt > tol:
+            steps.append((n * dt, t_final))
+        if t_final > tol:
+            assert (np.diff(t_end) > 0).all()
+            assert abs(t_end[-1] - t_final) <= 2 * tol  # tol, plus rounding
+            assert plan.ends[-1] == plan.n_substeps
+        else:
+            assert plan.n_substeps == 0 and plan.ends.size == 0
+        breaks = params.coupling.breakpoints()
+        for b in breaks:
+            inside = any(lo + tol < b < hi - tol for lo, hi in steps)
+            assert (b in t_end) == inside or b in {*grid, t_final}
+        assert set(t_end) <= {*grid, *breaks, t_final}
+        # Samples every sample_interval nominal steps, then at the end.
+        marks = grid[cfg.sample_interval::cfg.sample_interval]
+        if plan.n_substeps and marks[-1:] != [t_end[-1]]:
+            marks.append(t_end[-1])
+        assert plan.sample_times[1:].tolist() == marks
+
+        assert plan.ends.dtype == np.int64
+        assert (np.diff(plan.ends, prepend=0) > 0).all()
+        assert plan.sample_times.tobytes() == np.concatenate(
+            ([0.0], t_end[plan.ends - 1])).tobytes()
 
 
 def test_method_spec_of_matches_tags():
@@ -232,6 +288,13 @@ def test_validate_config_reports_everything_at_once(kerr_params):
         ps.validate_config(config, ps.MethodSpec.of("hybrid"), kerr_params)
     assert len(excinfo.value.violations) >= 2
     assert "dt" in str(excinfo.value)
+
+
+def test_validate_config_reports_a_method_name_for_a_spec(kerr_params):
+    """The method is a MethodSpec, never its bare name."""
+    with pytest.raises(ps.ConfigError) as excinfo:
+        ps.validate_config(_good_config(), "hybrid", kerr_params)
+    assert excinfo.value.violations == ["method must be a MethodSpec"]
 
 
 def _toy_result(kerr_params):

@@ -2,6 +2,7 @@
 import copy
 import ctypes
 import dataclasses
+import hashlib
 import logging
 import math
 import os
@@ -119,6 +120,33 @@ def test_plan_zero_duration_is_a_single_sample():
     plan = build_step_plan(config(t_final=0.0), kerr())
     assert plan.n_substeps == 0
     np.testing.assert_array_equal(plan.sample_times, [0.0])
+
+
+# sha256 of each preset's plan arrays, sub_dt, sub_g, sub_t_end, ends and
+# sample_times in that order: a rewrite of build_step_plan keeps every byte.
+PRESET_PLAN_SHA256 = {
+    "fig1": "e1ca9ea65b94a8ce0ae5c5d9f605c83e8e904c7f130901d48badbee62076ef38",
+    "fig2": "378fad7519b8de713c8510052f737dce66b97420022da9bcd2bca56cbb2fa189",
+    "fig3": "378fad7519b8de713c8510052f737dce66b97420022da9bcd2bca56cbb2fa189",
+    "fig4": "ed9607424aee7f55d724c9c034c3cff245eb8c810cb430f4e0d2ecf6441a53a0",
+    "fig5": "4e9afc135ea10d0795480e9bb6a843eee64260519ab82712c7f26950ab81ab0f",
+    "fig6": "ef1bb11fe1a40aac4ed7f9044066bfeeb310dec8f42a5b610328e4adae974aff",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_PLAN_SHA256))
+def test_preset_plans_keep_their_bytes(name):
+    from phasesde import cli
+
+    raw = cli.load_preset(name)
+    plan = build_step_plan(
+        cli._ensemble_from_json(raw["ensemble"],
+                                raw["ensemble"]["n_trajectories"]),
+        cli._params_from_json(raw["params"]))
+    digest = hashlib.sha256()
+    for field in ("sub_dt", "sub_g", "sub_t_end", "ends", "sample_times"):
+        digest.update(getattr(plan, field).tobytes())
+    assert digest.hexdigest() == PRESET_PLAN_SHA256[name]
 
 
 # ---------------------------------------------------------------------------
@@ -1413,6 +1441,60 @@ def test_native_refuses_segment_ends_it_cannot_follow(native, ends):
             out)
 
 
+def _chunk_inputs(name="hybrid"):
+    """A plan, its noise coefficients and numpy partials of 4 lanes."""
+    cfg = config(sample_interval=20)
+    plan = build_step_plan(cfg, kerr())
+    out = integrator._simulate_chunk(0, 4, MethodSpec.of(name), kerr(), cfg,
+                                     plan, native=False)
+    return cfg, plan, dynamics.noise_coefficients(name, kerr(), plan.sub_g), out
+
+
+@pytest.mark.parametrize("first", [-1, 2 ** 64 - 3])
+def test_native_refuses_trajectory_indices_beyond_uint64(native, first):
+    cfg, plan, coeffs, out = _chunk_inputs()
+    with pytest.raises(OverflowError, match="not all uint64"):
+        native.run_chunk(MethodSpec.of("hybrid"), False, cfg, first, plan,
+                         coeffs, kerr(), out)
+
+
+@pytest.mark.parametrize("name", ["hybrid", "hybrid_truncated", "positive_p"])
+def test_native_refuses_a_noisy_chunk_without_its_factor(native, name):
+    cfg, plan, _, out = _chunk_inputs(name)
+    factor = "F" if name == "positive_p" else "q"
+    with pytest.raises(ValueError, match=f"chunk needs {factor}"):
+        native.run_chunk(MethodSpec.of(name), False, cfg, 0, plan, {}, kerr(),
+                         out)
+
+
+def _strided(a):
+    """``a``'s values in a view that is not contiguous."""
+    wide = np.zeros(a.shape + (2,), dtype=a.dtype)
+    wide[..., 0] = a
+    return wide[..., 0]
+
+
+@pytest.mark.parametrize("field,change,match", [
+    ("sums", lambda a: a[:, 0], "sums must have shape"),
+    ("sums", lambda a: a[:, :0], "sums must have shape"),
+    ("sums", _strided, "sums must be a contiguous"),
+    ("sums", lambda a: a[:-1].copy(), "sums must be a contiguous"),
+    ("live_counts", lambda a: a.astype(np.int32), "live_counts must be"),
+    ("gauge_max", lambda a: np.append(a, 0.0), "gauge_max must be"),
+    ("gauge_max", lambda a: a.astype(np.float32), "gauge_max must be"),
+], ids=["no_batch_axis", "no_batch", "strided", "short", "int32", "long",
+        "float32"])
+def test_native_refuses_partials_of_another_layout(native, field, change,
+                                                    match):
+    """The kernel writes the partials in place, so each must have its
+    engine dtype and shape and be contiguous."""
+    cfg, plan, coeffs, out = _chunk_inputs()
+    out[field] = change(out[field])
+    with pytest.raises(ValueError, match=match):
+        native.run_chunk(MethodSpec.of("hybrid"), False, cfg, 0, plan, coeffs,
+                         kerr(), out)
+
+
 class Corrupted:
     """A native kernel whose chunks come out with the first sum nudged."""
 
@@ -1425,7 +1507,14 @@ class Corrupted:
         partials["sums"].flat[0] *= 1.0 + 2.0 ** -52
 
 
-@pytest.mark.parametrize("fault", ["corrupted", "no_compiler",
+class Raising:
+    """A native kernel whose every chunk raises."""
+
+    def run_chunk(self, *args):
+        raise ValueError("sums must be a contiguous array")
+
+
+@pytest.mark.parametrize("fault", ["corrupted", "raising", "no_compiler",
                                    "failing_compiler"])
 def test_native_faults_fall_back_to_numpy_bytes(monkeypatch, tmp_path, caplog,
                                                 fault):
@@ -1442,6 +1531,8 @@ def test_native_faults_fall_back_to_numpy_bytes(monkeypatch, tmp_path, caplog,
         if kernel is None:
             pytest.skip("the native kernel does not load")
         monkeypatch.setattr(_kernel, "load", lambda: Corrupted(kernel))
+    elif fault == "raising":
+        monkeypatch.setattr(_kernel, "load", Raising)
     else:
         monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
         monkeypatch.setattr(_kernel, "COMPILER", {
@@ -1452,6 +1543,10 @@ def test_native_faults_fall_back_to_numpy_bytes(monkeypatch, tmp_path, caplog,
     assert integrator._native is False
     if fault == "corrupted":  # loaded, then refused by the probe
         assert "native kernel differs from numpy" in caplog.messages
+    if fault == "raising":  # loaded, then raised on the probe
+        assert caplog.messages[-2:] == [
+            "native kernel failed the probe: sums must be a contiguous array",
+            "running the numpy substep loop"]
 
 
 def test_threads_that_call_during_the_first_load_share_its_kernel(
