@@ -156,8 +156,11 @@ def _choice(options: tuple, what: str):
 
 
 def _path(value, where: str) -> str:
-    if not isinstance(value, str) or not value or "\0" in value:
-        raise ConfigError([f"{where} must be a non-empty string without NUL"])
+    # Output names are made by appending to the path's last component.
+    if (not isinstance(value, str) or "\0" in value
+            or not os.path.basename(value)):
+        raise ConfigError([f"{where} must be a string without NUL whose "
+                           "last component, the file stem, is not empty"])
     return value
 
 

@@ -44,8 +44,9 @@ METHOD_TAGS = {
 
 METHOD_NAMES = tuple(METHOD_TAGS)
 
-# Most steps t_final / dt of a run: every chunk reads per-substep arrays of
-# the plan and the noise coefficients, 40-88 bytes a substep.
+# Most steps t_final / dt of a run: a run builds per-substep arrays of the
+# plan and the noise coefficients once, 40-88 bytes a substep, and every
+# chunk reads them.
 MAX_STEPS = 10**6
 
 # Raw monomials accumulated per batch at every sample time, in storage order.

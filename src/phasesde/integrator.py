@@ -18,9 +18,10 @@ exp(m_a sqrt(dt)) and its inverse), then the exact rotation exp(-i F dt),
 which divides the plus variables by the same factor and so conserves
 alpha_plus*alpha and beta_plus*beta to machine precision.
 
-A chunk, trajectories ``first`` to ``first + m - 1``, works out its own
-noise coefficients, blow-up threshold and coherent start, and records
-sample s after substep ``StepPlan.ends[s - 1] - 1``.  A run's chunks
+A run builds its step plan and noise coefficients once, and its chunks
+only read them.  A chunk, trajectories ``first`` to ``first + m - 1``,
+reads its blow-up threshold and coherent start from the config, and
+records sample s after substep ``StepPlan.ends[s - 1] - 1``.  A run's chunks
 all run start to end on one of two engines that give the same bytes:
 the native kernel of ``_kernel.c``, which does a chunk's stream set-up,
 initial sampling, substeps and records in one call and is used once it
@@ -153,31 +154,27 @@ def _initial_arrays(first: int, m: int, method: MethodSpec,
     Consumption order within each stream: mode a draws first, then mode b;
     delta-sampled modes consume nothing.
     """
-    gamma_a, gamma_b = config.coherent_start
     a, ap, b, bp = np.empty((4, m), dtype=complex)
     gens = [make_stream(config.master_seed, first + k) for k in range(m)]
-    if method.r_a == 2:
-        a[:], ap[:] = sample_wigner_coherent(gamma_a, gens)
-    else:
-        a[:], ap[:] = sample_positive_p_coherent(gamma_a)
-    if method.r_b == 2:
-        b[:], bp[:] = sample_wigner_coherent(gamma_b, gens)
-    else:
-        b[:], bp[:] = sample_positive_p_coherent(gamma_b)
+    for low, high, gamma, r in zip((a, b), (ap, bp), config.coherent_start,
+                                   (method.r_a, method.r_b)):
+        low[:], high[:] = (sample_wigner_coherent(gamma, gens) if r == 2
+                           else sample_positive_p_coherent(gamma))
     return a, ap, b, bp, gens
 
 
 def _simulate_chunk(first: int, m: int, method: MethodSpec,
                     params: SystemParams, config: EnsembleConfig,
-                    plan: StepPlan, record_gauge: bool = False, *, native):
+                    plan: StepPlan, coeffs: dict, record_gauge: bool = False,
+                    *, native):
     """Integrate trajectories ``first`` to ``first + m - 1``; returns the
     chunk's partials.
 
-    The noise coefficients are worked out from the arguments; both engines
+    ``coeffs`` is ``dynamics.noise_coefficients`` of the method, params and
+    plan, which every chunk of a run shares and only reads; both engines
     start from ``config.coherent_start`` and read ``config.lane_threshold``.
     ``native`` is a loaded kernel, or False for the numpy loop.
     """
-    coeffs = dynamics.noise_coefficients(method.method, params, plan.sub_g)
     n_batches = config.n_batches
 
     sums = np.zeros((plan.n_samples, n_batches, len(MONOMIALS)), dtype=complex)
@@ -376,9 +373,10 @@ def _probe_matches(kernel) -> bool:
             (5, replace(lossy, N_a0=4.25, N_b0=0.26), True))
     for name in METHOD_NAMES:
         method = MethodSpec.of(name)
+        coeffs = dynamics.noise_coefficients(name, params, plan.sub_g)
         for first, config, gauge in runs:
             fast, ref = (_simulate_chunk(first, 8, method, params, config,
-                                         plan, gauge, native=eng)
+                                         plan, coeffs, gauge, native=eng)
                          for eng in (kernel, False))
             if any(fast[k].tobytes() != ref[k].tobytes() for k in ref):
                 return False
@@ -435,6 +433,7 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
         raise ConfigError(["n_workers must be a positive integer"])
 
     plan = build_step_plan(config, params)
+    coeffs = dynamics.noise_coefficients(method.method, params, plan.sub_g)
     native = _load_native()
 
     n = config.n_trajectories
@@ -443,7 +442,7 @@ def run_ensemble(method, params: SystemParams, config: EnsembleConfig, *,
     def job(bound):
         lo, hi = bound
         return _simulate_chunk(lo, hi - lo, method, params, config, plan,
-                               record_gauge_drift, native=native)
+                               coeffs, record_gauge_drift, native=native)
 
     if n_workers is None:
         n_workers = min(4, os.cpu_count() or 1, len(bounds)) if native else 1

@@ -184,7 +184,7 @@ def _coherent_coefficients(occupation: float, cutoff: int) -> np.ndarray:
 
 
 def _ladder_walk(word: str, n: np.ndarray):
-    """Amplitude and net level shift of a ladder-operator word on |n>.
+    """Amplitude of a ladder-operator word on |n>.
 
     ``word`` is a string over '+' (creation) and '-' (annihilation) read as
     an operator product left-to-right, hence applied to the ket from the
@@ -203,8 +203,22 @@ def _ladder_walk(word: str, n: np.ndarray):
             level += 1.0
         else:
             raise ValueError(f"ladder word may contain only '+'/'-', got {word!r}")
-    delta = word.count("+") - word.count("-")
-    return amp, delta
+    return amp
+
+
+def _mode_sum(word: str, d: int, occupation: float, chi: float, t: float,
+              coupling: float) -> complex:
+    """One mode's single sum in ``fock_word_expect``: ``word``, of level
+    shift d, on the coherent state of ``occupation``, with the phase
+    2 chi d t + ``coupling`` per quantum."""
+    top = default_cutoff(occupation)
+    # Pad the coefficient array so shifted indices stay in range.
+    c = _coherent_coefficients(occupation, top + max(4, len(word)))
+    n = np.arange(top + 1)
+    # The coefficient of |n + d>, zero below the vacuum.
+    shift = np.where(n + d >= 0, c[np.maximum(n + d, 0)], 0.0)
+    return np.sum(shift * c[n] * _ladder_walk(word, n)
+                  * np.exp(1j * (2.0 * chi * d * t + coupling) * n))
 
 
 def fock_word_expect(word_a: str, word_b: str, t: float,
@@ -216,24 +230,9 @@ def fock_word_expect(word_a: str, word_b: str, t: float,
     to the Poisson tails beyond the cutoffs, which ``default_cutoff``
     takes from each mode's occupation.
     """
-    top_a = default_cutoff(p.N_a0)
-    top_b = default_cutoff(p.N_b0)
-
     theta = float(accumulated_coupling_phase(float(t), p))
-    # Pad the coefficient array so shifted indices stay in range.
-    pad_a = max(4, len(word_a))
-    pad_b = max(4, len(word_b))
-    c_a = _coherent_coefficients(p.N_a0, top_a + pad_a)
-    c_b = _coherent_coefficients(p.N_b0, top_b + pad_b)
-    n_a = np.arange(top_a + 1)
-    n_b = np.arange(top_b + 1)
-
-    amp_a, d_a = _ladder_walk(word_a, n_a)
-    amp_b, d_b = _ladder_walk(word_b, n_b)
-
-    # The coefficient of |n + d>, zero below the vacuum.
-    shift_a = np.where(n_a + d_a >= 0, c_a[np.maximum(n_a + d_a, 0)], 0.0)
-    shift_b = np.where(n_b + d_b >= 0, c_b[np.maximum(n_b + d_b, 0)], 0.0)
+    # Each word's net level shift.
+    d_a, d_b = (w.count("+") - w.count("-") for w in (word_a, word_b))
 
     # Energy-difference phase between |n+d> and |n>, split into an
     # n-independent prefactor and per-mode linear-in-n factors.
@@ -247,14 +246,8 @@ def fock_word_expect(word_a: str, word_b: str, t: float,
             + d_a * d_b * theta
         )
     )
-    sum_a = np.sum(
-        shift_a * c_a[n_a] * amp_a
-        * np.exp(1j * (2.0 * p.chi_a * d_a * t + d_b * theta) * n_a)
-    )
-    sum_b = np.sum(
-        shift_b * c_b[n_b] * amp_b
-        * np.exp(1j * (2.0 * p.chi_b * d_b * t + d_a * theta) * n_b)
-    )
+    sum_a = _mode_sum(word_a, d_a, p.N_a0, p.chi_a, t, d_b * theta)
+    sum_b = _mode_sum(word_b, d_b, p.N_b0, p.chi_b, t, d_a * theta)
     return complex(prefactor * sum_a * sum_b)
 
 

@@ -144,69 +144,76 @@ def sample_positive_p_coherent(gamma: complex):
 # half-quantum / commutator corrections, r=1 moments are normally ordered.
 
 
-def _quadratures(moments, mode):
-    keys = {"a": ("alpha", "alpha_plus"), "b": ("beta", "beta_plus")}.get(mode)
-    if keys is None:
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    low, high = moments[keys[0]], moments[keys[1]]
-    return 0.5 * (low + high), (low - high) / 2j
+def _real(name, moments, r_a, r_b):
+    """The observable ``name``: the real part of its table entry."""
+    return np.real(_CONVERSIONS[name](moments, r_a, r_b))
 
 
-def _number(moments, mode, r):
-    key = {"a": "alpha_plus_alpha", "b": "beta_plus_beta"}.get(mode)
-    if key is None:
-        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
-    return moments[key] - (0.5 if r == 2 else 0.0)
+def _half(r):
+    """The half quantum in a symmetrically ordered (r=2) alpha_plus*alpha."""
+    return 0.5 if r == 2 else 0.0
 
 
-def _number_variance(moments, mode, r):
-    if mode != "a":
-        raise ValueError("second number moments are recorded for mode a only")
+def _number_variance(moments, r_a, r_b):
     lin = moments["alpha_plus_alpha"]
     sq = moments["alpha_plus_alpha_sq"]
-    n2 = sq - lin if r == 2 else sq + lin
-    n = np.real(_number(moments, "a", r))
-    return n2 - n ** 2
+    n2 = sq - lin if r_a == 2 else sq + lin
+    return n2 - _real("N_a", moments, r_a, r_b) ** 2
 
 
-def _Yb_variance(moments, r_b):
+def _Yb_variance(moments, r_a, r_b):
     one = 1.0 if r_b == 1 else 0.0
     y2 = -0.25 * (
         moments["beta_plus_sq"] + moments["beta_sq"]
         - 2.0 * moments["beta_plus_beta"] - one
     )
-    y = np.real(_quadratures(moments, "b")[1])
-    return y2 - y ** 2
-
-
-def _NaYb(moments, r_a):
-    c_a = 0.5 if r_a == 2 else 0.0
-    return (
-        moments["alpha_plus_alpha_beta"]
-        - moments["alpha_plus_alpha_beta_plus"]
-        - c_a * (moments["beta"] - moments["beta_plus"])
-    ) / 2j
+    return y2 - _real("Y_b", moments, r_a, r_b) ** 2
 
 
 def _correlation(moments, r_a, r_b):
     """NaN wherever the variance product is not positive; imaginary part 0."""
-    _, y_b = estimate_quadratures(moments, "b")
-    cov = estimate_NaYb(moments, r_a) - estimate_number(moments, "a", r_a) * y_b
-    denom = (estimate_number_variance(moments, "a", r_a)
-             * estimate_Yb_variance(moments, r_b))
+    def real(name):
+        return _real(name, moments, r_a, r_b)
+
+    cov = real("N_a_Y_b") - real("N_a") * real("Y_b")
+    denom = real("var_N_a") * real("var_Y_b")
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom > 0, cov / np.sqrt(denom), np.nan) + 0j
 
 
+# name -> complex estimate from (moments, r_a, r_b).
+_CONVERSIONS = {
+    "X_a": lambda m, r_a, r_b: 0.5 * (m["alpha"] + m["alpha_plus"]),
+    "Y_a": lambda m, r_a, r_b: (m["alpha"] - m["alpha_plus"]) / 2j,
+    "X_b": lambda m, r_a, r_b: 0.5 * (m["beta"] + m["beta_plus"]),
+    "Y_b": lambda m, r_a, r_b: (m["beta"] - m["beta_plus"]) / 2j,
+    "N_a": lambda m, r_a, r_b: m["alpha_plus_alpha"] - _half(r_a),
+    "N_b": lambda m, r_a, r_b: m["beta_plus_beta"] - _half(r_b),
+    "var_N_a": _number_variance,
+    "var_Y_b": _Yb_variance,
+    "N_a_Y_b": lambda m, r_a, r_b: (
+        m["alpha_plus_alpha_beta"] - m["alpha_plus_alpha_beta_plus"]
+        - _half(r_a) * (m["beta"] - m["beta_plus"])) / 2j,
+    "C_Na_Yb": _correlation,
+}
+
+
+def _check_mode(mode):
+    if mode not in ("a", "b"):
+        raise ValueError(f"mode must be 'a' or 'b', got {mode!r}")
+
+
 def estimate_quadratures(moments, mode):
     """(mean_X, mean_Y); identical for both orderings (linear observable)."""
-    x, y = _quadratures(moments, mode)
-    return np.real(x), np.real(y)
+    _check_mode(mode)
+    return (_real(f"X_{mode}", moments, 1, 1),
+            _real(f"Y_{mode}", moments, 1, 1))
 
 
 def estimate_number(moments, mode, r):
     """<N> for the given mode; r=2 subtracts the half quantum."""
-    return np.real(_number(moments, mode, r))
+    _check_mode(mode)
+    return _real(f"N_{mode}", moments, r, r)
 
 
 def estimate_number_variance(moments, mode, r):
@@ -216,7 +223,9 @@ def estimate_number_variance(moments, mode, r):
     Both conversions are verified against the Fock evaluator.  Only mode a
     second moments are recorded by the engine.
     """
-    return np.real(_number_variance(moments, mode, r))
+    if mode != "a":
+        raise ValueError("second number moments are recorded for mode a only")
+    return _real("var_N_a", moments, r, r)
 
 
 def estimate_Yb_variance(moments, r_b):
@@ -226,7 +235,7 @@ def estimate_Yb_variance(moments, r_b):
     <Y_b^2> = -Re(<<beta+^2>> + <<beta^2>> - 2<<beta+ beta>> - 1)/4.  With
     symmetric ordering (r_b=2) the commutator term is absent.
     """
-    return np.real(_Yb_variance(moments, r_b))
+    return _real("var_Y_b", moments, r_b, r_b)
 
 
 def estimate_NaYb(moments, r_a):
@@ -236,22 +245,8 @@ def estimate_NaYb(moments, r_a):
     is removed from the product by subtracting (1/2)(<<beta>> - <<beta+>>);
     with r_a=1 no correction is needed.
     """
-    return np.real(_NaYb(moments, r_a))
+    return _real("N_a_Y_b", moments, r_a, r_a)
 
-
-# name -> complex estimate from (moments, r_a, r_b).
-_CONVERSIONS = {
-    "X_a": lambda m, r_a, r_b: _quadratures(m, "a")[0],
-    "Y_a": lambda m, r_a, r_b: _quadratures(m, "a")[1],
-    "X_b": lambda m, r_a, r_b: _quadratures(m, "b")[0],
-    "Y_b": lambda m, r_a, r_b: _quadratures(m, "b")[1],
-    "N_a": lambda m, r_a, r_b: _number(m, "a", r_a),
-    "N_b": lambda m, r_a, r_b: _number(m, "b", r_b),
-    "var_N_a": lambda m, r_a, r_b: _number_variance(m, "a", r_a),
-    "var_Y_b": lambda m, r_a, r_b: _Yb_variance(m, r_b),
-    "N_a_Y_b": lambda m, r_a, r_b: _NaYb(m, r_a),
-    "C_Na_Yb": _correlation,
-}
 
 OBSERVABLE_NAMES = tuple(_CONVERSIONS)
 

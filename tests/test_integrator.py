@@ -47,6 +47,14 @@ def config(**kw):
     return EnsembleConfig(**base)
 
 
+def simulate_chunk(first, m, method, params, cfg, plan, *args, **kwargs):
+    """``integrator._simulate_chunk`` with the noise coefficients that
+    ``run_ensemble`` builds for the method, params and plan."""
+    coeffs = dynamics.noise_coefficients(method.method, params, plan.sub_g)
+    return integrator._simulate_chunk(first, m, method, params, cfg, plan,
+                                      coeffs, *args, **kwargs)
+
+
 def trajectory(name, params, cfg, index=0, native=None):
     """Trajectory ``index`` run alone, as a one-lane chunk.
 
@@ -56,7 +64,7 @@ def trajectory(name, params, cfg, index=0, native=None):
     """
     if native is None:
         native = integrator._load_native()
-    part = integrator._simulate_chunk(
+    part = simulate_chunk(
         index, 1, MethodSpec.of(name), params, cfg,
         build_step_plan(cfg, params), native=native)
     batch = index % cfg.n_batches
@@ -195,8 +203,7 @@ def test_engine_step_matches_drift_and_noise_factor(name):
                  sample_interval=1)
     method = MethodSpec.of(name)
     plan = build_step_plan(cfg, params)
-    part = integrator._simulate_chunk(0, 6, method, params, cfg, plan,
-                                      native=False)
+    part = simulate_chunk(0, 6, method, params, cfg, plan, native=False)
     # One lane per batch, so each batch's sums are that lane's monomials.
     before, after = part["sums"][1, :, :4].T, part["sums"][2, :, :4].T
     assert (before[2].imag != 0).all()
@@ -302,6 +309,40 @@ def test_numpy_loop_runs_a_default_run_on_one_thread(monkeypatch):
         "hybrid", kerr(), cfg, n_workers=1)
     with pytest.raises(AssertionError, match="thread pool"):
         run_ensemble("hybrid", kerr(), cfg, n_workers=2)
+
+
+def counted_noise_coefficients(monkeypatch):
+    """The method names that ``dynamics.noise_coefficients`` is called
+    with from here on, in order."""
+    calls, build = [], dynamics.noise_coefficients
+
+    def spy(method, *args):
+        calls.append(method)
+        return build(method, *args)
+
+    monkeypatch.setattr(dynamics, "noise_coefficients", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_a_run_builds_its_noise_coefficients_once(monkeypatch, n_workers):
+    """``run_ensemble`` builds the noise coefficients once, beside the
+    plan, and its four chunks read them, on one worker or on threads."""
+    integrator._load_native()  # the load-time probe builds its own
+    monkeypatch.setattr(integrator, "CHUNK_SIZE", 16)
+    calls = counted_noise_coefficients(monkeypatch)
+    for name in METHOD_NAMES:
+        calls.clear()
+        run_ensemble(name, kerr(), config(), n_workers=n_workers)
+        assert calls == [name]
+
+
+def test_the_probe_builds_noise_coefficients_once_per_method(monkeypatch):
+    """Its three chunks per method share one plan, and so one set of noise
+    coefficients."""
+    calls = counted_noise_coefficients(monkeypatch)
+    assert integrator._probe_matches(False)
+    assert calls == list(METHOD_NAMES)
 
 
 def test_ensemble_depends_on_master_seed():
@@ -609,7 +650,7 @@ def test_native_samples_complex_amplitudes_like_numpy(native, name):
     # About 2.58, near the 2.06 of sqrt(N_a0).
     cfg = dataclasses.replace(cfg, blowup_threshold=1.25)
     plan = build_step_plan(cfg, kerr())
-    fast, ref = ({k: v.tobytes() for k, v in integrator._simulate_chunk(
+    fast, ref = ({k: v.tobytes() for k, v in simulate_chunk(
         7, 20, MethodSpec.of(name), kerr(), cfg, plan, record_gauge=True,
         native=kernel).items()} for kernel in (native, False))
     assert fast == ref
@@ -705,7 +746,7 @@ def test_native_non_finite_amplitude_dies_like_numpy(native, monkeypatch,
         for start in ((gamma, 0.5), (2.0, gamma)):
             monkeypatch.setattr(EnsembleConfig, "coherent_start",
                                 property(lambda self: start))
-            fast, ref = (integrator._simulate_chunk(
+            fast, ref = (simulate_chunk(
                 3, 1, method, kerr(), cfg, plan, native=kernel)
                 for kernel in (native, False))
             for k in ("live_counts", "blowup_times", "gauge_max"):
@@ -726,14 +767,13 @@ def test_native_keeps_a_chunk_whose_lanes_die(native, name):
                          master_seed=2, blowup_threshold=1.2)
     plan = build_step_plan(cfg, params)
     method = MethodSpec.of(name)
-    ref = integrator._simulate_chunk(0, 48, method, params, cfg, plan,
+    coeffs = dynamics.noise_coefficients(name, params, plan.sub_g)
+    ref = integrator._simulate_chunk(0, 48, method, params, cfg, plan, coeffs,
                                      record_gauge=True, native=False)
     out = {k: np.zeros_like(v) for k, v in ref.items()}
     out["blowup_times"][:] = np.nan
     assert cfg.lane_threshold == 1.2 * 2.0  # the kernel's, as sqrt(N_a0) = 2
-    native.run_chunk(
-        method, True, cfg, 0, plan,
-        dynamics.noise_coefficients(name, params, plan.sub_g), params, out)
+    native.run_chunk(method, True, cfg, 0, plan, coeffs, params, out)
     assert 0 < np.isfinite(out["blowup_times"]).sum() < 48
     for k in ref:
         assert out[k].tobytes() == ref[k].tobytes(), k
@@ -769,7 +809,7 @@ def test_native_lanes_whose_rotation_underflows_die_like_numpy(
             return f_a, f_b
 
         monkeypatch.setitem(dynamics.FREQUENCIES, name, counting)
-        fast, ref = (integrator._simulate_chunk(
+        fast, ref = (simulate_chunk(
             0, 64, method, params, cfg, plan, record_gauge=True,
             native=kernel) for kernel in (native, False))
         monkeypatch.setitem(dynamics.FREQUENCIES, name, frequencies)
@@ -885,7 +925,7 @@ def test_native_normal_fills_give_the_numpy_bytes(native, name, case):
         assert list(lengths) == [n]
     else:
         assert lengths.max() > FILL
-    fast, ref = (integrator._simulate_chunk(
+    fast, ref = (simulate_chunk(
         0, 48, MethodSpec.of(name), params, cfg, plan, record_gauge=True,
         native=kernel) for kernel in (native, False))
     for k in ref:
@@ -918,7 +958,7 @@ def test_native_lane_groups_give_the_numpy_bytes(native, name, m):
     runs = {"plain": (cfg, False), "gauge": (cfg, True),
             "lossy": (lossy, True)}
     for variant, (c, gauge) in runs.items():
-        fast, ref = (integrator._simulate_chunk(
+        fast, ref = (simulate_chunk(
             7, m, MethodSpec.of(name), params, c, plan, gauge,
             native=kernel) for kernel in (native, False))
         for k in ref:
@@ -942,7 +982,7 @@ def test_native_group_lanes_that_die_apart_give_the_numpy_bytes(native, name,
                          sample_interval=300, master_seed=2,
                          blowup_threshold=1.2)
     plan = build_step_plan(cfg, params)
-    fast, ref = (integrator._simulate_chunk(
+    fast, ref = (simulate_chunk(
         first, 4, MethodSpec.of(name), params, cfg, plan, record_gauge=True,
         native=kernel) for kernel in (native, False))
     for k in ref:
@@ -1031,7 +1071,7 @@ def test_native_tiles_give_the_numpy_bytes(native, name, interval):
         plan = build_step_plan(cfg, params)
         done = np.concatenate([[0], plan.ends])
         for first in (0, 5, 2049):
-            fast, ref = (integrator._simulate_chunk(
+            fast, ref = (simulate_chunk(
                 first, 37, MethodSpec.of(name), params, cfg, plan,
                 record_gauge=True, native=kernel)
                 for kernel in (native, False))
@@ -1073,7 +1113,7 @@ def zero_length_runs_match(kernel):
     ``zero_length_plan``'s chunk, with gauge drift and lanes that die."""
     cfg, params, plan = zero_length_plan()
     for name in METHOD_NAMES:
-        fast, ref = (integrator._simulate_chunk(
+        fast, ref = (simulate_chunk(
             1, 30, MethodSpec.of(name), params, cfg, plan, record_gauge=True,
             native=engine) for engine in (kernel, False))
         if any(fast[k].tobytes() != ref[k].tobytes() for k in ref):
@@ -1089,8 +1129,8 @@ def test_native_records_runs_of_zero_length_segments_like_numpy(native):
     cfg, params, plan = zero_length_plan()
     assert zero_length_runs_match(native)
     for name in METHOD_NAMES:
-        ref = integrator._simulate_chunk(1, 30, MethodSpec.of(name), params,
-                                         cfg, plan, native=False)
+        ref = simulate_chunk(1, 30, MethodSpec.of(name), params, cfg, plan,
+                             native=False)
         live = ref["live_counts"].sum(axis=1)
         assert live[0] == 30 and live[-1] < 30, name
 
@@ -1152,7 +1192,7 @@ def assert_gives_the_same_bytes(kernel, other):
                          master_seed=4, blowup_threshold=1.2)
     plan = build_step_plan(cfg, params)
     for name in METHOD_NAMES:
-        fast, ref = (integrator._simulate_chunk(
+        fast, ref = (simulate_chunk(
             5, 30, MethodSpec.of(name), params, cfg, plan, record_gauge=True,
             native=k) for k in (kernel, other))
         for k in ref:
@@ -1432,22 +1472,22 @@ def test_native_refuses_segment_ends_it_cannot_follow(native, ends):
     bad = dataclasses.replace(plan, ends=np.array(ends, dtype=np.int64))
     # Partials of the right layout: sums, live_counts, blow-up times and
     # gauge maxima.
+    coeffs = dynamics.noise_coefficients("hybrid", kerr(), plan.sub_g)
     out = integrator._simulate_chunk(0, 4, MethodSpec.of("hybrid"), kerr(),
-                                     cfg, plan, native=False)
+                                     cfg, plan, coeffs, native=False)
     with pytest.raises(ValueError, match="ends must rise"):
-        native.run_chunk(
-            MethodSpec.of("hybrid"), False, cfg, 0, bad,
-            dynamics.noise_coefficients("hybrid", kerr(), plan.sub_g), kerr(),
-            out)
+        native.run_chunk(MethodSpec.of("hybrid"), False, cfg, 0, bad, coeffs,
+                         kerr(), out)
 
 
 def _chunk_inputs(name="hybrid"):
     """A plan, its noise coefficients and numpy partials of 4 lanes."""
     cfg = config(sample_interval=20)
     plan = build_step_plan(cfg, kerr())
+    coeffs = dynamics.noise_coefficients(name, kerr(), plan.sub_g)
     out = integrator._simulate_chunk(0, 4, MethodSpec.of(name), kerr(), cfg,
-                                     plan, native=False)
-    return cfg, plan, dynamics.noise_coefficients(name, kerr(), plan.sub_g), out
+                                     plan, coeffs, native=False)
+    return cfg, plan, coeffs, out
 
 
 @pytest.mark.parametrize("first", [-1, 2 ** 64 - 3])
@@ -1643,3 +1683,37 @@ def test_native_cache_keeps_two_sources_and_prunes_the_least_used(
     monkeypatch.setattr(_kernel, "SOURCE", source_a)
     assert _kernel.build() == path_a
     assert sorted(cache.iterdir()) == sorted([path_a, path_b])
+
+
+def test_flags_without_a_readable_cpuinfo(monkeypatch):
+    """Where /proc/cpuinfo cannot be read, the build asks for neither FMA
+    nor AVX-512."""
+    def unreadable(self, *args, **kwargs):
+        raise OSError("no cpuinfo")
+
+    monkeypatch.setattr(_kernel.Path, "read_text", unreadable)
+    assert _kernel._flags() == ["-O2", "-ffp-contract=off", "-fPIC",
+                                "-shared"]
+
+
+def test_build_returns_none_after_an_os_error(monkeypatch, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger=_kernel.log.name)
+    monkeypatch.setattr(_kernel, "CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(_kernel, "SOURCE", tmp_path / "missing.c")
+    assert _kernel.build() is None
+    assert caplog.messages[-1].startswith(
+        "building the native kernel failed: ")
+
+
+def test_load_returns_none_for_a_library_without_the_kernel(monkeypatch,
+                                                              caplog):
+    """libm loads, but it exports none of the kernel's symbols."""
+    import ctypes.util
+
+    libm = ctypes.util.find_library("m")
+    if libm is None:
+        pytest.skip("no libm to load")
+    caplog.set_level(logging.INFO, logger=_kernel.log.name)
+    monkeypatch.setattr(_kernel, "build", lambda: Path(libm))
+    assert _kernel.load() is None
+    assert caplog.messages[-1].startswith("loading the native kernel failed: ")

@@ -1,4 +1,5 @@
 """Closed-form reference curves and the number-basis cross-check."""
+import hashlib
 import math
 
 import numpy as np
@@ -250,6 +251,41 @@ def test_word_evaluator_handles_vacuum_annihilation():
 def test_word_evaluator_rejects_bad_input():
     with pytest.raises(ValueError):
         fock_word_expect("+*", "", 0.0, KERR)
+
+
+def test_fock_expect_rejects_unknown_names():
+    with pytest.raises(KeyError, match="unknown Fock observable 'N_b'"):
+        fock_expect("N_b", 0.3, KERR)
+
+
+# Physics with occupations of 0, small and large, a constant, a switched and
+# a three-segment coupling, and nonzero omegas.
+WORD_PHYSICS = [
+    OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0),
+    OracleParams(0.0, 0.0, 1.0, 1.0, 1.0, 100.0, 0.01),
+    OracleParams(0.3, -0.7, 1.1, 0.9, CouplingSchedule(
+        ((0.0123, 1.0), (math.inf, 0.6))), 4.0, 0.25),
+    OracleParams(1.0, 0.5, 0.2, 0.05, CouplingSchedule(
+        ((0.1, 0.0), (0.4, 2.0), (math.inf, 0.0))), 0.0, 9.0),
+    OracleParams(-0.4, 0.0, 0.5, 0.0, CouplingSchedule.switched(0.7, 0.2),
+                 25.0, 0.0),
+]
+LADDER_WORDS = ["", "+", "-", "+-", "-+", "++", "--", "+--", "++-",
+                "+-+-", "++--"]
+
+
+def test_fock_words_keep_their_bytes():
+    """sha256 of every word pair's value at six times on each physics, as
+    the code computed them before each mode's sum was written once."""
+    h = hashlib.sha256()
+    for p in WORD_PHYSICS:
+        for t in (0.0, 0.01, 0.05, 0.2, 0.45, 1.3):
+            for word_a in LADDER_WORDS:
+                for word_b in LADDER_WORDS:
+                    h.update(np.complex128(
+                        fock_word_expect(word_a, word_b, t, p)).tobytes())
+    assert h.hexdigest() == (
+        "cc8be9b9a04c4c0b1c9a3936bb90057aa505dea3b0ee7c88ed96a996d030cee5")
 
 
 def test_default_cutoff_grows_with_occupation():

@@ -1,4 +1,5 @@
 """Initial-state sampling and ordering-aware estimators."""
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import phasesde as ps
+from phasesde import representations
 from phasesde.integrator import make_stream
 from phasesde.oracle import OracleParams, fock_expect, fock_symmetrized, fock_word_expect
 from phasesde.representations import draw_standard_normals, ndtri
@@ -170,6 +172,16 @@ def test_number_variance_only_defined_for_mode_a():
         ps.estimate_number_variance(moments, "b", 1)
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda m: ps.estimate_quadratures(m, "c"),
+    lambda m: ps.estimate_number(m, "c", 1),
+], ids=["quadratures", "number"])
+def test_estimates_reject_an_unknown_mode(estimate):
+    moments = coherent_state_moments(1.0, 1.0, ps.MethodSpec.of("hybrid"))
+    with pytest.raises(ValueError, match="mode must be 'a' or 'b', got 'c'"):
+        estimate(moments)
+
+
 def test_nayb_with_constant_number_and_imaginary_beta():
     """A deterministic ensemble: beta = i*c pairs with N_a = alpha_plus*alpha - 1/2."""
     apa, c = 3.7, 0.25
@@ -284,3 +296,98 @@ def test_conversions_match_fock_oracle(n_a0, t):
     }
     assert ps.estimate_Yb_variance(wigner_b, 2) == pytest.approx(
         y2_direct - yb_direct ** 2, **tol)
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes of the conversions
+# ---------------------------------------------------------------------------
+
+
+def _digest(values):
+    """sha256 of the dtypes and bytes of ``values``, in order."""
+    h = hashlib.sha256()
+    for v in values:
+        v = np.ascontiguousarray(v)
+        h.update(v.dtype.str.encode() + v.tobytes())
+    return h.hexdigest()
+
+
+def _random_moments(seed):
+    """Complex (samples, batches) moments that no ensemble would give: the
+    variances come out of either sign, so the correlation takes both of
+    its branches."""
+    rng = np.random.default_rng(seed)
+    return {k: rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+            for k in ps.MONOMIALS}
+
+
+# Every entry at every pair of tags (1, 1 is the oracle's), and every public
+# estimate, over _random_moments(0 .. 39), as the code computed them before
+# the conversions were written once each.
+CONVERSION_DIGESTS = {
+    "X_a":
+        "46f1dd09519843f57c854c61aa6f59d015a4acbfac0163548055bf222b8a685f",
+    "Y_a":
+        "ccf1e100a1b7a7cc6f0f3b40b29da1a3ef9f2c514437e88856a3a8235b60b577",
+    "X_b":
+        "4e8b301608878c74b660b5346d689e3315ac1fc210524f70fa65b81f025fe912",
+    "Y_b":
+        "91dda8d1985498088679d19b37c1d8db1887cbd5379ca44e91fafb97f601db91",
+    "N_a":
+        "dc432dcaaaacd447f56d1d00d4ccee73fc891d89982d9bdd1fc248a087a77334",
+    "N_b":
+        "cbb2ed6084ce5b9a11f5f0f9c555835cdc12a1737c0b0151652a531191937bbe",
+    "var_N_a":
+        "ff281c0550df01afdcfe36a81b5ef251caa6ad63ba0556ccd59452207d91a0e8",
+    "var_Y_b":
+        "1be4a8c2f1d43fcdbc1bd369b7b46e19f9db55c2312d67a6a923322a0a95d20e",
+    "N_a_Y_b":
+        "d343c3eaa08d69c1579c0985800a35c0df82dd86ac680f23a601187bbe1c9d3b",
+    "C_Na_Yb":
+        "b2309b909d12e9b1c20f20e2844d98d53704b1db62421fd6f4e8fcd5411ceccc",
+    "observable_estimate_complex":
+        "10c66e419045c0db4ec52712e6cb06fe75892f1f2aae82f7306ea06168ccd417",
+    "estimate_quadratures":
+        "de0a4e5898908c28037e627d617a6f9fa1d5c4823cc3f5d706759a660738fa65",
+    "estimate_number":
+        "94c1034ec4c46afc1f05412cef04359f28b1c99999706a7e0b4229036fe9c013",
+    "estimate_number_variance":
+        "71299c14cb0f00251efe673f47aa5b8d817663e955f12d26d3eb74829ebb3be6",
+    "estimate_Yb_variance":
+        "8cd8881f67f8f87518bbc11dcad7cc640e14a76c7e6230436918064d68f45e8e",
+    "estimate_NaYb":
+        "19b924821a284fb668e8032e00996c601a40e4c5bce85b1c52a3e3c94557ee47",
+}
+
+
+def _conversion_values(moment_sets):
+    """Each key of CONVERSION_DIGESTS -> its values over ``moment_sets``."""
+    tags = [(1, 1), (1, 2), (2, 1), (2, 2)]
+    out = {name: [representations._CONVERSIONS[name](m, r_a, r_b)
+                  for m in moment_sets for r_a, r_b in tags]
+           for name in ps.OBSERVABLE_NAMES}
+    out["observable_estimate_complex"] = [
+        ps.observable_estimate_complex(name, m, ps.MethodSpec.of(method))
+        for m in moment_sets for method in ps.METHOD_NAMES
+        for name in ps.OBSERVABLE_NAMES]
+    out["estimate_quadratures"] = [
+        v for m in moment_sets for mode in "ab"
+        for v in ps.estimate_quadratures(m, mode)]
+    out["estimate_number"] = [ps.estimate_number(m, mode, r)
+                              for m in moment_sets for mode in "ab"
+                              for r in (1, 2)]
+    out["estimate_number_variance"] = [
+        ps.estimate_number_variance(m, "a", r) for m in moment_sets
+        for r in (1, 2)]
+    out["estimate_Yb_variance"] = [ps.estimate_Yb_variance(m, r)
+                                   for m in moment_sets for r in (1, 2)]
+    out["estimate_NaYb"] = [ps.estimate_NaYb(m, r)
+                            for m in moment_sets for r in (1, 2)]
+    return out
+
+
+def test_conversions_keep_their_bytes():
+    values = _conversion_values([_random_moments(seed) for seed in range(40)])
+    correlation = np.array(values["C_Na_Yb"])
+    assert np.isnan(correlation).any() and np.isfinite(correlation).any()
+    assert {k: _digest(v) for k, v in values.items()} == CONVERSION_DIGESTS

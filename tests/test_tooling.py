@@ -92,8 +92,10 @@ def test_noise_table_feeds_the_noise_factors_and_the_engine(monkeypatch):
     plan = integrator.build_step_plan(config, params)
     for name in dynamics.NOISE:
         calls.clear()
-        integrator._simulate_chunk(0, 2, core.MethodSpec.of(name), params,
-                                   config, plan, native=False)
+        integrator._simulate_chunk(
+            0, 2, core.MethodSpec.of(name), params, config, plan,
+            dynamics.noise_coefficients(name, params, plan.sub_g),
+            native=False)
         assert calls == [(name, j) for j in range(plan.n_substeps)]
 
 
